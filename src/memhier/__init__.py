@@ -13,8 +13,9 @@ from .backend import JitterBackend, RealMemoryBackend, acquire_region
 from .cacheprobe import (ResponseCurve, SamplePoint, curve_from_csv,
                          curve_to_csv, run_cache_sweep, sample_points)
 from .errors import (AllocationFailureError, BudgetExceededError, ConfigError,
-                     DegenerateCurveError, InvalidGeometryError, MemhierError,
-                     ProbeError, TimerTooCoarseError)
+                     CurveFormatError, DegenerateCurveError,
+                     InvalidGeometryError, MemhierError, ProbeError,
+                     TimerTooCoarseError)
 from .l1probe import L1Params, L1Report, run_l1_probe
 from .refstring import (MachineEnv, ReferenceString, build_cache_string,
                         build_gap_string, build_tlb_string, verify_cycle)

@@ -17,7 +17,7 @@ from __future__ import annotations
 import os
 import random
 import time
-from typing import Optional, Protocol
+from typing import Optional
 
 from .errors import AllocationFailureError, MemhierError
 from .refstring import ReferenceString
@@ -27,12 +27,6 @@ DEFAULT_REGION_CAP = 64 * 1024 * 1024
 
 #: If set, the probe process is pinned to this hardware thread (best effort).
 PIN_CPU_ENV = "MEMHIER_PIN_CPU"
-
-
-class Backend(Protocol):
-    deterministic: bool
-
-    def run(self, rs: ReferenceString, loads: int): ...
 
 
 def acquire_region(footprint: int, cap: int = DEFAULT_REGION_CAP):

@@ -15,7 +15,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
-from .errors import BudgetExceededError, InvalidGeometryError
+from .errors import (BudgetExceededError, CurveFormatError,
+                     InvalidGeometryError)
 from .refstring import MachineEnv, build_cache_string
 from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, EQUALITY_TOL,
                      CycleCalibration, run_once)
@@ -189,13 +190,17 @@ def curve_to_csv(curve: ResponseCurve) -> str:
 
 def curve_from_csv(text: str, kind: str = "cache") -> ResponseCurve:
     points: List[SamplePoint] = []
-    for raw in text.splitlines():
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("footprint_bytes"):
             continue
-        fp_s, val_s, ko_s = line.split(",")
-        p = SamplePoint(footprint=int(fp_s), min_cycles=float(val_s),
-                        knocked_out=bool(int(ko_s)))
+        try:
+            fp_s, val_s, ko_s = line.split(",")
+            p = SamplePoint(footprint=int(fp_s), min_cycles=float(val_s),
+                            knocked_out=bool(int(ko_s)))
+        except ValueError:
+            raise CurveFormatError("bad curve row at line %d: %r"
+                                   % (lineno, raw))
         if math.isnan(p.min_cycles):
             p.min_cycles = math.inf
         points.append(p)

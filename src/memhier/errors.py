@@ -31,3 +31,7 @@ class ConfigError(MemhierError):
 
 class DegenerateCurveError(MemhierError):
     """A response curve has too few measured points to analyze."""
+
+
+class CurveFormatError(MemhierError):
+    """A saved response curve is unparsable."""

@@ -9,11 +9,25 @@ The per-access cost model: an access costs the latency of the first cache
 level that holds the line (or ``memory_latency`` if none does), plus, for each
 TLB level that missed the translation, that level's miss penalty.  A full TLB
 miss therefore costs the sum of all levels' penalties, which models the walk.
+
+A run simulates only as many traversals as it needs.  The LRU state (each
+TLB's recency order and each cache set's) after a traversal depends only on
+the state before it, because every traversal replays the same accesses.  So
+once a timed traversal leaves the state as it found it, every later traversal
+costs exactly what that one did (Mattson, Gecsei, Slutz & Traiger,
+"Evaluation Techniques for Storage Hierarchies", IBM Sys. J. 1970).  The
+simulator snapshots the state before each timed traversal that has a
+successor, compares it afterwards, and on a match multiplies out the rest.
+Cache sets live in a table keyed by set index and are created on first fill,
+so set-up, snapshot and comparison scale with the lines a string touches, not
+with cache capacity.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -78,7 +92,9 @@ class _CacheState:
         self.linesize = lvl.linesize
         self.assoc = lvl.associativity
         self.nsets = lvl.capacity // (lvl.associativity * lvl.linesize)
-        self.sets = [dict() for _ in range(self.nsets)]
+        #: set index -> {line: None} in LRU-to-MRU order; a set appears on
+        #: its first fill.
+        self.sets = {}
 
 
 class _TlbState:
@@ -95,16 +111,16 @@ def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
     after one untimed warm-up traversal."""
     if traversals < 1:
         raise ConfigError("traversals must be positive")
+    config.validate()
     total = _simulate_loads(config, rs, traversals * rs.chain_length)
     return total / (traversals * rs.chain_length)
 
 
 def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
-    """Total latency of ``loads`` accesses after one warm-up traversal."""
-    config.validate()
-    caches = [_CacheState(lvl) for lvl in config.cache_levels]
-    tlbs = [_TlbState(lvl) for lvl in config.tlb_levels]
-    mem_latency = config.memory_latency
+    """Total latency of ``loads`` accesses after one warm-up traversal.
+
+    ``config`` must already be validated.
+    """
     chain = rs.chain
     n = len(chain)
     if loads % n:
@@ -124,54 +140,109 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
         paddrs = [(perm[off >> page_shift] << page_shift) | (off & page_mask)
                   for off in chain]
 
+    caches = [_CacheState(lvl) for lvl in config.cache_levels]
+    tlbs = [_TlbState(lvl) for lvl in config.tlb_levels]
+    args = (chain, paddrs, page_shift, tlbs, caches, config.memory_latency)
+
+    _traverse(*args)  # warm-up, untimed
     total = 0
-    timing = False
-    for sweep in range(loads // n + 1):
-        for i in range(n):
-            cost = 0
-            if tlbs:
-                vpage = chain[i] >> page_shift
-                hit_at = len(tlbs)
-                for ti, tl in enumerate(tlbs):
-                    d = tl.pages
-                    if vpage in d:
-                        del d[vpage]
-                        d[vpage] = None
-                        hit_at = ti
-                        break
-                    cost += tl.latency
-                for tl in tlbs[:hit_at]:
-                    d = tl.pages
-                    if vpage in d:
-                        del d[vpage]
-                    elif len(d) >= tl.entries:
-                        del d[next(iter(d))]
-                    d[vpage] = None
-            paddr = paddrs[i]
-            hit_at = len(caches)
-            for ci, cs in enumerate(caches):
-                line = paddr // cs.linesize
-                s = cs.sets[line % cs.nsets]
-                if line in s:
-                    del s[line]
-                    s[line] = None
-                    cost += cs.latency
-                    hit_at = ci
-                    break
-            else:
-                cost += mem_latency
-            for cs in caches[:hit_at]:
-                line = paddr // cs.linesize
-                s = cs.sets[line % cs.nsets]
-                if line in s:
-                    del s[line]
-                elif len(s) >= cs.assoc:
-                    del s[next(iter(s))]
-                s[line] = None
-            if timing:
-                total += cost
-        timing = True
+    left = loads // n
+    while left:
+        snapshot = _snapshot(tlbs, caches) if left > 1 else None
+        cost = _traverse(*args)
+        total += cost
+        left -= 1
+        if snapshot is not None and _unchanged(snapshot, tlbs, caches):
+            # The state after a traversal depends only on the state before
+            # it, so every later traversal repeats this one exactly.
+            return total + left * cost
+        snapshot = None  # drop it before the next one is built
     return total
+
+
+def _traverse(chain, paddrs, page_shift, tlbs, caches, mem_latency) -> int:
+    """Run one traversal against the LRU state; return its total latency."""
+    total = 0
+    ntlbs = len(tlbs)
+    ncaches = len(caches)
+    for vaddr, paddr in zip(chain, paddrs):
+        cost = 0
+        if ntlbs:
+            vpage = vaddr >> page_shift
+            hit_at = ntlbs
+            for ti, tl in enumerate(tlbs):
+                d = tl.pages
+                if vpage in d:
+                    del d[vpage]
+                    d[vpage] = None
+                    hit_at = ti
+                    break
+                cost += tl.latency
+            for tl in tlbs[:hit_at]:
+                d = tl.pages
+                if vpage in d:
+                    del d[vpage]
+                elif len(d) >= tl.entries:
+                    del d[next(iter(d))]
+                d[vpage] = None
+        hit_at = ncaches
+        for ci, cs in enumerate(caches):
+            line = paddr // cs.linesize
+            s = cs.sets.get(line % cs.nsets)
+            if s is not None and line in s:
+                del s[line]
+                s[line] = None
+                cost += cs.latency
+                hit_at = ci
+                break
+        else:
+            cost += mem_latency
+        for cs in caches[:hit_at]:
+            line = paddr // cs.linesize
+            idx = line % cs.nsets
+            s = cs.sets.get(idx)
+            if s is None:
+                cs.sets[idx] = {line: None}
+                continue
+            if line in s:
+                del s[line]
+            elif len(s) >= cs.assoc:
+                del s[next(iter(s))]
+            s[line] = None
+        total += cost
+    return total
+
+
+def _cache_keys(cs: _CacheState) -> array:
+    """The keys of every set of a cache level in recency order, one set after
+    another.  An array holds the values, not the key objects, which later
+    hits replace with equal ones."""
+    return array("q", itertools.chain.from_iterable(cs.sets.values()))
+
+
+def _snapshot(tlbs, caches):
+    """The LRU state: each TLB's keys in recency order, and each cache
+    level's set count and keys."""
+    return ([array("q", tl.pages) for tl in tlbs],
+            [(len(cs.sets), _cache_keys(cs)) for cs in caches])
+
+
+def _unchanged(snapshot, tlbs, caches) -> bool:
+    """Whether the LRU state equals ``snapshot``.
+
+    Sets are never dropped or emptied, new ones are appended, and the keys
+    of a set all share its index.  So equal set counts and equal
+    concatenated keys mean that every set holds the same keys in the same
+    order.
+    """
+    tlb_snap, cache_snap = snapshot
+    for tl, pages in zip(tlbs, tlb_snap):
+        if array("q", tl.pages) != pages:
+            return False
+    for cs, (count, keys) in zip(caches, cache_snap):
+        if len(cs.sets) != count or _cache_keys(cs) != keys:
+            return False
+    return True
 
 
 class SimulatedBackend:

@@ -45,6 +45,14 @@ class TestExitCodes:
     def test_missing_curve_file_is_1(self, capsys):
         assert main(["analyze", "/does/not/exist.csv"]) == 1
 
+    def test_malformed_curve_is_1(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("footprint_bytes,cycles_per_access,knocked_out\n"
+                        "1024,abc\n")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "memhier: bad curve row at line 2: '1024,abc'\n"
+
 
 class TestL1Command:
     def test_exact_recovery(self, capsys, cfg_path):

@@ -8,7 +8,7 @@ from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
                      simulate)
 from memhier.simoracle import format_config
 
-from conftest import naive_single_level_cycles
+from conftest import naive_cycles, naive_single_level_cycles
 
 KB = 1024
 
@@ -156,3 +156,77 @@ def test_backend_reproducible(seed, kb):
     rs = build_cache_string(kb * KB, env, seed)
     be = SimulatedBackend(two_level())
     assert be.run(rs, 2 * rs.chain_length) == be.run(rs, 2 * rs.chain_length)
+
+
+@st.composite
+def hierarchies(draw):
+    """1-3 cache levels (any way count, set count and line size), 0-2 TLB
+    levels, identity or random mapping."""
+    levels = []
+    capacity = latency = 0
+    for _ in range(draw(st.integers(1, 3))):
+        ways = draw(st.integers(1, 12))
+        linesize = draw(st.sampled_from([32, 64, 128]))
+        min_sets = capacity // (ways * linesize) + 1
+        nsets = draw(st.integers(min_sets, min_sets + 8))
+        capacity = nsets * ways * linesize
+        latency += draw(st.integers(1, 10))
+        levels.append(CacheLevel(capacity, ways, linesize, latency))
+    tlbs = []
+    entries = 0
+    for _ in range(draw(st.integers(0, 2))):
+        entries += draw(st.integers(1, 16))
+        tlbs.append(TlbLevel(entries, draw(st.integers(0, 40))))
+    return SimConfig(cache_levels=levels, tlb_levels=tlbs,
+                     memory_latency=latency + draw(st.integers(1, 60)),
+                     mapping_seed=draw(st.none() | st.integers(0, 2**16)))
+
+
+@st.composite
+def strings(draw):
+    env = MachineEnv(pagesize=4096)
+    kind = draw(st.sampled_from(["gap", "cache", "tlb"]))
+    if kind == "gap":
+        return build_gap_string(draw(st.integers(2, 24)),
+                                draw(st.sampled_from([64, 192, 256, 512, 768,
+                                                      1024, 4096])),
+                                draw(st.sampled_from([0, 64, 128])), env)
+    seed = draw(st.integers(0, 2**32))
+    if kind == "cache":
+        return build_cache_string(draw(st.integers(1, 16)) * KB, env, seed)
+    return build_tlb_string(draw(st.integers(1, 4)),
+                            draw(st.integers(2, 24)) * 4096, env, seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
+def test_matches_naive_hierarchy(cfg, rs, traversals):
+    assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
+
+
+@pytest.mark.parametrize("cfg, rs", [
+    # The state after the first timed traversal differs from the state after
+    # the warm-up; the one after the second equals the one after the first.
+    (SimConfig(cache_levels=[CacheLevel(4 * KB, 1, 64, 3),
+                             CacheLevel(8 * KB, 4, 64, 10)],
+               memory_latency=50),
+     build_cache_string(7 * KB, MachineEnv(pagesize=4096), 379)),
+    # The first timed traversal also costs more than every later one.
+    (SimConfig(cache_levels=[CacheLevel(384, 2, 64, 3),
+                             CacheLevel(768, 6, 64, 10),
+                             CacheLevel(3 * KB, 2, 64, 12)],
+               tlb_levels=[TlbLevel(22, 27)], memory_latency=56,
+               mapping_seed=715),
+     build_gap_string(7, 256, 0, MachineEnv(pagesize=4096))),
+    # Only the second TLB level's state changes in the first timed
+    # traversal, which costs more than every later one.
+    (SimConfig(cache_levels=[CacheLevel(12 * KB, 12, 32, 9),
+                             CacheLevel(48 * KB, 16, 128, 19)],
+               tlb_levels=[TlbLevel(13, 19), TlbLevel(14, 34)],
+               memory_latency=73, mapping_seed=801),
+     build_tlb_string(4, 15 * 4096, MachineEnv(pagesize=4096), 727296)),
+])
+def test_late_fixed_point(cfg, rs):
+    for traversals in (1, 2, 3, 4):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
