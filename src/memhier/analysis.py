@@ -18,19 +18,10 @@ from .errors import DegenerateCurveError
 from .l1probe import L1Report
 from .refstring import MachineEnv
 from .tlbprobe import TlbLevelResult
-from .timing import EQUALITY_TOL
-
-#: A value is off-plateau when it exceeds the running median by at least
-#: max(RISE_ABS cycles, RISE_REL fraction).
-RISE_ABS = 1.0
-RISE_REL = 0.15
+from .timing import RISE, STEP_TOL, is_step
 
 #: Deeper detections than this are flagged for human review.
 MAX_LEVELS = 4
-
-
-def _is_rise(median: float, value: float) -> bool:
-    return value >= median + max(RISE_ABS, RISE_REL * median)
 
 
 def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
@@ -52,7 +43,7 @@ def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
     for i in range(1, len(values)):
         v = values[i]
         med = statistics.median(plateau)
-        if _is_rise(med, v) and _persists(values, i, med):
+        if is_step(med, v, *RISE) and _persists(values, i, med):
             transitions.append((plateau_end, round(med)))
             plateau = [v]
         else:
@@ -63,7 +54,7 @@ def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
 
 def _persists(values: List[float], start: int, median: float) -> bool:
     """True if no later value returns to within tolerance of the plateau."""
-    return all(v > median + EQUALITY_TOL for v in values[start:])
+    return all(is_step(median, v, STEP_TOL) for v in values[start:])
 
 
 @dataclass
@@ -71,6 +62,11 @@ class LevelReport:
     index: int
     effective_capacity: int
     latency: int
+
+    def to_json_dict(self) -> dict:
+        return {"level": self.index,
+                "effective_capacity": self.effective_capacity,
+                "latency": self.latency}
 
 
 @dataclass
@@ -96,10 +92,7 @@ class HierarchyReport:
                 "cost": self.l1.cost,
                 "flags": self.l1.flags,
             },
-            "cache_levels": [{"level": lv.index,
-                              "effective_capacity": lv.effective_capacity,
-                              "latency": lv.latency}
-                             for lv in self.cache_levels],
+            "cache_levels": [lv.to_json_dict() for lv in self.cache_levels],
             "tlb_levels": [{"level": lv.level,
                             "capacity": lv.capacity,
                             "entries": lv.entries}

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from dataclasses import dataclass
+from typing import Callable, List
 
 from .errors import (BudgetExceededError, CurveFormatError,
                      InvalidGeometryError)
 from .refstring import MachineEnv, build_cache_string
-from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, EQUALITY_TOL,
-                     CycleCalibration, run_once)
+from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, STEP_TOL,
+                     CycleCalibration, is_step, run_once)
 
 DEFAULT_LB = 1024
 DEFAULT_UB = 32 * 1024 * 1024
@@ -31,7 +31,6 @@ class SamplePoint:
     min_cycles: float = math.inf
     runs_since_min: int = 0
     knocked_out: bool = False
-    runs: int = 0
 
     @property
     def measured(self) -> bool:
@@ -41,7 +40,6 @@ class SamplePoint:
 @dataclass
 class ResponseCurve:
     points: List[SamplePoint]
-    kind: str  # "cache" or "tlb:<n>"
     total_string_runs: int = 0
     cost: float = 0.0
 
@@ -65,25 +63,20 @@ class ResponseCurve:
 
 
 def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
-    """The Range(LB, UB) schedule: 1-4KB uniformly, then each power of two
-    with three uniformly spaced points in between, plus UB itself."""
+    """The Range(LB, UB) schedule: 1-4KB uniformly, then the octave
+    schedule from 4KB to UB."""
     if lb <= 0 or lb > 4096 or ub < 4096 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB <= 4KB <= UB and LB < UB")
     pts = {kb * 1024 for kb in (1, 2, 3, 4) if lb <= kb * 1024 <= ub}
-    p = 4096
-    while p < ub:
-        for m in (4, 5, 6, 7):  # p, 1.25p, 1.5p, 1.75p
-            v = p * m // 4
-            if lb <= v <= ub:
-                pts.add(v)
-        p *= 2
-    pts.add(ub)
+    if ub > 4096:
+        pts.update(octave_points(4096, ub))
     return sorted(pts)
 
 
 def octave_points(lb: int, ub: int) -> List[int]:
-    """Power-of-two-plus-three-intermediates schedule with no sub-4KB rule;
-    used for gap sweeps and the page-count schedule of the TLB test."""
+    """Each power of two with three uniformly spaced points in between (p,
+    1.25p, 1.5p, 1.75p), plus LB and UB themselves; used for gap sweeps, the
+    page-count schedule of the TLB test and the cache schedule above 4KB."""
     if lb <= 0 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB < UB")
     pts = set()
@@ -106,10 +99,7 @@ def run_sweep(footprints: List[int],
               string_factory: Callable[[int], object],
               cal: CycleCalibration, backend,
               window: int = DEFAULT_WINDOW,
-              knockout: bool = True,
-              run_cap_per_point: int = DEFAULT_RUN_CAP,
-              kind: str = "cache",
-              tol: float = EQUALITY_TOL) -> ResponseCurve:
+              knockout: bool = True) -> ResponseCurve:
     """Stability-disciplined sweep over ``footprints``.
 
     ``string_factory(footprint)`` must return a freshly seeded reference
@@ -117,8 +107,8 @@ def run_sweep(footprints: List[int],
     exhaustive discipline (every point measured until stable on its own).
     """
     points = [SamplePoint(fp) for fp in sorted(footprints)]
-    curve = ResponseCurve(points=points, kind=kind)
-    cap = run_cap_per_point * len(points)
+    curve = ResponseCurve(points=points)
+    cap = DEFAULT_RUN_CAP * len(points)
     started = time.perf_counter()
     while True:
         active = [p for p in points
@@ -131,7 +121,6 @@ def run_sweep(footprints: List[int],
             rs = string_factory(p.footprint)
             t = run_once(rs, cal, backend)
             curve.total_string_runs += 1
-            p.runs += 1
             if t < p.min_cycles:
                 p.min_cycles = t
                 p.runs_since_min = 0
@@ -145,10 +134,13 @@ def run_sweep(footprints: List[int],
             for idx in range(1, len(points) - 1):
                 p = points[idx]
                 below, above = points[idx - 1], points[idx + 1]
+                # Equal: neither point is a step above the other.
                 if (not p.knocked_out and p.measured
                         and below.measured and above.measured
-                        and abs(p.min_cycles - below.min_cycles) <= tol
-                        and abs(p.min_cycles - above.min_cycles) <= tol):
+                        and all(not is_step(min(p.min_cycles, q.min_cycles),
+                                            max(p.min_cycles, q.min_cycles),
+                                            STEP_TOL)
+                                for q in (below, above))):
                     p.knocked_out = True
                     # Treated as stable unless a neighbor revives it.
                     p.runs_since_min = window
@@ -162,8 +154,7 @@ def run_sweep(footprints: List[int],
 def run_cache_sweep(points: List[int], env: MachineEnv,
                     cal: CycleCalibration, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0,
-                    knockout: bool = True,
-                    run_cap_per_point: int = DEFAULT_RUN_CAP) -> ResponseCurve:
+                    knockout: bool = True) -> ResponseCurve:
     """Sweep C(k) over the given footprints and return the response curve."""
     counter = [seed]
 
@@ -172,8 +163,7 @@ def run_cache_sweep(points: List[int], env: MachineEnv,
         return build_cache_string(footprint, env, counter[0])
 
     return run_sweep(points, factory, cal, backend, window=window,
-                     knockout=knockout, run_cap_per_point=run_cap_per_point,
-                     kind="cache")
+                     knockout=knockout)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +178,7 @@ def curve_to_csv(curve: ResponseCurve) -> str:
     return "\n".join(lines) + "\n"
 
 
-def curve_from_csv(text: str, kind: str = "cache") -> ResponseCurve:
+def curve_from_csv(text: str) -> ResponseCurve:
     points: List[SamplePoint] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -205,4 +195,4 @@ def curve_from_csv(text: str, kind: str = "cache") -> ResponseCurve:
             p.min_cycles = math.inf
         points.append(p)
     points.sort(key=lambda p: p.footprint)
-    return ResponseCurve(points=points, kind=kind)
+    return ResponseCurve(points=points)

@@ -81,7 +81,7 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
-def _probe_env(backend, config) -> MachineEnv:
+def _probe_env(config) -> MachineEnv:
     if config is not None:
         return MachineEnv(pagesize=config.pagesize)
     return MachineEnv.host()
@@ -89,7 +89,7 @@ def _probe_env(backend, config) -> MachineEnv:
 
 def _run_probes(args, which: str) -> dict:
     backend, config = _make_backend(args.backend)
-    env = _probe_env(backend, config)
+    env = _probe_env(config)
     cal = calibrate(env, backend)
     started = time.perf_counter()
     costs: dict = {}
@@ -146,10 +146,7 @@ def main(argv: Optional[list] = None) -> int:
             with open(args.curve) as fh:
                 curve = curve_from_csv(fh.read())
             levels = analysis.levels_from_curve(curve)
-            payload = {"levels": [{"level": lv.index,
-                                   "effective_capacity": lv.effective_capacity,
-                                   "latency": lv.latency}
-                                  for lv in levels]}
+            payload = {"levels": [lv.to_json_dict() for lv in levels]}
             _emit(args, json.dumps(payload, indent=2))
             return 0
 

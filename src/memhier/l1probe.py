@@ -14,7 +14,7 @@ from typing import List
 from .cacheprobe import octave_points
 from .errors import ProbeError
 from .refstring import MachineEnv, build_gap_string
-from .timing import (DEFAULT_WINDOW, DETECTION_MARGIN, CycleCalibration,
+from .timing import (DEFAULT_WINDOW, STEP_TOL, CycleCalibration, is_step,
                      measure_stable)
 
 DEFAULT_LB = 1024
@@ -42,7 +42,6 @@ class L1Report:
     linesize: int
     latency: int
     cost: float
-    baseline_cycles: float = 0.0
     flags: List[str] = field(default_factory=list)
 
 
@@ -66,7 +65,7 @@ def find_capacity(params: L1Params, base: float, env: MachineEnv,
     ma = params.max_assoc
     for k in octave_points(max(params.lb // ma, env.word), params.ub // ma):
         t = _measure_gap(ma + 1, k, 0, env, cal, backend, window)
-        if t > base + DETECTION_MARGIN:
+        if is_step(base, t, STEP_TOL):
             return k * ma
     raise ProbeError("no gap produced misses: capacity above UB=%d" % params.ub)
 
@@ -79,7 +78,7 @@ def find_associativity(params: L1Params, l1_size: int, base: float,
     n = params.max_assoc
     while n >= 1:
         t = _measure_gap(n + 1, l1_size // n, 0, env, cal, backend, window)
-        if t <= base + DETECTION_MARGIN:
+        if not is_step(base, t, STEP_TOL):
             if n == params.max_assoc:
                 # True associativity exceeds what halving can resolve;
                 # report the cap with a marker.
@@ -97,7 +96,7 @@ def find_linesize(params: L1Params, l1_size: int, l1_assoc: int, base: float,
     gap = l1_size // l1_assoc
     for o in range(env.word, env.pagesize, env.word):
         t = _measure_gap(l1_assoc + 1, gap, o, env, cal, backend, window)
-        if t <= base + DETECTION_MARGIN:
+        if not is_step(base, t, STEP_TOL):
             return o
     raise ProbeError("no offset restored the baseline: linesize not found")
 
@@ -113,4 +112,4 @@ def run_l1_probe(params: L1Params, env: MachineEnv, cal: CycleCalibration,
                              backend, window)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
                     latency=max(1, round(base)), cost=time.perf_counter() - started,
-                    baseline_cycles=base, flags=flags)
+                    flags=flags)

@@ -15,13 +15,15 @@ from typing import Callable
 from .errors import BudgetExceededError, TimerTooCoarseError
 from .refstring import MachineEnv, ReferenceString
 
-#: A time is "above baseline" iff it exceeds it by at least this many cycles.
-#: Single-miss deltas are sub-cycle once amortized over a whole traversal, so
-#: the probes compare unrounded values against this margin.
-DETECTION_MARGIN = 0.25
+#: Margin, in cycles, of "above the L1 baseline", of knockout equality and of
+#: a rise that persists.  Single-miss deltas are sub-cycle once amortized over
+#: a whole traversal, so the probes compare unrounded values against it.
+STEP_TOL = 0.25
 
-#: Knockout equality tolerance; same margin as detection.
-EQUALITY_TOL = 0.25
+#: (abs_tol, rel_tol) of a rise that leaves a cache plateau ...
+RISE = (1.0, 0.15)
+#: ... and of a jump in a TLB curve.
+JUMP = (0.5, 0.10)
 
 DEFAULT_WINDOW = 25
 DEFAULT_RUN_CAP = 1000
@@ -40,12 +42,19 @@ class CycleCalibration:
 class Measurement:
     min_cycles_per_access: float
     runs_taken: int
-    stable: bool
 
 
 IDENTITY_CALIBRATION = CycleCalibration(seconds_per_cycle=1.0,
                                         timer_resolution=0.0,
                                         loads_per_run=0)
+
+
+def is_step(before: float, after: float, abs_tol: float,
+            rel_tol: float = 0.0) -> bool:
+    """The one "is this a step?" test of every probe decision: ``after``
+    exceeds ``before`` by more than max(abs_tol, rel_tol * before) cycles.
+    A rise of exactly the margin is not a step."""
+    return after > before + max(abs_tol, rel_tol * before)
 
 
 def timer_resolution() -> float:
@@ -104,8 +113,11 @@ def measure_stable(rs_factory: Callable[[], ReferenceString],
     """Re-measure fresh strings until the minimum is unchanged for ``window``
     consecutive runs.
 
-    Each run rebuilds the string from the factory so that repeated runs
-    sample different virtual-to-physical page mappings.
+    Each run rebuilds the string from the factory.  The rebuilt string, and
+    on the simulator its page mapping, differ only when the factory varies
+    the seed, as the cache and TLB probes' factories do; gap strings are
+    built with one fixed seed, so their repeated runs only filter noise on a
+    noisy backend.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
@@ -124,4 +136,4 @@ def measure_stable(rs_factory: Callable[[], ReferenceString],
         if runs > run_cap:
             raise BudgetExceededError(
                 "minimum did not stabilize within %d runs" % run_cap)
-    return Measurement(min_cycles_per_access=best, runs_taken=runs, stable=True)
+    return Measurement(min_cycles_per_access=best, runs_taken=runs)

@@ -16,16 +16,11 @@ from typing import List, Tuple
 from .cacheprobe import ResponseCurve, octave_points, run_sweep
 from .errors import InvalidGeometryError
 from .refstring import MachineEnv, build_tlb_string
-from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, CycleCalibration,
+from .timing import (DEFAULT_WINDOW, JUMP, CycleCalibration, is_step,
                      measure_stable)
 
 DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
-
-#: A rise counts as a jump if it is at least this many cycles ...
-JUMP_ABS = 0.5
-#: ... or this fraction of the value before it, whichever is larger.
-JUMP_REL = 0.10
 
 
 @dataclass
@@ -43,14 +38,9 @@ class TlbLevelResult:
     entries: int
 
 
-def _is_jump(before: float, after: float) -> bool:
-    return after >= before + max(JUMP_ABS, JUMP_REL * before)
-
-
 def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, cal: CycleCalibration,
-                  backend, window: int = DEFAULT_WINDOW, seed: int = 0,
-                  knockout: bool = True,
-                  run_cap_per_point: int = DEFAULT_RUN_CAP) -> ResponseCurve:
+                  backend, window: int = DEFAULT_WINDOW,
+                  seed: int = 0) -> ResponseCurve:
     """Stability-disciplined sweep of T(1,k) over the page-count schedule."""
     if lb % env.pagesize or ub % env.pagesize:
         raise InvalidGeometryError("TLB bounds must be multiples of pagesize")
@@ -62,9 +52,7 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, cal: CycleCalibration,
         counter[0] += 1
         return build_tlb_string(1, footprint, env, counter[0])
 
-    return run_sweep(footprints, factory, cal, backend, window=window,
-                     knockout=knockout, run_cap_per_point=run_cap_per_point,
-                     kind="tlb:1")
+    return run_sweep(footprints, factory, cal, backend, window=window)
 
 
 def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
@@ -72,7 +60,7 @@ def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
     fps = curve.footprints()
     out = []
     for i in range(1, len(values)):
-        if _is_jump(values[i - 1], values[i]):
+        if is_step(values[i - 1], values[i], *JUMP):
             out.append(TlbSuspect(footprint=fps[i], boundary=fps[i - 1]))
     return out
 
@@ -94,7 +82,7 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv,
     for n in (2, 3, 4):
         before = measure(n, suspect.boundary)
         after = measure(n, suspect.footprint)
-        if _is_jump(before, after):
+        if is_step(before, after, *JUMP):
             suspect.confirming_n.append(n)
     suspect.confirmed = suspect.confirming_n == [2, 3, 4]
     return suspect
@@ -102,8 +90,7 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv,
 
 def run_tlb_probe(env: MachineEnv, cal: CycleCalibration, backend,
                   lb: int = 0, ub: int = DEFAULT_UB,
-                  window: int = DEFAULT_WINDOW, seed: int = 0,
-                  run_cap_per_point: int = DEFAULT_RUN_CAP
+                  window: int = DEFAULT_WINDOW, seed: int = 0
                   ) -> Tuple[List[TlbLevelResult], List[TlbSuspect],
                              ResponseCurve, float]:
     """Full TLB test: sweep, suspects, confirmation, level report.
@@ -112,8 +99,7 @@ def run_tlb_probe(env: MachineEnv, cal: CycleCalibration, backend,
     """
     started = time.perf_counter()
     lb = lb or DEFAULT_LB_PAGES * env.pagesize
-    curve = run_tlb_sweep(lb, ub, env, cal, backend, window=window, seed=seed,
-                          run_cap_per_point=run_cap_per_point)
+    curve = run_tlb_sweep(lb, ub, env, cal, backend, window=window, seed=seed)
     suspects = [confirm_suspect(s, env, cal, backend, window=window,
                                 seed=seed + 7919 * i)
                 for i, s in enumerate(find_suspects(curve))]

@@ -7,16 +7,16 @@ from memhier.analysis import (LevelReport, assemble_report, detect_transitions,
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
-from memhier.tlbprobe import TlbLevelResult
+from memhier.tlbprobe import TlbLevelResult, find_suspects
 from memhier.timing import IDENTITY_CALIBRATION
 
 KB = 1024
 MB = 1024 * 1024
 
 
-def curve_of(pairs, kind="cache"):
+def curve_of(pairs):
     return ResponseCurve(points=[SamplePoint(footprint=f, min_cycles=v)
-                                 for f, v in pairs], kind=kind)
+                                 for f, v in pairs])
 
 
 def staircase(levels, footprints):
@@ -47,7 +47,7 @@ class TestDetectTransitions:
             detect_transitions(ResponseCurve(points=[
                 SamplePoint(footprint=KB, min_cycles=3.0),
                 SamplePoint(footprint=2 * KB),
-                SamplePoint(footprint=4 * KB)], kind="cache"))
+                SamplePoint(footprint=4 * KB)]))
 
     def test_transient_spike_is_absorbed(self):
         # A one-point spike that returns to the plateau is noise, not a level.
@@ -57,6 +57,11 @@ class TestDetectTransitions:
 
     def test_sub_threshold_drift_ignored(self):
         c = curve_of([(KB, 3.0), (2 * KB, 3.2), (4 * KB, 3.4), (8 * KB, 3.6)])
+        assert detect_transitions(c) == []
+
+    def test_rise_of_exactly_the_margin_is_no_transition(self):
+        c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.0), (4 * KB, 4.0),
+                      (5 * KB, 4.0), (6 * KB, 4.0)])
         assert detect_transitions(c) == []
 
     def test_latency_rounds_to_whole_cycles(self):
@@ -91,7 +96,7 @@ class TestDetectTransitions:
 class TestAssembleReport:
     def l1(self):
         return L1Report(capacity=32 * KB, associativity=8, linesize=64,
-                        latency=3, cost=0.1, baseline_cycles=3.0, flags=[])
+                        latency=3, cost=0.1, flags=[])
 
     def test_json_shape(self, env):
         fps = sample_points(KB, MB)
@@ -139,3 +144,9 @@ class TestLevelsFromCurve:
         levels = levels_from_curve(curve)
         assert [lv.index for lv in levels] == [1, 2]
         assert levels[0] == LevelReport(1, 32 * KB, 3)
+
+
+class TestFindSuspects:
+    def test_jump_of_exactly_the_margin_is_no_suspect(self):
+        c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.5), (4 * KB, 3.5)])
+        assert find_suspects(c) == []

@@ -16,6 +16,8 @@ class TestSamplePoints:
     def test_1k_to_32k(self):
         assert [p // KB for p in sample_points(KB, 32 * KB)] == \
             [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32]
+        assert [p // KB for p in sample_points(3 * KB, 20 * KB)] == \
+            [3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20]
 
     def test_sub_4k_only(self):
         assert [p // KB for p in sample_points(KB, 4 * KB)] == [1, 2, 3, 4]
@@ -115,7 +117,7 @@ class TestRevival:
         curve = run_sweep(
             pts,
             lambda fp, _c=[0]: _build(fp, env, _c),
-            IDENTITY_CALIBRATION, EarlyNoise(), window=6, kind="cache")
+            IDENTITY_CALIBRATION, EarlyNoise(), window=6)
         assert all(v == 5.0 for v in curve.values())
         assert all(p.min_cycles == 5.0 for p in curve.points)
 
@@ -133,7 +135,7 @@ class TestCurveCsv:
             SamplePoint(footprint=KB, min_cycles=3.0),
             SamplePoint(footprint=2 * KB, min_cycles=3.0, knocked_out=True),
             SamplePoint(footprint=4 * KB, min_cycles=15.5),
-        ], kind="cache")
+        ])
         text = curve_to_csv(curve)
         assert text.splitlines()[0] == "footprint_bytes,cycles_per_access,knocked_out"
         back = curve_from_csv(text)
@@ -142,6 +144,6 @@ class TestCurveCsv:
         assert back.points[2].min_cycles == pytest.approx(15.5)
 
     def test_unmeasured_point_roundtrips_as_nan(self):
-        curve = ResponseCurve(points=[SamplePoint(footprint=KB)], kind="cache")
+        curve = ResponseCurve(points=[SamplePoint(footprint=KB)])
         back = curve_from_csv(curve_to_csv(curve))
         assert math.isinf(back.points[0].min_cycles)

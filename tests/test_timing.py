@@ -3,7 +3,8 @@ import pytest
 from memhier import (BudgetExceededError, CacheLevel, JitterBackend,
                      MachineEnv, SimConfig, SimulatedBackend, build_cache_string,
                      build_gap_string, calibrate, measure_stable, run_once)
-from memhier.timing import IDENTITY_CALIBRATION
+from memhier.timing import (IDENTITY_CALIBRATION, JUMP, RISE, STEP_TOL,
+                            is_step)
 
 KB = 1024
 
@@ -29,6 +30,23 @@ class TestCalibration:
         assert 0 < cal.seconds_per_cycle < 1e-6
         assert cal.timer_resolution <= 1e-3
         assert cal.loads_per_run >= 2
+
+
+class TestIsStep:
+    def test_exact_margin_is_not_a_step(self):
+        assert not is_step(3.0, 3.0 + STEP_TOL, STEP_TOL)
+        assert is_step(3.0, 3.0 + STEP_TOL + 1e-9, STEP_TOL)
+        assert not is_step(3.0, 4.0, *RISE)
+        assert is_step(3.0, 4.0 + 1e-9, *RISE)
+        assert not is_step(3.0, 3.5, *JUMP)
+        assert is_step(3.0, 3.5 + 1e-9, *JUMP)
+
+    def test_rel_tol_sets_margin_above_crossover(self):
+        # RISE crosses over at 1.0 / 0.15 cycles, JUMP at 0.5 / 0.10.
+        assert not is_step(20.0, 23.0, *RISE)
+        assert is_step(20.0, 23.0 + 1e-9, *RISE)
+        assert not is_step(10.0, 11.0, *JUMP)
+        assert is_step(10.0, 11.0 + 1e-9, *JUMP)
 
 
 class TestRunOnce:
@@ -70,7 +88,6 @@ class TestMeasureStable:
         for window in (1, 5, 25):
             m = measure_stable(self.factory(env, [0]), IDENTITY_CALIBRATION,
                                sim_backend(), window=window)
-            assert m.stable
             assert m.runs_taken == window + 1
             assert m.min_cycles_per_access == 3.0
 
