@@ -8,52 +8,100 @@ where ``elapsed`` is seconds for the real backend and simulated cycles for
 the simulator (whose calibration is the identity).  One untimed warm-up
 traversal precedes the timed region in both cases.
 
-The real backend chases an index chain compiled to native code with numba;
-interpreted chasing cannot resolve cache-level latency differences.
+The real backend links the chain in an anonymous ``mmap`` region and chases
+it with a C kernel, compiled once per process by the system C compiler ``cc``
+and loaded with ctypes; interpreted chasing cannot resolve cache-level latency
+differences.  Its modules are imported lazily: simulator runs never load them.
 """
 
 from __future__ import annotations
 
+import functools
 import os
 import random
 import time
-from typing import Optional
 
 from .errors import AllocationFailureError, MemhierError
-from .refstring import ReferenceString
+from .refstring import MAX_FOOTPRINT, ReferenceString
 
-#: Largest region the real backend will allocate (bytes).
-DEFAULT_REGION_CAP = 64 * 1024 * 1024
-
-#: If set, the probe process is pinned to this hardware thread (best effort).
+#: If set, the probe process is pinned to this hardware thread.
 PIN_CPU_ENV = "MEMHIER_PIN_CPU"
 
+_KERNEL_SOURCE = r"""
+#include <stdint.h>
 
-def acquire_region(footprint: int, cap: int = DEFAULT_REGION_CAP):
-    """Allocate a page-aligned region of at least ``footprint`` bytes,
-    returned as an int64 numpy array of footprint/8 slots."""
+int64_t chase(const int64_t *slots, int64_t i, int64_t loads)
+{
+    while (loads-- > 0)
+        i = slots[i];
+    return i;
+}
+
+int64_t add_chain(int64_t n)
+{
+    int64_t acc = 1;
+    for (int64_t i = 0; i < n; i++) {
+        acc += i;
+        __asm__ volatile("" : "+r"(acc));  /* no closed form: one add */
+    }
+    return acc;
+}
+"""
+
+
+@functools.cache
+def _kernels():
+    """The library of ``chase`` and ``add_chain``, built once per process."""
+    import ctypes
+    import subprocess
+    import tempfile
+
+    # The loaded library stays mapped after its directory is removed.
+    with tempfile.TemporaryDirectory(prefix="memhier-") as tmp:
+        source = os.path.join(tmp, "kernels.c")
+        path = os.path.join(tmp, "kernels.so")
+        with open(source, "w") as fh:
+            fh.write(_KERNEL_SOURCE)
+        try:
+            subprocess.run(["cc", "-O2", "-shared", "-fPIC", "-o", path,
+                            source], check=True, capture_output=True)
+            lib = ctypes.CDLL(path)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            raise MemhierError("the real-memory backend needs a working C "
+                               "compiler 'cc' on PATH: %s" % exc) from exc
+    i64 = ctypes.c_int64
+    lib.chase.argtypes = (ctypes.POINTER(i64), i64, i64)
+    lib.add_chain.argtypes = (i64,)
+    lib.chase.restype = lib.add_chain.restype = i64
+    return lib
+
+
+def acquire_region(footprint: int):
+    """Map an anonymous, page-aligned, zero-filled region of at least
+    ``footprint`` bytes, a whole number of 8-byte slots long."""
     if footprint <= 0:
         raise AllocationFailureError("footprint must be positive")
-    if footprint > cap:
+    if footprint > MAX_FOOTPRINT:
         raise AllocationFailureError(
-            "footprint %d exceeds the %d byte cap" % (footprint, cap))
-    import numpy as np
+            "footprint %d exceeds the %d byte cap" % (footprint, MAX_FOOTPRINT))
+    import mmap
 
     try:
-        # numpy routes large allocations through mmap, which is page-aligned.
-        return np.zeros((footprint + 7) // 8, dtype=np.int64)
-    except MemoryError as exc:
+        return mmap.mmap(-1, (footprint + 7) // 8 * 8)
+    except OSError as exc:
         raise AllocationFailureError(str(exc)) from exc
 
 
 def maybe_pin_cpu() -> None:
+    """Pin this process to the CPU named by ``MEMHIER_PIN_CPU``, if set."""
     cpu = os.environ.get(PIN_CPU_ENV)
     if not cpu:
         return
     try:
         os.sched_setaffinity(0, {int(cpu)})
-    except (AttributeError, ValueError, OSError):
-        pass  # best effort only
+    except (AttributeError, ValueError, OSError) as exc:
+        raise MemhierError("%s=%r: cannot pin to that CPU (%s)"
+                           % (PIN_CPU_ENV, cpu, exc)) from exc
 
 
 class RealMemoryBackend:
@@ -61,76 +109,29 @@ class RealMemoryBackend:
 
     deterministic = False
 
-    def __init__(self, region_cap: int = DEFAULT_REGION_CAP):
-        self.region_cap = region_cap
-        self._kernels = _load_kernels()
+    def __init__(self):
+        self._chase = _kernels().chase
         maybe_pin_cpu()
 
     def run(self, rs: ReferenceString, loads: int):
-        import numpy as np
+        import ctypes
 
         word = 8
-        arr = acquire_region(rs.footprint, self.region_cap)
-        chain = rs.chain
-        idx = np.fromiter((off // word for off in chain), dtype=np.int64,
-                          count=len(chain))
-        arr[idx[:-1]] = idx[1:]
-        arr[idx[-1]] = idx[0]
-        chase = self._kernels.chase
-        entry = rs.entry // word
-        chase(arr, entry, rs.chain_length)  # warm-up traversal, untimed
-        t0 = time.perf_counter()
-        final = chase(arr, entry, loads)
-        t1 = time.perf_counter()
-        if final < 0:  # consume the loaded value; never taken
-            raise MemhierError("chase kernel returned an invalid slot")
+        region = acquire_region(rs.footprint)
+        slots = (ctypes.c_int64 * (len(region) // word)).from_buffer(region)
+        try:
+            idx = [off // word for off in rs.chain]
+            for here, there in zip(idx, idx[1:] + idx[:1]):
+                slots[here] = there
+            entry = rs.entry // word
+            self._chase(slots, entry, rs.chain_length)  # warm-up, untimed
+            t0 = time.perf_counter()
+            self._chase(slots, entry, loads)
+            t1 = time.perf_counter()
+        finally:
+            del slots  # the region cannot close while the array exports it
+            region.close()
         return t1 - t0, loads
-
-
-class _Kernels:
-    def __init__(self, chase, add_chain):
-        self.chase = chase
-        self.add_chain = add_chain
-
-
-_KERNELS: Optional[_Kernels] = None
-
-
-def _load_kernels() -> _Kernels:
-    global _KERNELS
-    if _KERNELS is not None:
-        return _KERNELS
-    try:
-        import numba
-        import numpy as np
-    except ImportError as exc:
-        raise MemhierError(
-            "the real-memory backend needs numba (pip install memhier[real])"
-        ) from exc
-
-    @numba.njit(cache=True)
-    def chase(arr, start, loads):
-        i = start
-        for _ in range(loads):
-            i = arr[i]
-        return i
-
-    @numba.njit(cache=True)
-    def add_chain(n):
-        # Serial xor-add chain: not reducible to a closed form, so the loop
-        # body stays one dependent integer op pair per iteration.
-        acc = np.int64(1)
-        for i in range(n):
-            acc = (acc ^ i) + 1
-        return acc
-
-    # Trigger compilation outside any timed region.
-    warm = np.zeros(2, dtype=np.int64)
-    warm[0], warm[1] = 1, 0
-    chase(warm, 0, 4)
-    add_chain(16)
-    _KERNELS = _Kernels(chase, add_chain)
-    return _KERNELS
 
 
 class JitterBackend:

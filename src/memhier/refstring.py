@@ -97,8 +97,8 @@ class ReferenceString:
     pagesize: int = 4096
 
 
-def build_gap_string(n: int, k: int, o: int, env: MachineEnv,
-                     limit: int = MAX_FOOTPRINT) -> ReferenceString:
+def build_gap_string(n: int, k: int, o: int,
+                     env: MachineEnv) -> ReferenceString:
     """Build G(n, k, o): slots at 0, k, 2k, ..., (n-2)k and (n-1)k + o.
 
     The chain is walked in address order; no shuffling, so the string
@@ -111,10 +111,10 @@ def build_gap_string(n: int, k: int, o: int, env: MachineEnv,
     if o < 0 or o >= env.pagesize:
         raise InvalidGeometryError("offset must be in [0, pagesize)")
     footprint = (n - 1) * k + o + env.word
-    if n * k > limit or footprint > limit:
+    if n * k > MAX_FOOTPRINT or footprint > MAX_FOOTPRINT:
         raise InvalidGeometryError(
             "gap string of %d x %d bytes exceeds the %d byte allocation limit"
-            % (n, k, limit))
+            % (n, k, MAX_FOOTPRINT))
     offsets = [i * k for i in range(n - 1)]
     offsets.append((n - 1) * k + o)
     return ReferenceString(footprint=footprint, entry=0, kind=GapKind(n, k, o),

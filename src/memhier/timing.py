@@ -1,9 +1,9 @@
 """Cycle calibration and the minimum-of-trials stability discipline.
 
-A "cycle" is the measured duration of one integer add.  All probe results are
-expressed in cycles per access, which makes them comparable across clock
-speeds and lets the simulator (1 simulated cycle per cycle) share the probe
-code unchanged.
+A "cycle" is the measured duration of one dependent register add in the real
+backend's C kernel.  All probe results are expressed in cycles per access, so
+they compare across clock speeds and the simulator (1 simulated cycle per
+cycle) shares the probe code unchanged.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import Callable
 
+from .backend import _kernels
 from .errors import BudgetExceededError, TimerTooCoarseError
 from .refstring import MachineEnv, ReferenceString
 
@@ -73,13 +74,11 @@ def calibrate(env: MachineEnv, backend) -> CycleCalibration:
     """Measure seconds-per-cycle for a real backend; identity for simulators."""
     if getattr(backend, "deterministic", False):
         return IDENTITY_CALIBRATION
-    from .backend import _load_kernels
-
     res = timer_resolution()
     if res > 1e-3:
         raise TimerTooCoarseError(
             "monotonic timer resolution %.3g s is coarser than 1 ms" % res)
-    add_chain = _load_kernels().add_chain
+    add_chain = _kernels().add_chain
     n = 1 << 22
     best = float("inf")
     for _ in range(5):
@@ -87,8 +86,8 @@ def calibrate(env: MachineEnv, backend) -> CycleCalibration:
         add_chain(n)
         t1 = time.perf_counter()
         best = min(best, (t1 - t0) / n)
-    # The chain is one xor plus one add per iteration; call it one add's
-    # worth of dependent latency after superscalar overlap.
+    # Each iteration is one register add that depends on the previous one,
+    # so it takes one add's latency: one cycle.
     seconds_per_cycle = best
     # Size a timed run to last at least 1000x the timer resolution, assuming
     # a few cycles per load; run_once re-rounds per string.

@@ -10,6 +10,7 @@ import json
 import os
 import platform
 import random
+import shutil
 import time
 from contextlib import contextmanager
 
@@ -228,7 +229,8 @@ def _sysfs_l1d():
 @pytest.mark.xfail(strict=False,
                    reason="depends on host hardware and scheduling noise")
 def test_criterion_7_real_hardware_smoke(tmp_path):
-    pytest.importorskip("numba")
+    if shutil.which("cc") is None:
+        pytest.skip("the real backend needs a C compiler 'cc'")
     if platform.machine() not in ("x86_64", "AMD64"):
         pytest.skip("x86-64 only")
     expected = _sysfs_l1d()

@@ -1,21 +1,36 @@
+import ctypes
+import mmap
+import os
+import shutil
+import subprocess
+import sys
+
 import pytest
 
-from memhier import AllocationFailureError, acquire_region
+import memhier
+from memhier import (AllocationFailureError, MemhierError, RealMemoryBackend,
+                     acquire_region, backend, build_cache_string,
+                     build_gap_string, calibrate, run_once)
+from memhier.backend import PIN_CPU_ENV, maybe_pin_cpu
+from memhier.cli import main
 
 KB = 1024
 MB = 1024 * 1024
 
 
+def needs_cc():
+    if shutil.which("cc") is None:
+        pytest.skip("the real backend needs a C compiler 'cc'")
+
+
 class TestAcquireRegion:
     def test_one_page(self):
-        pytest.importorskip("numpy")
         region = acquire_region(4 * KB)
-        assert region.nbytes >= 4 * KB
+        assert len(region) >= 4 * KB
 
     def test_within_cap(self):
-        pytest.importorskip("numpy")
         region = acquire_region(32 * MB)
-        assert region.nbytes >= 32 * MB
+        assert len(region) >= 32 * MB
 
     def test_over_cap_rejected(self):
         with pytest.raises(AllocationFailureError):
@@ -25,12 +40,20 @@ class TestAcquireRegion:
         with pytest.raises(AllocationFailureError):
             acquire_region(0)
 
+    @pytest.mark.parametrize("size", [4 * KB, 64 * KB, 1 * MB, 32 * MB])
+    def test_page_aligned(self, size):
+        region = acquire_region(size)
+        view = (ctypes.c_char * len(region)).from_buffer(region)
+        try:
+            assert ctypes.addressof(view) % mmap.PAGESIZE == 0
+        finally:
+            del view
+            region.close()
+
 
 class TestRealBackend:
     def test_chase_produces_plausible_latency(self, env):
-        pytest.importorskip("numba")
-        from memhier import RealMemoryBackend, build_gap_string, calibrate, run_once
-
+        needs_cc()
         be = RealMemoryBackend()
         cal = calibrate(env, be)
         rs = build_gap_string(2, 512, 0, env)
@@ -38,3 +61,64 @@ class TestRealBackend:
         # An L1-resident dependent load is a handful of cycles on anything
         # this code runs on; the bound only guards against unit mistakes.
         assert 0.5 < t < 200.0
+
+    def test_small_string_is_faster_than_large(self, env):
+        needs_cc()
+        be = RealMemoryBackend()
+        cal = calibrate(env, be)
+
+        def best(footprint):
+            return min(run_once(build_cache_string(footprint, env, seed), cal,
+                                be) for seed in range(3))
+
+        # 16 KB fits any L1; 8 MB leaves L1 and L2 on anything this runs on.
+        assert 3 * best(16 * KB) < best(8 * MB)
+
+    def test_missing_compiler(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("PATH", str(tmp_path))
+        backend._kernels.cache_clear()
+        try:
+            with pytest.raises(MemhierError, match="'cc'"):
+                RealMemoryBackend()
+            assert main(["l1"]) == 1
+        finally:
+            backend._kernels.cache_clear()
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+
+
+class TestPinCpu:
+    def test_unparsable(self, monkeypatch):
+        monkeypatch.setenv(PIN_CPU_ENV, "abc")
+        with pytest.raises(MemhierError, match="MEMHIER_PIN_CPU='abc'"):
+            maybe_pin_cpu()
+
+    def test_cpu_outside_affinity(self, monkeypatch):
+        original = os.sched_getaffinity(0)
+        monkeypatch.setenv(PIN_CPU_ENV, str(max(original) + 1))
+        try:
+            with pytest.raises(MemhierError, match=PIN_CPU_ENV):
+                maybe_pin_cpu()
+        finally:
+            os.sched_setaffinity(0, original)
+
+    def test_valid_cpu(self, monkeypatch):
+        original = os.sched_getaffinity(0)
+        cpu = min(original)
+        monkeypatch.setenv(PIN_CPU_ENV, str(cpu))
+        try:
+            maybe_pin_cpu()
+            assert os.sched_getaffinity(0) == {cpu}
+        finally:
+            os.sched_setaffinity(0, original)
+
+
+def test_simulator_path_imports_no_native_modules():
+    src = os.path.dirname(os.path.dirname(memhier.__file__))
+    code = ("import memhier.cli, sys; "
+            "print(' '.join(m for m in ('ctypes', 'mmap', 'subprocess', "
+            "'numpy') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.split() == []

@@ -1,8 +1,11 @@
+import shutil
+
 import pytest
 
 from memhier import (BudgetExceededError, CacheLevel, JitterBackend,
-                     MachineEnv, SimConfig, SimulatedBackend, build_cache_string,
-                     build_gap_string, calibrate, measure_stable, run_once)
+                     MachineEnv, RealMemoryBackend, SimConfig,
+                     SimulatedBackend, build_cache_string, build_gap_string,
+                     calibrate, measure_stable, run_once)
 from memhier.timing import (IDENTITY_CALIBRATION, JUMP, RISE, STEP_TOL,
                             is_step)
 
@@ -23,13 +26,42 @@ class TestCalibration:
         assert cal.loads_per_run == 0
 
     def test_real_calibration_sanity(self, env):
-        pytest.importorskip("numba")
-        from memhier import RealMemoryBackend
-
+        if shutil.which("cc") is None:
+            pytest.skip("the real backend needs a C compiler 'cc'")
         cal = calibrate(env, RealMemoryBackend())
         assert 0 < cal.seconds_per_cycle < 1e-6
         assert cal.timer_resolution <= 1e-3
         assert cal.loads_per_run >= 2
+
+    def test_real_calibration_near_clock(self, env):
+        if shutil.which("cc") is None:
+            pytest.skip("the real backend needs a C compiler 'cc'")
+        nominal = host_ghz()
+        if nominal is None:
+            pytest.skip("neither cpufreq nor /proc/cpuinfo gives a clock")
+        cal = calibrate(env, RealMemoryBackend())
+        # Loose on purpose: this catches unit mistakes, not turbo or the
+        # exact cost of one add.
+        assert 0.4 * nominal < 1e-9 / cal.seconds_per_cycle < 2.0 * nominal
+
+
+def host_ghz():
+    """The host's clock in GHz: cpufreq's maximum, else /proc/cpuinfo's
+    ``cpu MHz``; None when neither is readable."""
+    try:
+        with open("/sys/devices/system/cpu/cpu0/cpufreq/"
+                  "cpuinfo_max_freq") as fh:
+            return int(fh.read()) / 1e6
+    except (OSError, ValueError):
+        pass
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if line.startswith("cpu MHz"):
+                    return float(line.split(":", 1)[1]) / 1e3
+    except (OSError, ValueError):
+        pass
+    return None
 
 
 class TestIsStep:
