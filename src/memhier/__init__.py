@@ -9,7 +9,7 @@ hierarchy simulator doubles as the correctness oracle.
 
 from .analysis import (HierarchyReport, LevelReport, assemble_report,
                        detect_transitions)
-from .backend import JitterBackend, RealMemoryBackend, acquire_region
+from .backend import RealMemoryBackend, acquire_region
 from .cacheprobe import (ResponseCurve, SamplePoint, curve_from_csv,
                          curve_to_csv, run_cache_sweep, sample_points)
 from .errors import (AllocationFailureError, BudgetExceededError, ConfigError,
@@ -18,11 +18,10 @@ from .errors import (AllocationFailureError, BudgetExceededError, ConfigError,
                      TimerTooCoarseError)
 from .l1probe import L1Params, L1Report, run_l1_probe
 from .refstring import (MachineEnv, ReferenceString, build_cache_string,
-                        build_gap_string, build_tlb_string, verify_cycle)
+                        build_gap_string, build_tlb_string)
 from .simoracle import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
                         load_config, parse_config, simulate)
-from .timing import (CycleCalibration, Measurement, calibrate, measure_stable,
-                     run_once)
+from .timing import Measurement, measure_stable, run_once
 from .tlbprobe import TlbLevelResult, TlbSuspect, run_tlb_probe
 
 __version__ = "0.1.0"

@@ -2,11 +2,13 @@
 
 Every probe runs against the same contract::
 
-    backend.run(rs, loads) -> (elapsed, loads_done)
+    backend.run(rs, loads) -> cycles per access
 
-where ``elapsed`` is seconds for the real backend and simulated cycles for
-the simulator (whose calibration is the identity).  One untimed warm-up
-traversal precedes the timed region in both cases.
+One untimed warm-up traversal precedes the timed loads.  Turning time into
+cycles is the only machine-dependent step, and it lives here: the real
+backend measures seconds per cycle once, when it is constructed, and divides
+every timed run by it; the simulator counts cycles natively.  A "cycle" is
+the duration of one dependent register add in the C kernel ``add_chain``.
 
 The real backend links the chain in an anonymous ``mmap`` region and chases
 it with a C kernel, compiled once per process by the system C compiler ``cc``
@@ -18,10 +20,9 @@ from __future__ import annotations
 
 import functools
 import os
-import random
 import time
 
-from .errors import AllocationFailureError, MemhierError
+from .errors import AllocationFailureError, MemhierError, TimerTooCoarseError
 from .refstring import MAX_FOOTPRINT, ReferenceString
 
 #: If set, the probe process is pinned to this hardware thread.
@@ -104,18 +105,54 @@ def maybe_pin_cpu() -> None:
                            % (PIN_CPU_ENV, cpu, exc)) from exc
 
 
+def timer_resolution() -> float:
+    """Smallest positive delta observable from the monotonic timer."""
+    best = float("inf")
+    for _ in range(64):
+        t0 = time.perf_counter()
+        t1 = time.perf_counter()
+        while t1 == t0:
+            t1 = time.perf_counter()
+        best = min(best, t1 - t0)
+    return best
+
+
 class RealMemoryBackend:
     """Times dependent loads through an actual in-memory pointer chain."""
 
-    deterministic = False
-
     def __init__(self):
-        self._chase = _kernels().chase
+        kernels = _kernels()
+        self._chase = kernels.chase
         maybe_pin_cpu()
+        self.timer_resolution = timer_resolution()
+        if self.timer_resolution > 1e-3:
+            raise TimerTooCoarseError(
+                "monotonic timer resolution %.3g s is coarser than 1 ms"
+                % self.timer_resolution)
+        n = 1 << 22
+        best = float("inf")
+        for _ in range(5):
+            t0 = time.perf_counter()
+            kernels.add_chain(n)
+            t1 = time.perf_counter()
+            best = min(best, (t1 - t0) / n)
+        # Each iteration is one register add that depends on the previous
+        # one, so it takes one add's latency: one cycle.
+        self.seconds_per_cycle = best
+        # A timed run covers at least this many loads, enough to last 1000x
+        # the timer resolution at a few cycles per load; run re-rounds it to
+        # whole traversals of each string.
+        self.loads_per_run = max(
+            1024, int(1000.0 * self.timer_resolution
+                      / (3.0 * self.seconds_per_cycle)) + 1)
 
-    def run(self, rs: ReferenceString, loads: int):
+    def run(self, rs: ReferenceString, loads: int) -> float:
+        """At least ``loads`` dependent loads of the chain, raised to
+        ``loads_per_run`` and to whole traversals; cycles per access."""
         import ctypes
 
+        n = rs.chain_length
+        loads = -(-max(loads, self.loads_per_run) // n) * n
         word = 8
         region = acquire_region(rs.footprint)
         slots = (ctypes.c_int64 * (len(region) // word)).from_buffer(region)
@@ -124,33 +161,11 @@ class RealMemoryBackend:
             for here, there in zip(idx, idx[1:] + idx[:1]):
                 slots[here] = there
             entry = rs.entry // word
-            self._chase(slots, entry, rs.chain_length)  # warm-up, untimed
+            self._chase(slots, entry, n)  # warm-up, untimed
             t0 = time.perf_counter()
             self._chase(slots, entry, loads)
             t1 = time.perf_counter()
         finally:
             del slots  # the region cannot close while the array exports it
             region.close()
-        return t1 - t0, loads
-
-
-class JitterBackend:
-    """Wraps a backend and adds non-negative per-access noise to each run.
-
-    Used to exercise the minimum-filtering stability discipline; the noise is
-    additive and positive, so minima still converge to the noise-free value.
-    """
-
-    def __init__(self, inner, seed: int = 0, zero_prob: float = 0.4,
-                 scale: float = 1.0):
-        self.inner = inner
-        self.deterministic = False
-        self._rng = random.Random(seed)
-        self.zero_prob = zero_prob
-        self.scale = scale
-
-    def run(self, rs: ReferenceString, loads: int):
-        elapsed, done = self.inner.run(rs, loads)
-        if self._rng.random() >= self.zero_prob:
-            elapsed += self._rng.expovariate(1.0 / self.scale) * done
-        return elapsed, done
+        return (t1 - t0) / loads / self.seconds_per_cycle

@@ -18,8 +18,8 @@ from typing import Callable, List
 from .errors import (BudgetExceededError, CurveFormatError,
                      InvalidGeometryError)
 from .refstring import MachineEnv, build_cache_string
-from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, STEP_TOL,
-                     CycleCalibration, is_step, run_once)
+from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, STEP_TOL, is_step,
+                     run_once)
 
 DEFAULT_LB = 1024
 DEFAULT_UB = 32 * 1024 * 1024
@@ -96,8 +96,7 @@ def octave_points(lb: int, ub: int) -> List[int]:
 
 
 def run_sweep(footprints: List[int],
-              string_factory: Callable[[int], object],
-              cal: CycleCalibration, backend,
+              string_factory: Callable[[int], object], backend,
               window: int = DEFAULT_WINDOW,
               knockout: bool = True) -> ResponseCurve:
     """Stability-disciplined sweep over ``footprints``.
@@ -119,7 +118,7 @@ def run_sweep(footprints: List[int],
             if p.knocked_out or p.runs_since_min >= window:
                 continue
             rs = string_factory(p.footprint)
-            t = run_once(rs, cal, backend)
+            t = run_once(rs, backend)
             curve.total_string_runs += 1
             if t < p.min_cycles:
                 p.min_cycles = t
@@ -151,8 +150,7 @@ def run_sweep(footprints: List[int],
     return curve
 
 
-def run_cache_sweep(points: List[int], env: MachineEnv,
-                    cal: CycleCalibration, backend,
+def run_cache_sweep(points: List[int], env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0,
                     knockout: bool = True) -> ResponseCurve:
     """Sweep C(k) over the given footprints and return the response curve."""
@@ -162,7 +160,7 @@ def run_cache_sweep(points: List[int], env: MachineEnv,
         counter[0] += 1
         return build_cache_string(footprint, env, counter[0])
 
-    return run_sweep(points, factory, cal, backend, window=window,
+    return run_sweep(points, factory, backend, window=window,
                      knockout=knockout)
 
 
@@ -188,6 +186,10 @@ def curve_from_csv(text: str) -> ResponseCurve:
             fp_s, val_s, ko_s = line.split(",")
             p = SamplePoint(footprint=int(fp_s), min_cycles=float(val_s),
                             knocked_out=bool(int(ko_s)))
+            # NaN marks an unmeasured point; a measured one is a finite,
+            # non-negative number of cycles.
+            if p.min_cycles < 0 or math.isinf(p.min_cycles):
+                raise ValueError(val_s)
         except ValueError:
             raise CurveFormatError("bad curve row at line %d: %r"
                                    % (lineno, raw))
@@ -196,3 +198,14 @@ def curve_from_csv(text: str) -> ResponseCurve:
         points.append(p)
     points.sort(key=lambda p: p.footprint)
     return ResponseCurve(points=points)
+
+
+def load_curve(path: str) -> ResponseCurve:
+    """Read a CSV response curve saved by ``curve_to_csv``."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise CurveFormatError("%s is not UTF-8 text: %s"
+                                   % (path, exc)) from exc
+    return curve_from_csv(text)

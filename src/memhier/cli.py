@@ -23,11 +23,22 @@ from typing import Optional
 
 from . import analysis, cacheprobe, l1probe, tlbprobe
 from .backend import RealMemoryBackend
-from .cacheprobe import curve_from_csv, curve_to_csv
+from .cacheprobe import curve_to_csv, load_curve
 from .errors import MemhierError
 from .refstring import MachineEnv
 from .simoracle import SimulatedBackend, load_config
-from .timing import DEFAULT_WINDOW, calibrate
+from .timing import DEFAULT_WINDOW
+
+
+def _positive_int(text: str) -> int:
+    """The ``--window`` type: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -44,7 +55,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ub", type=int, default=None,
                        help="upper bound of the sweep in bytes")
         p.add_argument("--max-assoc", type=int, default=l1probe.DEFAULT_MAX_ASSOC)
-        p.add_argument("--window", type=int, default=DEFAULT_WINDOW,
+        p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                        help="stability window (runs without a new minimum)")
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--format", choices=("json", "csv"), default="json")
@@ -90,7 +101,6 @@ def _probe_env(config) -> MachineEnv:
 def _run_probes(args, which: str) -> dict:
     backend, config = _make_backend(args.backend)
     env = _probe_env(config)
-    cal = calibrate(env, backend)
     started = time.perf_counter()
     costs: dict = {}
     l1_report = None
@@ -101,7 +111,7 @@ def _run_probes(args, which: str) -> dict:
         params = l1probe.L1Params(lb=args.lb or l1probe.DEFAULT_LB,
                                   ub=args.ub or l1probe.DEFAULT_UB,
                                   max_assoc=args.max_assoc)
-        l1_report = l1probe.run_l1_probe(params, env, cal, backend,
+        l1_report = l1probe.run_l1_probe(params, env, backend,
                                          window=args.window)
         env.l1_linesize = l1_report.linesize
         costs["l1"] = l1_report.cost
@@ -109,14 +119,14 @@ def _run_probes(args, which: str) -> dict:
     if which in ("cache", "all"):
         points = cacheprobe.sample_points(args.lb or cacheprobe.DEFAULT_LB,
                                           args.ub or cacheprobe.DEFAULT_UB)
-        cache_curve = cacheprobe.run_cache_sweep(points, env, cal, backend,
+        cache_curve = cacheprobe.run_cache_sweep(points, env, backend,
                                                  window=args.window,
                                                  seed=args.seed)
         costs["cache"] = cache_curve.cost
 
     if which in ("tlb", "all"):
         tlb_levels, _suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
-            env, cal, backend,
+            env, backend,
             lb=args.lb if (which == "tlb" and args.lb) else 0,
             ub=args.ub if (which == "tlb" and args.ub) else tlbprobe.DEFAULT_UB,
             window=args.window, seed=args.seed)
@@ -143,8 +153,7 @@ def main(argv: Optional[list] = None) -> int:
 
     try:
         if args.command == "analyze":
-            with open(args.curve) as fh:
-                curve = curve_from_csv(fh.read())
+            curve = load_curve(args.curve)
             levels = analysis.levels_from_curve(curve)
             payload = {"levels": [lv.to_json_dict() for lv in levels]}
             _emit(args, json.dumps(payload, indent=2))

@@ -197,68 +197,3 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
     return ReferenceString(footprint=footprint, entry=chain[0],
                            kind=TlbKind(n, footprint), chain_length=len(chain),
                            seed=seed, chain=chain, pagesize=env.pagesize)
-
-
-def verify_cycle(rs: ReferenceString) -> bool:
-    """Check the single-cycle invariant and the per-kind placement rules."""
-    chain = rs.chain
-    if len(chain) != rs.chain_length or rs.chain_length < 2:
-        return False
-    if chain[0] != rs.entry:
-        return False
-    seen = set(chain)
-    if len(seen) != len(chain):
-        return False
-    if min(chain) < 0 or max(chain) >= rs.footprint:
-        return False
-    kind = rs.kind
-    if isinstance(kind, GapKind):
-        expected = [i * kind.k for i in range(kind.n - 1)]
-        expected.append((kind.n - 1) * kind.k + kind.o)
-        return chain == expected
-    if isinstance(kind, CacheKind):
-        return _check_cache_placement(rs)
-    if isinstance(kind, TlbKind):
-        return _check_tlb_placement(rs, kind)
-    return False
-
-
-def _check_cache_placement(rs: ReferenceString) -> bool:
-    # One slot per line block per page, pages never revisited once left, and
-    # every page's blocks fully covered at one uniform line stride.
-    pagesize = rs.pagesize
-    by_page = {}
-    page = None
-    for off in rs.chain:
-        p = off // pagesize
-        if p != page:
-            if p in by_page:
-                return False
-            by_page[p] = []
-            page = p
-        by_page[p].append(off - p * pagesize)
-    full = [offs for offs in by_page.values() if len(offs) > 1]
-    if not full:
-        return False
-    counts = {len(offs) for offs in by_page.values()}
-    # At most two distinct slot counts: full pages and one truncated tail.
-    if len(counts) > 2:
-        return False
-    lines_full = max(counts)
-    ls = pagesize // lines_full if rs.footprint >= pagesize else rs.footprint // lines_full
-    if ls <= 0:
-        return False
-    for offs in by_page.values():
-        if sorted(offs) != [i * ls for i in range(len(offs))]:
-            return False
-    return True
-
-
-def _check_tlb_placement(rs: ReferenceString, kind: TlbKind) -> bool:
-    pagesize = rs.pagesize
-    counts = {}
-    for off in rs.chain:
-        counts[off // pagesize] = counts.get(off // pagesize, 0) + 1
-    if any(c != kind.lines_per_page for c in counts.values()):
-        return False
-    return len(counts) * pagesize == kind.footprint

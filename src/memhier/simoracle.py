@@ -252,17 +252,14 @@ class SimulatedBackend:
     results, so it is freely shareable across threads and measurements.
     """
 
-    deterministic = True
-
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
 
-    def run(self, rs: ReferenceString, loads: int):
-        """Return (elapsed, loads) where elapsed is total cycles (one
-        simulated cycle per calibration cycle)."""
-        total = _simulate_loads(self.config, rs, loads)
-        return float(total), loads
+    def run(self, rs: ReferenceString, loads: int) -> float:
+        """Cycles per access over ``loads`` accesses, a whole number of
+        traversals, after one warm-up traversal."""
+        return _simulate_loads(self.config, rs, loads) / loads
 
 
 # ---------------------------------------------------------------------------
@@ -312,8 +309,13 @@ def parse_config(text: str) -> SimConfig:
 
 
 def load_config(path: str) -> SimConfig:
-    with open(path) as fh:
-        return parse_config(fh.read())
+    with open(path, encoding="utf-8") as fh:
+        try:
+            text = fh.read()
+        except UnicodeDecodeError as exc:
+            raise ConfigError("%s is not UTF-8 text: %s"
+                              % (path, exc)) from exc
+    return parse_config(text)
 
 
 def format_config(config: SimConfig) -> str:

@@ -1,20 +1,18 @@
-"""Cycle calibration and the minimum-of-trials stability discipline.
+"""The step predicate and the minimum-of-trials stability discipline.
 
-A "cycle" is the measured duration of one dependent register add in the real
-backend's C kernel.  All probe results are expressed in cycles per access, so
-they compare across clock speeds and the simulator (1 simulated cycle per
-cycle) shares the probe code unchanged.
+Every measurement is a backend run in cycles per access (see ``backend``):
+the real backend converts its timings with the cycle it measured when it was
+constructed, the simulator counts cycles natively, so the probes share this
+code unchanged and never see seconds.
 """
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import Callable
 
-from .backend import _kernels
-from .errors import BudgetExceededError, TimerTooCoarseError
-from .refstring import MachineEnv, ReferenceString
+from .errors import BudgetExceededError
+from .refstring import ReferenceString
 
 #: Margin, in cycles, of "above the L1 baseline", of knockout equality and of
 #: a rise that persists.  Single-miss deltas are sub-cycle once amortized over
@@ -31,23 +29,9 @@ DEFAULT_RUN_CAP = 1000
 
 
 @dataclass
-class CycleCalibration:
-    seconds_per_cycle: float
-    timer_resolution: float
-    #: Baseline amortization: a timed run covers at least this many loads
-    #: (and never fewer than two traversals of the string).
-    loads_per_run: int
-
-
-@dataclass
 class Measurement:
     min_cycles_per_access: float
     runs_taken: int
-
-
-IDENTITY_CALIBRATION = CycleCalibration(seconds_per_cycle=1.0,
-                                        timer_resolution=0.0,
-                                        loads_per_run=0)
 
 
 def is_step(before: float, after: float, abs_tol: float,
@@ -58,57 +42,14 @@ def is_step(before: float, after: float, abs_tol: float,
     return after > before + max(abs_tol, rel_tol * before)
 
 
-def timer_resolution() -> float:
-    """Smallest positive delta observable from the monotonic timer."""
-    best = float("inf")
-    for _ in range(64):
-        t0 = time.perf_counter()
-        t1 = time.perf_counter()
-        while t1 == t0:
-            t1 = time.perf_counter()
-        best = min(best, t1 - t0)
-    return best
-
-
-def calibrate(env: MachineEnv, backend) -> CycleCalibration:
-    """Measure seconds-per-cycle for a real backend; identity for simulators."""
-    if getattr(backend, "deterministic", False):
-        return IDENTITY_CALIBRATION
-    res = timer_resolution()
-    if res > 1e-3:
-        raise TimerTooCoarseError(
-            "monotonic timer resolution %.3g s is coarser than 1 ms" % res)
-    add_chain = _kernels().add_chain
-    n = 1 << 22
-    best = float("inf")
-    for _ in range(5):
-        t0 = time.perf_counter()
-        add_chain(n)
-        t1 = time.perf_counter()
-        best = min(best, (t1 - t0) / n)
-    # Each iteration is one register add that depends on the previous one,
-    # so it takes one add's latency: one cycle.
-    seconds_per_cycle = best
-    # Size a timed run to last at least 1000x the timer resolution, assuming
-    # a few cycles per load; run_once re-rounds per string.
-    loads = max(1024, int(1000.0 * res / (3.0 * seconds_per_cycle)) + 1)
-    return CycleCalibration(seconds_per_cycle=seconds_per_cycle,
-                            timer_resolution=res, loads_per_run=loads)
-
-
-def run_once(rs: ReferenceString, cal: CycleCalibration, backend) -> float:
-    """One warm-up traversal plus one timed run; cycles per access."""
-    n = rs.chain_length
-    loads = max(cal.loads_per_run, 2 * n)
-    loads = ((loads + n - 1) // n) * n  # whole traversals only
-    elapsed, done = backend.run(rs, loads)
-    return elapsed / done / cal.seconds_per_cycle
+def run_once(rs: ReferenceString, backend) -> float:
+    """One warm-up traversal plus a timed run of at least two traversals;
+    cycles per access."""
+    return backend.run(rs, 2 * rs.chain_length)
 
 
 def measure_stable(rs_factory: Callable[[], ReferenceString],
-                   cal: CycleCalibration, backend,
-                   window: int = DEFAULT_WINDOW,
-                   run_cap: int = DEFAULT_RUN_CAP) -> Measurement:
+                   backend, window: int = DEFAULT_WINDOW) -> Measurement:
     """Re-measure fresh strings until the minimum is unchanged for ``window``
     consecutive runs.
 
@@ -125,14 +66,14 @@ def measure_stable(rs_factory: Callable[[], ReferenceString],
     runs = 0
     while since_min < window:
         rs = rs_factory()
-        t = run_once(rs, cal, backend)
+        t = run_once(rs, backend)
         runs += 1
         if t < best:
             best = t
             since_min = 0
         else:
             since_min += 1
-        if runs > run_cap:
+        if runs > DEFAULT_RUN_CAP:
             raise BudgetExceededError(
-                "minimum did not stabilize within %d runs" % run_cap)
+                "minimum did not stabilize within %d runs" % DEFAULT_RUN_CAP)
     return Measurement(min_cycles_per_access=best, runs_taken=runs)

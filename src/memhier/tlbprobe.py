@@ -16,8 +16,7 @@ from typing import List, Tuple
 from .cacheprobe import ResponseCurve, octave_points, run_sweep
 from .errors import InvalidGeometryError
 from .refstring import MachineEnv, build_tlb_string
-from .timing import (DEFAULT_WINDOW, JUMP, CycleCalibration, is_step,
-                     measure_stable)
+from .timing import DEFAULT_WINDOW, JUMP, is_step, measure_stable
 
 DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
@@ -38,8 +37,8 @@ class TlbLevelResult:
     entries: int
 
 
-def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, cal: CycleCalibration,
-                  backend, window: int = DEFAULT_WINDOW,
+def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
+                  window: int = DEFAULT_WINDOW,
                   seed: int = 0) -> ResponseCurve:
     """Stability-disciplined sweep of T(1,k) over the page-count schedule."""
     if lb % env.pagesize or ub % env.pagesize:
@@ -52,7 +51,7 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, cal: CycleCalibration,
         counter[0] += 1
         return build_tlb_string(1, footprint, env, counter[0])
 
-    return run_sweep(footprints, factory, cal, backend, window=window)
+    return run_sweep(footprints, factory, backend, window=window)
 
 
 def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
@@ -65,8 +64,7 @@ def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
     return out
 
 
-def confirm_suspect(suspect: TlbSuspect, env: MachineEnv,
-                    cal: CycleCalibration, backend,
+def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0) -> TlbSuspect:
     """Measure T(n, boundary) and T(n, footprint) for n = 2, 3, 4; the
     suspect is confirmed only if every n reproduces the jump."""
@@ -76,7 +74,7 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv,
         def factory():
             counter[0] += 1
             return build_tlb_string(n, footprint, env, counter[0])
-        return measure_stable(factory, cal, backend,
+        return measure_stable(factory, backend,
                               window=window).min_cycles_per_access
 
     for n in (2, 3, 4):
@@ -88,8 +86,7 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv,
     return suspect
 
 
-def run_tlb_probe(env: MachineEnv, cal: CycleCalibration, backend,
-                  lb: int = 0, ub: int = DEFAULT_UB,
+def run_tlb_probe(env: MachineEnv, backend, lb: int = 0, ub: int = DEFAULT_UB,
                   window: int = DEFAULT_WINDOW, seed: int = 0
                   ) -> Tuple[List[TlbLevelResult], List[TlbSuspect],
                              ResponseCurve, float]:
@@ -99,8 +96,8 @@ def run_tlb_probe(env: MachineEnv, cal: CycleCalibration, backend,
     """
     started = time.perf_counter()
     lb = lb or DEFAULT_LB_PAGES * env.pagesize
-    curve = run_tlb_sweep(lb, ub, env, cal, backend, window=window, seed=seed)
-    suspects = [confirm_suspect(s, env, cal, backend, window=window,
+    curve = run_tlb_sweep(lb, ub, env, backend, window=window, seed=seed)
+    suspects = [confirm_suspect(s, env, backend, window=window,
                                 seed=seed + 7919 * i)
                 for i, s in enumerate(find_suspects(curve))]
     levels = []

@@ -16,19 +16,17 @@ from contextlib import contextmanager
 
 import pytest
 
-from memhier import (CacheLevel, JitterBackend, SimConfig, SimulatedBackend,
-                     TlbLevel, build_cache_string, measure_stable)
+from conftest import JitterBackend
+from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
+                     build_cache_string, measure_stable)
 from memhier.analysis import detect_transitions
 from memhier.cacheprobe import run_cache_sweep, sample_points
 from memhier.l1probe import L1Params, run_l1_probe
-from memhier.timing import IDENTITY_CALIBRATION
 from memhier.tlbprobe import run_tlb_probe
 
 KB = 1024
 MB = 1024 * 1024
 PAGE = 4096
-
-CAL = IDENTITY_CALIBRATION
 
 
 @contextmanager
@@ -53,7 +51,7 @@ def test_criterion_1_l1_oracle_equivalence(env):
                                           CacheLevel(8 * MB, 16, 64, 15)],
                             memory_latency=100)
             started = time.perf_counter()
-            rep = run_l1_probe(L1Params(), env, CAL, SimulatedBackend(cfg),
+            rep = run_l1_probe(L1Params(), env, SimulatedBackend(cfg),
                                window=5)
             elapsed = time.perf_counter() - started
             got = (rep.capacity, rep.associativity, rep.linesize)
@@ -85,7 +83,7 @@ def test_criterion_2_multilevel_oracle_equivalence(env):
             rng = random.Random(1000 + seed)
             cfg, expected = random_hierarchy(rng)
             ub = 2 * cfg.cache_levels[-1].capacity
-            curve = run_cache_sweep(sample_points(KB, ub), env, CAL,
+            curve = run_cache_sweep(sample_points(KB, ub), env,
                                     SimulatedBackend(cfg), window=3, seed=seed)
             got = detect_transitions(curve)
             assert len(got) == len(expected), "seed %d: %r vs %r" % (
@@ -117,7 +115,7 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
                                         for e, p in zip(entries, penalties)],
                             memory_latency=250)
             levels, _, _, _ = run_tlb_probe(
-                env, CAL, SimulatedBackend(cfg),
+                env, SimulatedBackend(cfg),
                 ub=4 * entries[-1] * PAGE, window=3, seed=seed)
             assert [lv.entries for lv in levels] == entries, \
                 "seed %d: %r vs %r" % (seed, [lv.entries for lv in levels],
@@ -130,7 +128,7 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
                             tlb_levels=[TlbLevel(4096, 30)],
                             memory_latency=250)
             levels, suspects, _, _ = run_tlb_probe(
-                env, CAL, SimulatedBackend(cfg), ub=8 * MB, window=3,
+                env, SimulatedBackend(cfg), ub=8 * MB, window=3,
                 seed=pages)
             assert levels == [], "cache edge at %d pages reported as TLB %r" \
                 % (pages, levels)
@@ -148,10 +146,10 @@ def _three_plateau_backend(seed):
 def test_criterion_4_knockout_revival_efficiency(env):
     with criterion(4, "knockout-revival efficiency"):
         points = sample_points(KB, 512 * KB)
-        with_ko = run_cache_sweep(points, env, CAL,
+        with_ko = run_cache_sweep(points, env,
                                   _three_plateau_backend(seed=42),
                                   window=15, seed=0)
-        exhaustive = run_cache_sweep(points, env, CAL,
+        exhaustive = run_cache_sweep(points, env,
                                      _three_plateau_backend(seed=42),
                                      window=15, seed=0, knockout=False)
         ratio = exhaustive.total_string_runs / with_ko.total_string_runs
@@ -174,7 +172,7 @@ def test_criterion_5_timing_engine_convergence(env):
                 counter[0] += 1
                 return build_cache_string(16 * KB, env, counter[0])
 
-            m = measure_stable(factory, CAL, noisy, window=25, run_cap=200)
+            m = measure_stable(factory, noisy, window=25)
             assert m.runs_taken <= 200
             assert abs(m.min_cycles_per_access - 3.0) <= 0.25, \
                 "seed %d converged to %.3f" % (seed, m.min_cycles_per_access)
@@ -188,7 +186,7 @@ def test_criterion_6_curve_invariants(env):
             cfg = SimConfig(cache_levels=[CacheLevel(c1, 8, 64, 3),
                                           CacheLevel(c2, 8, 64, 14)],
                             memory_latency=90)
-            curve = run_cache_sweep(sample_points(KB, 2 * c2), env, CAL,
+            curve = run_cache_sweep(sample_points(KB, 2 * c2), env,
                                     SimulatedBackend(cfg), window=3, seed=seed)
             vals = curve.values()
             assert all(b >= a - 0.25 for a, b in zip(vals, vals[1:])), \

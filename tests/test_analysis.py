@@ -8,7 +8,6 @@ from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
 from memhier.tlbprobe import TlbLevelResult, find_suspects
-from memhier.timing import IDENTITY_CALIBRATION
 
 KB = 1024
 MB = 1024 * 1024
@@ -88,8 +87,7 @@ class TestDetectTransitions:
                                       CacheLevel(512 * KB, 8, 64, 15)],
                         memory_latency=100)
         curve = run_cache_sweep(sample_points(KB, 2 * MB), env,
-                                IDENTITY_CALIBRATION, SimulatedBackend(cfg),
-                                window=3, seed=4)
+                                SimulatedBackend(cfg), window=3, seed=4)
         assert detect_transitions(curve) == [(32 * KB, 3), (512 * KB, 15)]
 
 

@@ -10,7 +10,7 @@ import pytest
 import memhier
 from memhier import (AllocationFailureError, MemhierError, RealMemoryBackend,
                      acquire_region, backend, build_cache_string,
-                     build_gap_string, calibrate, run_once)
+                     build_gap_string, run_once)
 from memhier.backend import PIN_CPU_ENV, maybe_pin_cpu
 from memhier.cli import main
 
@@ -55,21 +55,33 @@ class TestRealBackend:
     def test_chase_produces_plausible_latency(self, env):
         needs_cc()
         be = RealMemoryBackend()
-        cal = calibrate(env, be)
         rs = build_gap_string(2, 512, 0, env)
-        t = run_once(rs, cal, be)
+        t = run_once(rs, be)
         # An L1-resident dependent load is a handful of cycles on anything
         # this code runs on; the bound only guards against unit mistakes.
         assert 0.5 < t < 200.0
 
+    def test_loads_raised_to_whole_traversals(self, env):
+        needs_cc()
+        be = RealMemoryBackend()
+        chased = []
+        be._chase = lambda slots, entry, loads: chased.append(loads) or entry
+        rs = build_gap_string(3, 512, 0, env)
+        for asked in (6, be.loads_per_run, 3 * be.loads_per_run + 1):
+            chased.clear()
+            be.run(rs, asked)
+            warm_up, timed = chased
+            least = max(asked, be.loads_per_run)
+            assert warm_up == 3
+            assert timed % 3 == 0 and least <= timed < least + 3
+
     def test_small_string_is_faster_than_large(self, env):
         needs_cc()
         be = RealMemoryBackend()
-        cal = calibrate(env, be)
 
         def best(footprint):
-            return min(run_once(build_cache_string(footprint, env, seed), cal,
-                                be) for seed in range(3))
+            return min(run_once(build_cache_string(footprint, env, seed), be)
+                       for seed in range(3))
 
         # 16 KB fits any L1; 8 MB leaves L1 and L2 on anything this runs on.
         assert 3 * best(16 * KB) < best(8 * MB)

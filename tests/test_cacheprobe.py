@@ -2,11 +2,10 @@ import math
 
 import pytest
 
-from memhier import (CacheLevel, InvalidGeometryError, JitterBackend,
-                     SimConfig, SimulatedBackend, curve_from_csv, curve_to_csv)
+from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
+                     SimulatedBackend, curve_from_csv, curve_to_csv)
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, octave_points,
                                 run_cache_sweep, run_sweep, sample_points)
-from memhier.timing import IDENTITY_CALIBRATION
 
 KB = 1024
 MB = 1024 * 1024
@@ -50,8 +49,7 @@ def stepped_backend():
 class TestSweep:
     def test_flat_hierarchy_knocks_out_interior(self, env):
         pts = sample_points(KB, 64 * KB)
-        curve = run_cache_sweep(pts, env, IDENTITY_CALIBRATION, flat_backend(),
-                                window=3, seed=1)
+        curve = run_cache_sweep(pts, env, flat_backend(), window=3, seed=1)
         assert not curve.points[0].knocked_out
         assert not curve.points[-1].knocked_out
         assert all(p.knocked_out for p in curve.points[1:-1])
@@ -59,8 +57,7 @@ class TestSweep:
 
     def test_stepped_curve_values(self, env):
         pts = sample_points(KB, MB)
-        curve = run_cache_sweep(pts, env, IDENTITY_CALIBRATION,
-                                stepped_backend(), window=3, seed=1)
+        curve = run_cache_sweep(pts, env, stepped_backend(), window=3, seed=1)
         for p, v in zip(curve.points, curve.values()):
             if p.footprint <= 32 * KB:
                 assert v == 3.0
@@ -69,24 +66,21 @@ class TestSweep:
 
     def test_knockout_reduces_runs(self, env):
         pts = sample_points(KB, MB)
-        with_ko = run_cache_sweep(pts, env, IDENTITY_CALIBRATION,
-                                  stepped_backend(), window=5, seed=1)
-        without = run_cache_sweep(pts, env, IDENTITY_CALIBRATION,
-                                  stepped_backend(), window=5, seed=1,
-                                  knockout=False)
+        with_ko = run_cache_sweep(pts, env, stepped_backend(), window=5,
+                                  seed=1)
+        without = run_cache_sweep(pts, env, stepped_backend(), window=5,
+                                  seed=1, knockout=False)
         assert with_ko.total_string_runs < without.total_string_runs
 
     def test_curve_nondecreasing_on_simulator(self, env):
         pts = sample_points(KB, MB)
-        curve = run_cache_sweep(pts, env, IDENTITY_CALIBRATION,
-                                stepped_backend(), window=3, seed=2)
+        curve = run_cache_sweep(pts, env, stepped_backend(), window=3, seed=2)
         vals = curve.values()
         assert all(b >= a - 0.25 for a, b in zip(vals, vals[1:]))
 
     def test_all_points_stable_or_knocked_out(self, env):
         pts = sample_points(KB, 128 * KB)
-        curve = run_cache_sweep(pts, env, IDENTITY_CALIBRATION,
-                                stepped_backend(), window=4, seed=3)
+        curve = run_cache_sweep(pts, env, stepped_backend(), window=4, seed=3)
         for p in curve.points:
             assert p.knocked_out or p.runs_since_min >= 4
 
@@ -101,23 +95,21 @@ class TestRevival:
         npts = len(sample_points(KB, 16 * KB))
 
         class EarlyNoise:
-            deterministic = False
-
             def __init__(self):
                 self.runs = 0
 
             def run(self, rs, loads):
-                elapsed, done = inner.run(rs, loads)
+                cycles = inner.run(rs, loads)
                 self.runs += 1
                 if self.runs <= npts:
-                    return elapsed + 1.0 * done, done
-                return elapsed, done
+                    return cycles + 1.0
+                return cycles
 
         pts = sample_points(KB, 16 * KB)
         curve = run_sweep(
             pts,
             lambda fp, _c=[0]: _build(fp, env, _c),
-            IDENTITY_CALIBRATION, EarlyNoise(), window=6)
+            EarlyNoise(), window=6)
         assert all(v == 5.0 for v in curve.values())
         assert all(p.min_cycles == 5.0 for p in curve.points)
 

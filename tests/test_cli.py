@@ -1,7 +1,13 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from memhier import ConfigError, CurveFormatError, load_config
+from memhier.cacheprobe import load_curve
 from memhier.cli import main
 
 KB = 1024
@@ -52,6 +58,49 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "memhier: bad curve row at line 2: '1024,abc'\n"
+
+    @pytest.mark.parametrize("value", ["-inf", "inf", "-1.5", "1e400"])
+    def test_curve_value_not_nan_or_finite_nonnegative_is_1(
+            self, capsys, tmp_path, value):
+        path = tmp_path / "curve.csv"
+        path.write_text("footprint_bytes,cycles_per_access,knocked_out\n"
+                        "1024,%s,0\n2048,3.0,0\n4096,3.0,0\n8192,9.0,0\n"
+                        % value)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "memhier: bad curve row at line 2: '1024,%s,0'\n" % value
+
+    def test_window_must_be_positive(self, capsys, cfg_path):
+        for argv in (["l1", "--window", "0"],
+                     ["simulate", cfg_path, "--window", "0"],
+                     ["tlb", "--backend", "sim:" + cfg_path, "--window", "0"],
+                     ["cache", "--backend", "sim:" + cfg_path,
+                      "--window", "-3"]):
+            assert main(argv) == 2, argv
+            assert "is not a positive integer" in capsys.readouterr().err
+
+    def test_non_utf8_config_is_1(self, capsys, tmp_path):
+        path = tmp_path / "machine.cfg"
+        path.write_bytes(b"pagesize 4096\n\xff\xfe\n")
+        with pytest.raises(ConfigError, match="not UTF-8"):
+            load_config(str(path))
+        for argv in (["simulate", str(path)],
+                     ["l1", "--backend", "sim:" + str(path)]):
+            assert main(argv) == 1
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("memhier: ")
+            assert "not UTF-8" in err[0]
+
+    def test_non_utf8_curve_is_1(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_bytes(b"footprint_bytes,cycles_per_access,knocked_out\n"
+                         b"1024,3.0\xff,0\n")
+        with pytest.raises(CurveFormatError, match="not UTF-8"):
+            load_curve(str(path))
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+        assert "not UTF-8" in err[0]
 
 
 class TestL1Command:
@@ -124,3 +173,35 @@ class TestAnalyzeCommand:
         d = run_json(capsys, ["analyze", str(path)])
         assert d["levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
+
+
+#: CSV-like text: rows shaped like curve rows (footprint, any float
+#: spelling, knockout flag), at most one junk row, sometimes a header.
+_value = st.one_of(st.floats().map(repr),
+                   st.sampled_from(["nan", "inf", "-inf", "-0.0"]),
+                   st.integers(0, 200).map(str))
+_row = st.tuples(st.integers(-2**40, 2**40).map(str), _value,
+                 st.sampled_from(["0", "1", "2", "-1"])).map(",".join)
+_junk = st.one_of(st.lists(st.one_of(_value, st.text(max_size=3)),
+                           max_size=4).map(",".join),
+                  st.text(max_size=8))
+
+
+@st.composite
+def _curve_text(draw):
+    rows = draw(st.lists(_row, max_size=12))
+    if draw(st.booleans()):
+        rows.insert(draw(st.integers(0, len(rows))), draw(_junk))
+    if draw(st.booleans()):
+        rows.insert(0, "footprint_bytes,cycles_per_access,knocked_out")
+    return "\n".join(rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_curve_text())
+def test_analyze_fuzz_exits_0_or_1(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "curve.csv")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        assert main(["analyze", path]) in (0, 1)

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import verify_cycle
 from memhier import (InvalidGeometryError, MachineEnv, build_cache_string,
-                     build_gap_string, build_tlb_string, verify_cycle)
+                     build_gap_string, build_tlb_string)
 
 KB = 1024
 

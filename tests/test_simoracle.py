@@ -149,6 +149,25 @@ class TestConfigValidation:
         assert cfg.memory_latency == 90
 
 
+#: Config-like text: known directives, numbers and junk, one line at a time.
+_config_words = st.one_of(
+    st.sampled_from(["pagesize", "cache", "tlb", "memory", "mapping",
+                     "identity", "random", "#", "\t"]),
+    st.integers(-2**70, 2**70).map(str),
+    st.text(max_size=4))
+_config_text = st.lists(st.lists(_config_words, max_size=6).map(" ".join),
+                        max_size=8).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=st.one_of(_config_text, st.text()))
+def test_parse_config_raises_only_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
+
+
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32), kb=st.integers(4, 64))
 def test_backend_reproducible(seed, kb):

@@ -2,12 +2,12 @@ import shutil
 
 import pytest
 
-from memhier import (BudgetExceededError, CacheLevel, JitterBackend,
-                     MachineEnv, RealMemoryBackend, SimConfig,
-                     SimulatedBackend, build_cache_string, build_gap_string,
-                     calibrate, measure_stable, run_once)
-from memhier.timing import (IDENTITY_CALIBRATION, JUMP, RISE, STEP_TOL,
-                            is_step)
+from conftest import JitterBackend
+from memhier import (BudgetExceededError, CacheLevel, RealMemoryBackend,
+                     SimConfig, SimulatedBackend, TlbLevel,
+                     build_cache_string, build_gap_string, build_tlb_string,
+                     measure_stable, run_once, simulate)
+from memhier.timing import DEFAULT_RUN_CAP, JUMP, RISE, STEP_TOL, is_step
 
 KB = 1024
 
@@ -21,17 +21,37 @@ def sim_backend(l1_latency=3):
 
 class TestCalibration:
     def test_simulator_calibration_is_identity(self, env):
-        cal = calibrate(env, sim_backend())
-        assert cal.seconds_per_cycle == 1.0
-        assert cal.loads_per_run == 0
+        # The simulator counts cycles natively: a run returns the simulated
+        # cycles per access exactly, with no conversion.
+        hierarchies = [
+            sim_backend().config,
+            SimConfig(cache_levels=[CacheLevel(4 * KB, 1, 32, 2)],
+                      tlb_levels=[TlbLevel(8, 20), TlbLevel(64, 50)],
+                      memory_latency=70, mapping_seed=5),
+            SimConfig(cache_levels=[CacheLevel(8 * KB, 2, 64, 1),
+                                    CacheLevel(64 * KB, 4, 128, 9),
+                                    CacheLevel(512 * KB, 8, 64, 23)],
+                      tlb_levels=[TlbLevel(16, 7)], memory_latency=101),
+        ]
+        strings = [build_gap_string(9, 4 * KB, 64, env),
+                   build_gap_string(17, 2 * KB, 0, env),
+                   build_cache_string(24 * KB, env, seed=3),
+                   build_cache_string(160 * KB, env, seed=4),
+                   build_tlb_string(1, 96 * 4096, env, seed=5),
+                   build_tlb_string(3, 40 * 4096, env, seed=6)]
+        for cfg in hierarchies:
+            be = SimulatedBackend(cfg)
+            for rs in strings:
+                assert be.run(rs, 2 * rs.chain_length) == simulate(cfg, rs, 2)
+                assert run_once(rs, be) == simulate(cfg, rs, 2)
 
     def test_real_calibration_sanity(self, env):
         if shutil.which("cc") is None:
             pytest.skip("the real backend needs a C compiler 'cc'")
-        cal = calibrate(env, RealMemoryBackend())
-        assert 0 < cal.seconds_per_cycle < 1e-6
-        assert cal.timer_resolution <= 1e-3
-        assert cal.loads_per_run >= 2
+        be = RealMemoryBackend()
+        assert 0 < be.seconds_per_cycle < 1e-6
+        assert be.timer_resolution <= 1e-3
+        assert be.loads_per_run >= 2
 
     def test_real_calibration_near_clock(self, env):
         if shutil.which("cc") is None:
@@ -39,10 +59,10 @@ class TestCalibration:
         nominal = host_ghz()
         if nominal is None:
             pytest.skip("neither cpufreq nor /proc/cpuinfo gives a clock")
-        cal = calibrate(env, RealMemoryBackend())
+        be = RealMemoryBackend()
         # Loose on purpose: this catches unit mistakes, not turbo or the
         # exact cost of one add.
-        assert 0.4 * nominal < 1e-9 / cal.seconds_per_cycle < 2.0 * nominal
+        assert 0.4 * nominal < 1e-9 / be.seconds_per_cycle < 2.0 * nominal
 
 
 def host_ghz():
@@ -84,29 +104,28 @@ class TestIsStep:
 class TestRunOnce:
     def test_minimal_gap_is_l1_latency(self, env):
         rs = build_gap_string(2, 512, 0, env)
-        assert run_once(rs, IDENTITY_CALIBRATION, sim_backend()) == 3.0
+        assert run_once(rs, sim_backend()) == 3.0
 
     def test_cache_string_at_capacity(self, env):
         rs = build_cache_string(32 * KB, env, seed=3)
-        assert run_once(rs, IDENTITY_CALIBRATION, sim_backend()) == 3.0
+        assert run_once(rs, sim_backend()) == 3.0
 
     def test_overflowing_gap_exceeds_baseline(self, env):
         rs = build_gap_string(33, 1024, 0, env)
-        t = run_once(rs, IDENTITY_CALIBRATION, sim_backend())
+        t = run_once(rs, sim_backend())
         # Set 0 cycles 9 lines through 8 ways, so all 9 of its accesses miss.
         assert t == pytest.approx((24 * 3 + 9 * 15) / 33)
 
     def test_reproducible_on_simulator(self, env):
         rs = build_cache_string(48 * KB, env, seed=3)
         be = sim_backend()
-        assert run_once(rs, IDENTITY_CALIBRATION, be) == \
-            run_once(rs, IDENTITY_CALIBRATION, be)
+        assert run_once(rs, be) == run_once(rs, be)
 
     def test_never_below_smallest_latency(self, env):
         be = sim_backend()
         for seed in range(5):
             rs = build_cache_string(16 * KB, env, seed=seed)
-            assert run_once(rs, IDENTITY_CALIBRATION, be) >= 3.0
+            assert run_once(rs, be) >= 3.0
 
 
 class TestMeasureStable:
@@ -118,36 +137,35 @@ class TestMeasureStable:
 
     def test_deterministic_backend_stops_after_window_plus_one(self, env):
         for window in (1, 5, 25):
-            m = measure_stable(self.factory(env, [0]), IDENTITY_CALIBRATION,
-                               sim_backend(), window=window)
+            m = measure_stable(self.factory(env, [0]), sim_backend(),
+                               window=window)
             assert m.runs_taken == window + 1
             assert m.min_cycles_per_access == 3.0
 
     def test_budget_exceeded(self, env):
         class EverImproving:
-            deterministic = False
-
             def __init__(self):
-                self.t = 1e9
+                self.runs = 0
 
             def run(self, rs, loads):
-                self.t -= 1
-                return self.t * loads, loads
+                self.runs += 1
+                return 1e9 - self.runs
 
+        be = EverImproving()
         with pytest.raises(BudgetExceededError):
-            measure_stable(self.factory(env, [0]), IDENTITY_CALIBRATION,
-                           EverImproving(), window=5, run_cap=50)
+            measure_stable(self.factory(env, [0]), be, window=5)
+        assert be.runs == DEFAULT_RUN_CAP + 1
 
     def test_minimum_filters_positive_jitter(self, env):
         noisy = JitterBackend(sim_backend(), seed=123, zero_prob=0.4, scale=2.0)
-        m = measure_stable(self.factory(env, [0]), IDENTITY_CALIBRATION,
-                           noisy, window=25, run_cap=500)
+        m = measure_stable(self.factory(env, [0]), noisy, window=25)
+        assert m.runs_taken <= 500
         assert m.min_cycles_per_access == pytest.approx(3.0, abs=0.25)
 
     def test_jitter_never_lowers_minimum(self, env):
-        clean = measure_stable(self.factory(env, [0]), IDENTITY_CALIBRATION,
-                               sim_backend(), window=10)
+        clean = measure_stable(self.factory(env, [0]), sim_backend(),
+                               window=10)
         noisy_be = JitterBackend(sim_backend(), seed=7)
-        noisy = measure_stable(self.factory(env, [100]), IDENTITY_CALIBRATION,
-                               noisy_be, window=10, run_cap=500)
+        noisy = measure_stable(self.factory(env, [100]), noisy_be, window=10)
+        assert noisy.runs_taken <= 500
         assert noisy.min_cycles_per_access >= clean.min_cycles_per_access

@@ -4,13 +4,11 @@ from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, TlbLevel)
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
-from memhier.timing import IDENTITY_CALIBRATION
 
 KB = 1024
 MB = 1024 * 1024
 PAGE = 4096
 
-CAL = IDENTITY_CALIBRATION
 WINDOW = 3
 
 
@@ -24,12 +22,12 @@ def tlb_backend(levels, cache_cap=16 * MB):
 class TestSweep:
     def test_bounds_must_be_page_multiples(self, env):
         with pytest.raises(InvalidGeometryError):
-            run_tlb_sweep(5000, 64 * PAGE, env, CAL,
+            run_tlb_sweep(5000, 64 * PAGE, env,
                           tlb_backend([TlbLevel(16, 30)]), window=WINDOW)
 
     def test_curve_rises_past_entry_count(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
-        curve = run_tlb_sweep(4 * PAGE, 512 * PAGE, env, CAL, be,
+        curve = run_tlb_sweep(4 * PAGE, 512 * PAGE, env, be,
                               window=WINDOW, seed=1)
         vals = dict(zip(curve.footprints(), curve.values()))
         assert vals[64 * PAGE] == 3.0
@@ -37,7 +35,7 @@ class TestSweep:
 
     def test_flat_when_everything_fits(self, env):
         be = tlb_backend([TlbLevel(4096, 30)])
-        curve = run_tlb_sweep(4 * PAGE, 256 * PAGE, env, CAL, be,
+        curve = run_tlb_sweep(4 * PAGE, 256 * PAGE, env, be,
                               window=WINDOW, seed=1)
         assert all(v == 3.0 for v in curve.values())
 
@@ -45,7 +43,7 @@ class TestSweep:
 class TestSuspects:
     def test_single_level_yields_one_suspect_region(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
-        curve = run_tlb_sweep(4 * PAGE, 512 * PAGE, env, CAL, be,
+        curve = run_tlb_sweep(4 * PAGE, 512 * PAGE, env, be,
                               window=WINDOW, seed=1)
         suspects = find_suspects(curve)
         assert suspects
@@ -53,7 +51,7 @@ class TestSuspects:
 
     def test_flat_curve_has_no_suspects(self, env):
         be = tlb_backend([TlbLevel(4096, 30)])
-        curve = run_tlb_sweep(4 * PAGE, 256 * PAGE, env, CAL, be,
+        curve = run_tlb_sweep(4 * PAGE, 256 * PAGE, env, be,
                               window=WINDOW, seed=1)
         assert find_suspects(curve) == []
 
@@ -62,7 +60,7 @@ class TestConfirmation:
     def test_true_tlb_boundary_confirmed_by_all_n(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
         s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
-                            env, CAL, be, window=WINDOW, seed=1)
+                            env, be, window=WINDOW, seed=1)
         assert s.confirmed
         assert s.confirming_n == [2, 3, 4]
 
@@ -72,15 +70,15 @@ class TestConfirmation:
         be = tlb_backend([], cache_cap=512 * PAGE)
         s = confirm_suspect(TlbSuspect(footprint=640 * PAGE,
                                        boundary=512 * PAGE),
-                            env, CAL, be, window=WINDOW, seed=1)
+                            env, be, window=WINDOW, seed=1)
         assert not s.confirmed
 
     def test_confirmation_deterministic(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
         a = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
-                            env, CAL, be, window=WINDOW, seed=5)
+                            env, be, window=WINDOW, seed=5)
         b = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
-                            env, CAL, be, window=WINDOW, seed=5)
+                            env, be, window=WINDOW, seed=5)
         assert (a.confirmed, a.confirming_n) == (b.confirmed, b.confirming_n)
 
 
@@ -88,7 +86,7 @@ class TestFullProbe:
     def test_single_level_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
         levels, suspects, curve, cost = run_tlb_probe(
-            env, CAL, be, ub=2 * MB, window=WINDOW, seed=1)
+            env, be, ub=2 * MB, window=WINDOW, seed=1)
         assert len(levels) == 1
         assert (levels[0].entries, levels[0].capacity) == (64, 64 * PAGE)
         assert cost > 0
@@ -96,7 +94,7 @@ class TestFullProbe:
     def test_two_levels_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30), TlbLevel(1024, 120)])
         levels, suspects, curve, cost = run_tlb_probe(
-            env, CAL, be, ub=8 * MB, window=WINDOW, seed=1)
+            env, be, ub=8 * MB, window=WINDOW, seed=1)
         assert [(l.level, l.entries) for l in levels] == [(1, 64), (2, 1024)]
         assert all(s.confirmed for s in suspects)
 
@@ -107,12 +105,12 @@ class TestFullProbe:
         cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 16, 64, 3)],
                         tlb_levels=[TlbLevel(64, 30)], memory_latency=200)
         levels, suspects, curve, cost = run_tlb_probe(
-            env, CAL, SimulatedBackend(cfg), ub=8 * MB, window=WINDOW, seed=1)
+            env, SimulatedBackend(cfg), ub=8 * MB, window=WINDOW, seed=1)
         assert [l.entries for l in levels] == [64]
         assert any(not s.confirmed for s in suspects)
 
     def test_no_tlb_reports_nothing(self, env):
         be = tlb_backend([], cache_cap=64 * MB)
         levels, suspects, curve, cost = run_tlb_probe(
-            env, CAL, be, ub=2 * MB, window=WINDOW, seed=1)
+            env, be, ub=2 * MB, window=WINDOW, seed=1)
         assert levels == []
