@@ -31,7 +31,8 @@ from .timing import DEFAULT_WINDOW
 
 
 def _positive_int(text: str) -> int:
-    """The ``--window`` type: an integer of at least 1."""
+    """The ``--window``, ``--lb`` and ``--ub`` type: an integer of at least
+    1."""
     try:
         value = int(text)
     except ValueError:
@@ -50,9 +51,9 @@ def _build_parser() -> argparse.ArgumentParser:
     def add_common(p):
         p.add_argument("--backend", default="real",
                        help="'real' or 'sim:<config-file>' (default: real)")
-        p.add_argument("--lb", type=int, default=None,
+        p.add_argument("--lb", type=_positive_int, default=None,
                        help="lower bound of the sweep in bytes")
-        p.add_argument("--ub", type=int, default=None,
+        p.add_argument("--ub", type=_positive_int, default=None,
                        help="upper bound of the sweep in bytes")
         p.add_argument("--max-assoc", type=int, default=l1probe.DEFAULT_MAX_ASSOC)
         p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
@@ -98,6 +99,11 @@ def _probe_env(config) -> MachineEnv:
     return MachineEnv.host()
 
 
+def _bound(value: Optional[int], default: int) -> int:
+    """A sweep bound given on the command line, else the probe's default."""
+    return default if value is None else value
+
+
 def _run_probes(args, which: str) -> dict:
     backend, config = _make_backend(args.backend)
     env = _probe_env(config)
@@ -108,8 +114,8 @@ def _run_probes(args, which: str) -> dict:
     tlb_levels = None
 
     if which in ("l1", "all"):
-        params = l1probe.L1Params(lb=args.lb or l1probe.DEFAULT_LB,
-                                  ub=args.ub or l1probe.DEFAULT_UB,
+        params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
+                                  ub=_bound(args.ub, l1probe.DEFAULT_UB),
                                   max_assoc=args.max_assoc)
         l1_report = l1probe.run_l1_probe(params, env, backend,
                                          window=args.window)
@@ -117,8 +123,9 @@ def _run_probes(args, which: str) -> dict:
         costs["l1"] = l1_report.cost
 
     if which in ("cache", "all"):
-        points = cacheprobe.sample_points(args.lb or cacheprobe.DEFAULT_LB,
-                                          args.ub or cacheprobe.DEFAULT_UB)
+        points = cacheprobe.sample_points(
+            _bound(args.lb, cacheprobe.DEFAULT_LB),
+            _bound(args.ub, cacheprobe.DEFAULT_UB))
         cache_curve = cacheprobe.run_cache_sweep(points, env, backend,
                                                  window=args.window,
                                                  seed=args.seed)
@@ -127,8 +134,9 @@ def _run_probes(args, which: str) -> dict:
     if which in ("tlb", "all"):
         tlb_levels, _suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
             env, backend,
-            lb=args.lb if (which == "tlb" and args.lb) else 0,
-            ub=args.ub if (which == "tlb" and args.ub) else tlbprobe.DEFAULT_UB,
+            lb=_bound(args.lb, 0) if which == "tlb" else 0,
+            ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
+                else tlbprobe.DEFAULT_UB),
             window=args.window, seed=args.seed)
         costs["tlb"] = tlb_cost
 

@@ -9,18 +9,45 @@ The per-access cost model: an access costs the latency of the first cache
 level that holds the line (or ``memory_latency`` if none does), plus, for each
 TLB level that missed the translation, that level's miss penalty.  A full TLB
 miss therefore costs the sum of all levels' penalties, which models the walk.
+Each level sees only the accesses that missed every level above it, so TLB
+state depends only on the page stream and cache state only on the
+physical-address stream.
 
-A run simulates only as many traversals as it needs.  The LRU state (each
+Most strings are priced in closed form, with no LRU bookkeeping (Mattson,
+Gecsei, Slutz & Traiger, "Evaluation Techniques for Storage Hierarchies",
+IBM Sys. J. 1970).  A TLB is a cache of one set whose lines are pages.  Take
+one level and the keys (lines or pages) of the accesses that reach it, in
+chain order.  If each key's accesses form one run when the chain is read
+cyclically, then in every timed traversal a set holding at most ``assoc``
+keys hits on every access, and a set holding more misses on the first access
+of every run and hits on the rest; the misses are what the next level sees.
+The warm-up traversal starts cold, so it misses on the first access of every
+run and passes on more than the timed ones do.  The closed form covers the
+first timed traversal too, so the total is traversals times one traversal's
+cost, when, level by level:
+
+* the warm-up's keys form one cyclic run each as well;
+* no set that fits in the timed traversals held more than ``assoc`` keys in
+  the warm-up, which would have evicted some of them;
+* every timed miss is also a warm-up miss, so the level below has seen it;
+* the run of the warm-up's first key does not hold timed accesses at the
+  chain's start only: the warm-up's end would leave that key resident.
+
+Cache strings, T(1,k) and gap strings with a gap of at least a line meet
+these.  Every other string, shuffled T(n>=2,k) among them, falls back to the
+LRU loop, which stays the reference, as does the naive model in the tests.
+The checks take two passes over the chain and one byte of seen-flags per
+line of its address range.
+
+The loop simulates only as many traversals as it needs.  The LRU state (each
 TLB's recency order and each cache set's) after a traversal depends only on
 the state before it, because every traversal replays the same accesses.  So
 once a timed traversal leaves the state as it found it, every later traversal
-costs exactly what that one did (Mattson, Gecsei, Slutz & Traiger,
-"Evaluation Techniques for Storage Hierarchies", IBM Sys. J. 1970).  The
-simulator snapshots the state before each timed traversal that has a
-successor, compares it afterwards, and on a match multiplies out the rest.
-Cache sets live in a table keyed by set index and are created on first fill,
-so set-up, snapshot and comparison scale with the lines a string touches, not
-with cache capacity.
+costs exactly what that one did.  The simulator snapshots the state before
+each timed traversal that has a successor, compares it afterwards, and on a
+match multiplies out the rest.  Cache sets live in a table keyed by set
+index and are created on first fill, so set-up, snapshot and comparison
+scale with the lines a string touches, not with cache capacity.
 """
 
 from __future__ import annotations
@@ -140,6 +167,10 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
         paddrs = [(perm[off >> page_shift] << page_shift) | (off & page_mask)
                   for off in chain]
 
+    steady = _steady_cost(chain, paddrs, config)
+    if steady is not None:
+        return steady * (loads // n)
+
     caches = [_CacheState(lvl) for lvl in config.cache_levels]
     tlbs = [_TlbState(lvl) for lvl in config.tlb_levels]
     args = (chain, paddrs, page_shift, tlbs, caches, config.memory_latency)
@@ -158,6 +189,120 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
             return total + left * cost
         snapshot = None  # drop it before the next one is built
     return total
+
+
+def _steady_cost(chain, paddrs, config: SimConfig) -> Optional[int]:
+    """The cost of every timed traversal in closed form, or None where the
+    closed form does not apply (see the module docstring)."""
+    total = 0
+    reach = bytearray(b"\x03") * len(chain)
+    for tl in config.tlb_levels:
+        misses = _lru_level(chain, reach, config.pagesize, 1, tl.entries)
+        if misses is None:
+            return None
+        total += tl.latency * misses
+        if not misses:
+            break
+    reach = bytearray(b"\x03") * len(chain)
+    reached = len(chain)
+    for lvl in config.cache_levels:
+        misses = _lru_level(paddrs, reach, lvl.linesize,
+                            lvl.capacity // (lvl.associativity * lvl.linesize),
+                            lvl.associativity)
+        if misses is None:
+            return None
+        total += lvl.latency * (reached - misses)
+        reached = misses
+        if not reached:
+            return total
+    return total + config.memory_latency * reached
+
+
+def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
+    """One LRU level of the closed form.
+
+    ``reach[i]`` says whether access ``i`` of the chain, at ``addrs[i]``,
+    reaches the level: 0 never, 1 in the warm-up traversal only, 3 in the
+    warm-up and in every timed traversal.  Keys are ``address // linesize``
+    in set ``key % nsets``.  Updates ``reach`` for the level below and
+    returns the misses of each timed traversal, or None unless every timed
+    traversal is known to cost the same.
+    """
+    # Pass 1: each key's warm-up accesses must form one cyclic run.  Count
+    # each set's keys in the warm-up (wkeys) and in the steady stream (skeys).
+    flags = bytearray(max(addrs) // linesize + 1)  # 1: warm-up key, 3: steady
+    wkeys = [0] * min(nsets, len(flags))
+    # The key of the first access that reaches the level.
+    first = prev = addrs[len(reach) - len(reach.lstrip(b"\0"))] // linesize
+    flags[first] = 1
+    wkeys[first % nsets] = 1
+    wrapped = False
+    for addr, r in zip(addrs, reach):
+        if not r:
+            continue
+        key = addr // linesize
+        if key != prev:
+            prev = key
+            if flags[key] or wrapped:
+                # Only the first key may come back, and only as the last run.
+                if key != first or wrapped:
+                    return None
+                wrapped = True
+            else:
+                flags[key] = 1
+                wkeys[key % nsets] += 1
+    if reach.find(1) < 0:
+        skeys = wkeys
+        first_s, last_s = first, prev
+    else:
+        skeys = [0] * len(wkeys)
+        for addr, r in zip(addrs, reach):
+            if r == 3:
+                key = addr // linesize
+                if flags[key] == 1:
+                    flags[key] = 3
+                    skeys[key % nsets] += 1
+        first_s = addrs[reach.find(3)] // linesize
+        last_s = addrs[reach.rfind(3)] // linesize
+
+    # A steady set that fits is resident after the warm-up only if the
+    # warm-up never overflowed it.
+    for count, wcount in zip(skeys, wkeys):
+        if count and count <= assoc < wcount:
+            return None
+    # The first key's run, split by the warm-up's end, must not hold steady
+    # accesses at the start only: they would hit once and miss thereafter.
+    if wrapped and first_s == first and last_s != first:
+        return None
+
+    # Pass 2: the warm-up misses on every run start, the steady stream on
+    # every cyclic run start in a set holding more than ``assoc`` keys.
+    prev = -1
+    prev_s = last_s
+    misses = 0
+    for i, r in enumerate(reach):
+        if not r:
+            continue
+        key = addrs[i] // linesize
+        start = key != prev
+        prev = key
+        miss = False
+        if r == 3:
+            if key != prev_s and skeys[key % nsets] > assoc:
+                if not start:
+                    return None  # a timed miss the warm-up did not pass on
+                miss = True
+                misses += 1
+            prev_s = key
+        if start:
+            reach[i] = 3 if miss else 1
+            last_start = i
+        else:
+            reach[i] = 0
+    if wrapped and wkeys[first % nsets] <= assoc:
+        # The first key's second run hits: nothing came between that evicts.
+        reach[last_start] = 0
+    return misses
 
 
 def _traverse(chain, paddrs, page_shift, tlbs, caches, mem_latency) -> int:
@@ -251,6 +396,10 @@ class SimulatedBackend:
     Pure and deterministic: equal (config, string) pairs give bit-equal
     results, so it is freely shareable across threads and measurements.
     """
+
+    #: Runs repeat exactly: ``timing.measure_stable`` measures a repeated
+    #: string once.
+    exact = True
 
     def __init__(self, config: SimConfig):
         config.validate()

@@ -56,16 +56,25 @@ def measure_stable(rs_factory: Callable[[], ReferenceString],
     Each run rebuilds the string from the factory.  The rebuilt string, and
     on the simulator its page mapping, differ only when the factory varies
     the seed, as the cache and TLB probes' factories do; gap strings are
-    built with one fixed seed, so their repeated runs only filter noise on a
-    noisy backend.
+    built with one fixed seed.  A backend whose runs repeat exactly says so
+    with a true ``exact`` attribute (the simulator does).  On such a backend
+    a string equal to the one just measured cannot move the minimum, so the
+    measurement stops there: a gap string takes one run, a seed-varying
+    factory the full window.  Other backends, real memory included, repeat
+    every string for the full window to filter noise.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
+    exact = getattr(backend, "exact", False)
     best = float("inf")
     since_min = 0
     runs = 0
+    last = None
     while since_min < window:
         rs = rs_factory()
+        if exact and rs == last:
+            break
+        last = rs
         t = run_once(rs, backend)
         runs += 1
         if t < best:

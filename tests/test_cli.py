@@ -79,6 +79,19 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "is not a positive integer" in capsys.readouterr().err
 
+    def test_bounds_must_be_positive(self, capsys, cfg_path):
+        # A bound of 0 is a usage error, not the probe's default bound.
+        for bound in ("--lb", "--ub"):
+            for value in ("0", "-4096"):
+                for argv in (["cache", "--backend", "sim:" + cfg_path,
+                              "--window", "1"],
+                             ["tlb", "--backend", "sim:" + cfg_path],
+                             ["simulate", cfg_path]):
+                    argv = argv + [bound, value]
+                    assert main(argv) == 2, argv
+                    assert "is not a positive integer" in \
+                        capsys.readouterr().err
+
     def test_non_utf8_config_is_1(self, capsys, tmp_path):
         path = tmp_path / "machine.cfg"
         path.write_bytes(b"pagesize 4096\n\xff\xfe\n")

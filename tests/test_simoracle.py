@@ -1,3 +1,5 @@
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,6 +8,8 @@ from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
                      SimulatedBackend, TlbLevel, build_cache_string,
                      build_gap_string, build_tlb_string, parse_config,
                      simulate)
+from memhier import simoracle
+from memhier.refstring import CacheKind, ReferenceString
 from memhier.simoracle import format_config
 
 from conftest import naive_cycles, naive_single_level_cycles
@@ -184,7 +188,7 @@ def hierarchies(draw):
     levels = []
     capacity = latency = 0
     for _ in range(draw(st.integers(1, 3))):
-        ways = draw(st.integers(1, 12))
+        ways = draw(st.integers(1, 12) | st.integers(1, 2))
         linesize = draw(st.sampled_from([32, 64, 128]))
         min_sets = capacity // (ways * linesize) + 1
         nsets = draw(st.integers(min_sets, min_sets + 8))
@@ -204,12 +208,26 @@ def hierarchies(draw):
 @st.composite
 def strings(draw):
     env = MachineEnv(pagesize=4096)
-    kind = draw(st.sampled_from(["gap", "cache", "tlb"]))
+    kind = draw(st.sampled_from(["gap", "cache", "tlb", "runs"]))
     if kind == "gap":
         return build_gap_string(draw(st.integers(2, 24)),
-                                draw(st.sampled_from([64, 192, 256, 512, 768,
-                                                      1024, 4096])),
-                                draw(st.sampled_from([0, 64, 128])), env)
+                                draw(st.sampled_from([32, 64, 128, 192, 256,
+                                                      512, 768, 1024, 4096])),
+                                draw(st.sampled_from([0, 32, 64, 128])), env)
+    if kind == "runs":
+        # 32-byte slots grouped by 128-byte block, so that each line size
+        # sees runs of its own; the chain starts inside a group, whose run
+        # then wraps around.
+        footprint = draw(st.sampled_from([4096, 8192]))
+        chain = []
+        for block in draw(st.lists(st.integers(0, footprint // 128 - 1),
+                                   min_size=2, max_size=12, unique=True)):
+            slots = draw(st.permutations(range(4)))[:draw(st.integers(1, 4))]
+            chain.extend(block * 128 + slot * 32 for slot in slots)
+        start = draw(st.integers(0, len(chain) - 1))
+        chain = chain[start:] + chain[:start]
+        return ReferenceString(footprint, chain[0], CacheKind(footprint),
+                               len(chain), draw(st.integers(0, 2**16)), chain)
     seed = draw(st.integers(0, 2**32))
     if kind == "cache":
         return build_cache_string(draw(st.integers(1, 16)) * KB, env, seed)
@@ -223,7 +241,18 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
     assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
 
 
-@pytest.mark.parametrize("cfg, rs", [
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
+def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
+    """The LRU loop on its own, which prices what the closed form
+    declines."""
+    with mock.patch.object(simoracle, "_steady_cost", return_value=None):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+
+
+#: Runs whose first timed traversals change the LRU state.
+LATE_FIXED_POINTS = [
     # The state after the first timed traversal differs from the state after
     # the warm-up; the one after the second equals the one after the first.
     (SimConfig(cache_levels=[CacheLevel(4 * KB, 1, 64, 3),
@@ -244,8 +273,121 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
                tlb_levels=[TlbLevel(13, 19), TlbLevel(14, 34)],
                memory_latency=73, mapping_seed=801),
      build_tlb_string(4, 15 * 4096, MachineEnv(pagesize=4096), 727296)),
-])
+]
+
+
+@pytest.mark.parametrize("cfg, rs", LATE_FIXED_POINTS)
 def test_late_fixed_point(cfg, rs):
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
+
+
+ENV = MachineEnv(pagesize=4096)
+
+#: The README hierarchy, and one with two TLB levels and a 16-way L2.
+README_LIKE = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                      CacheLevel(512 * KB, 8, 64, 15)],
+                        tlb_levels=[TlbLevel(64, 30)], memory_latency=100,
+                        mapping_seed=1)
+TWO_TLBS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                   CacheLevel(1024 * KB, 16, 64, 14)],
+                     tlb_levels=[TlbLevel(64, 8), TlbLevel(1024, 30)],
+                     memory_latency=100)
+
+
+@pytest.fixture
+def loop_traversals(monkeypatch):
+    """Records every traversal the LRU loop simulates: none means the
+    closed form priced the run."""
+    calls = []
+    traverse = simoracle._traverse
+
+    def counted(*args):
+        calls.append(args)
+        return traverse(*args)
+
+    monkeypatch.setattr(simoracle, "_traverse", counted)
+    return calls
+
+
+@pytest.mark.parametrize("cfg", [README_LIKE, TWO_TLBS, two_level()])
+@pytest.mark.parametrize("rs", [
+    build_cache_string(4 * KB, ENV, 3),
+    build_cache_string(34 * KB, ENV, 4),      # a part page: mixed L1 sets
+    build_cache_string(48 * KB, ENV, 5),
+    build_cache_string(600 * KB, ENV, 6),
+    build_tlb_string(1, 40 * 4096, ENV, 7),
+    build_tlb_string(1, 700 * 4096, ENV, 8),
+    build_gap_string(2, 512, 0, ENV),
+    build_gap_string(9, 4 * KB, 0, ENV),
+    build_gap_string(17, 2 * KB, 64, ENV),
+    build_gap_string(33, 1024, 0, ENV),
+], ids=repr)
+def test_closed_form_taken(cfg, rs, loop_traversals, monkeypatch):
+    """Cache strings, T(1,k) and gap strings with k >= linesize are priced
+    without LRU bookkeeping, at the loop's exact totals."""
+    closed = [simulate(cfg, rs, t) for t in (1, 2, 5)]
+    assert not loop_traversals
+    monkeypatch.setattr(simoracle, "_steady_cost", lambda *args: None)
+    assert [simulate(cfg, rs, t) for t in (1, 2, 5)] == closed
+    assert loop_traversals
+
+
+#: Strings the closed form must hand back to the loop.
+DECLINED = [
+    # T(n >= 2, k) shuffles its accesses, so a page's accesses form several
+    # runs.
+    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9),
+                 id="T(3,k)"),
+    pytest.param(*LATE_FIXED_POINTS[1], id="late-gap"),
+    pytest.param(*LATE_FIXED_POINTS[2], id="late-T(4,k)"),
+    # L1 (64-byte lines) passes the slots at 0 and 256 on in every
+    # traversal, and the one at 576 only in the warm-up.  In the L2's
+    # 32-byte lines, 256 and 576 share a one-way set: the steady stream
+    # leaves 256 alone there, but the warm-up evicted it with 576.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(256, 1, 64, 4),
+                                         CacheLevel(320, 1, 32, 12)],
+                           memory_latency=35),
+                 build_gap_string(3, 256, 64, ENV),
+                 id="steady-fits-warm-up-overflowed"),
+    # 1664 and 1696 share a 64-byte L2 line.  1696 misses L1 in every
+    # traversal, 1664 only in the warm-up, where it reached the L2 first:
+    # the L2 then hit on 1696, and the L3 never saw it.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
+                                         CacheLevel(192, 1, 64, 5),
+                                         CacheLevel(352, 1, 32, 15)],
+                           memory_latency=62),
+                 ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
+                                 [3816, 1664, 1696]),
+                 id="steady-miss-warm-up-hit"),
+    # The L2 line of the chain's first slot comes back at its end, in the
+    # warm-up only; so after the warm-up it is the most recent line of its
+    # one-way set, and the first timed access to it hits where every later
+    # one misses.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(192, 3, 32, 10),
+                                         CacheLevel(512, 1, 128, 11)],
+                           memory_latency=69, mapping_seed=56432),
+                 ReferenceString(8192, 5096, CacheKind(8192), 6, 0,
+                                 [5096, 5032, 6312, 5600, 5544, 5064]),
+                 id="split-first-run"),
+]
+
+
+@pytest.mark.parametrize("cfg, rs", DECLINED)
+def test_closed_form_declines(cfg, rs, loop_traversals):
+    for traversals in (1, 2, 3, 4):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+    assert loop_traversals
+
+
+def test_late_state_change_at_steady_cost(loop_traversals):
+    """The first late fixed point changes only the LRU order: its first
+    timed traversal costs what every later one does, so the closed form
+    prices it."""
+    cfg, rs = LATE_FIXED_POINTS[0]
+    for traversals in (1, 2, 3, 4):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+    assert not loop_traversals

@@ -142,6 +142,38 @@ class TestMeasureStable:
             assert m.runs_taken == window + 1
             assert m.min_cycles_per_access == 3.0
 
+    def test_exact_backend_measures_repeated_string_once(self, env):
+        # Gap strings have one fixed seed, so the factory repeats the string
+        # it just measured; on the simulator that cannot move the minimum.
+        def gap():
+            return build_gap_string(33, 1024, 0, env)
+
+        class Inexact:
+            """The simulator's runs, without its claim to repeat exactly."""
+
+            def __init__(self, inner):
+                self.inner = inner
+
+            def run(self, rs, loads):
+                return self.inner.run(rs, loads)
+
+        be = sim_backend()
+        once = measure_stable(gap, be, window=25)
+        full = measure_stable(gap, Inexact(be), window=25)
+        assert once.runs_taken == 1
+        assert full.runs_taken == 26
+        assert once.min_cycles_per_access == full.min_cycles_per_access
+        assert once.min_cycles_per_access == pytest.approx((24 * 3 + 9 * 15)
+                                                           / 33)
+
+    def test_noisy_backend_repeats_a_fixed_string(self, env):
+        noisy = JitterBackend(sim_backend(), seed=5)
+        for window in (1, 5, 25):
+            m = measure_stable(lambda: build_gap_string(9, 4 * KB, 0, env),
+                               noisy, window=window)
+            assert m.runs_taken >= window + 1
+            assert m.min_cycles_per_access >= 3.0
+
     def test_budget_exceeded(self, env):
         class EverImproving:
             def __init__(self):
