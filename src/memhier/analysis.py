@@ -17,7 +17,7 @@ from .cacheprobe import ResponseCurve
 from .errors import DegenerateCurveError
 from .l1probe import L1Report
 from .refstring import MachineEnv
-from .tlbprobe import TlbLevelResult
+from .tlbprobe import TlbLevelResult, TlbSuspect
 from .timing import RISE, STEP_TOL, is_step
 
 #: Deeper detections than this are flagged for human review.
@@ -78,6 +78,7 @@ class HierarchyReport:
     costs: dict
     parameters: dict
     warnings: List[str] = field(default_factory=list)
+    tlb_suspects: List[TlbSuspect] = field(default_factory=list)
 
     def to_json_dict(self) -> dict:
         return {
@@ -97,6 +98,7 @@ class HierarchyReport:
                             "capacity": lv.capacity,
                             "entries": lv.entries}
                            for lv in self.tlb_levels],
+            "tlb_suspects": [s.to_json_dict() for s in self.tlb_suspects],
             "costs": self.costs,
             "parameters": self.parameters,
             "warnings": self.warnings,
@@ -115,7 +117,9 @@ def assemble_report(env: MachineEnv,
                     cache_curve: Optional[ResponseCurve],
                     tlb_levels: Optional[List[TlbLevelResult]],
                     costs: Optional[dict] = None,
-                    parameters: Optional[dict] = None) -> HierarchyReport:
+                    parameters: Optional[dict] = None,
+                    tlb_suspects: Optional[List[TlbSuspect]] = None
+                    ) -> HierarchyReport:
     warnings: List[str] = []
     cache_levels: List[LevelReport] = []
     if cache_curve is not None:
@@ -131,4 +135,5 @@ def assemble_report(env: MachineEnv,
                 % (l1.capacity, cache_levels[0].effective_capacity))
     return HierarchyReport(machine=env, l1=l1, cache_levels=cache_levels,
                            tlb_levels=tlb_levels or [], costs=costs or {},
-                           parameters=parameters or {}, warnings=warnings)
+                           parameters=parameters or {}, warnings=warnings,
+                           tlb_suspects=tlb_suspects or [])

@@ -111,7 +111,7 @@ def _run_probes(args, which: str) -> dict:
     costs: dict = {}
     l1_report = None
     cache_curve = None
-    tlb_levels = None
+    tlb_levels = tlb_suspects = None
 
     if which in ("l1", "all"):
         params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
@@ -132,7 +132,7 @@ def _run_probes(args, which: str) -> dict:
         costs["cache"] = cache_curve.cost
 
     if which in ("tlb", "all"):
-        tlb_levels, _suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
+        tlb_levels, tlb_suspects, _curve, tlb_cost = tlbprobe.run_tlb_probe(
             env, backend,
             lb=_bound(args.lb, 0) if which == "tlb" else 0,
             ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
@@ -145,7 +145,8 @@ def _run_probes(args, which: str) -> dict:
         env, l1_report, cache_curve, tlb_levels, costs=costs,
         parameters={"window": args.window, "seed": args.seed,
                     "backend": args.backend, "max_assoc": args.max_assoc,
-                    "lb": args.lb, "ub": args.ub})
+                    "lb": args.lb, "ub": args.ub},
+        tlb_suspects=tlb_suspects)
     out = report.to_json_dict()
     if cache_curve is not None:
         out["cache_curve_csv"] = curve_to_csv(cache_curve)

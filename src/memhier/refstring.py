@@ -29,6 +29,24 @@ DEFAULT_LINESIZE = 64
 MAX_FOOTPRINT = 64 * 1024 * 1024
 
 
+def _shuffle(rng: random.Random, x: list) -> None:
+    """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
+    permutation, and the same generator state afterwards.
+
+    ``random.Random.shuffle`` draws each index through ``_randbelow``, a
+    method call per element; this inlines its ``getrandbits`` rejection
+    loop.
+    """
+    getrandbits = rng.getrandbits
+    for i in range(len(x) - 1, 0, -1):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        x[i], x[j] = x[j], x[i]
+
+
 @dataclass
 class MachineEnv:
     """Static facts about the machine (or simulated machine) under test."""
@@ -140,7 +158,7 @@ def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceS
     full_pages, tail = divmod(footprint, env.pagesize)
     lines_per_page = env.pagesize // ls
     pages = list(range(full_pages))
-    rng.shuffle(pages)
+    _shuffle(rng, pages)
     if tail:
         # The truncated page always sorts last in address space but takes a
         # random position in the row order.
@@ -149,7 +167,7 @@ def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceS
     for page in pages:
         count = lines_per_page if page < full_pages else tail // ls
         cols = list(range(count))
-        rng.shuffle(cols)
+        _shuffle(rng, cols)
         base = page * env.pagesize
         chain.extend(base + c * ls for c in cols)
     if len(chain) < 2:
@@ -180,11 +198,11 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
         raise InvalidGeometryError("TLB string needs at least 2 slots")
     rng = random.Random(seed)
     rows = list(range(npages))
-    rng.shuffle(rows)
+    _shuffle(rng, rows)
     chain = []
     if n == 1:
         cols = list(range(lines_per_page))
-        rng.shuffle(cols)
+        _shuffle(rng, cols)
         for j, page in enumerate(rows):
             chain.append(page * env.pagesize + cols[j % lines_per_page] * ls)
     else:
@@ -193,7 +211,7 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
             for i in range(n):
                 line = (base + i) % lines_per_page
                 chain.append(page * env.pagesize + line * ls)
-        rng.shuffle(chain)
+        _shuffle(rng, chain)
     return ReferenceString(footprint=footprint, entry=chain[0],
                            kind=TlbKind(n, footprint), chain_length=len(chain),
                            seed=seed, chain=chain, pagesize=env.pagesize)

@@ -2,29 +2,33 @@
 
 This is the oracle the probes are validated against: it executes a reference
 string symbolically (walking slot offsets, not real memory) and returns the
-exact average latency per access.  Caches are inclusive with LRU replacement;
-TLBs are fully associative LRU, one per level.
+exact average latency per access.  Caches are set-associative LRU; TLBs are
+fully associative LRU, one per level.
 
 The per-access cost model: an access costs the latency of the first cache
 level that holds the line (or ``memory_latency`` if none does), plus, for each
 TLB level that missed the translation, that level's miss penalty.  A full TLB
 miss therefore costs the sum of all levels' penalties, which models the walk.
-Each level sees only the accesses that missed every level above it, so TLB
-state depends only on the page stream and cache state only on the
-physical-address stream.
+Each level sees only the accesses that missed every level above it, and
+fills on a miss.  The levels are not inclusive: no level evicts from another,
+and a hit leaves the levels below untouched (an L1 hit does not refresh the
+line's recency in the L2).  So TLB state depends only on the page stream and
+cache state only on the physical-address stream, and the two families are
+priced apart: the total is the TLBs' miss penalties plus the caches' and
+memory's latencies.
 
-Most strings are priced in closed form, with no LRU bookkeeping (Mattson,
-Gecsei, Slutz & Traiger, "Evaluation Techniques for Storage Hierarchies",
-IBM Sys. J. 1970).  A TLB is a cache of one set whose lines are pages.  Take
-one level and the keys (lines or pages) of the accesses that reach it, in
-chain order.  If each key's accesses form one run when the chain is read
-cyclically, then in every timed traversal a set holding at most ``assoc``
-keys hits on every access, and a set holding more misses on the first access
-of every run and hits on the rest; the misses are what the next level sees.
-The warm-up traversal starts cold, so it misses on the first access of every
-run and passes on more than the timed ones do.  The closed form covers the
-first timed traversal too, so the total is traversals times one traversal's
-cost, when, level by level:
+Each family is priced in closed form when all its levels allow it, with no
+LRU bookkeeping (Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for
+Storage Hierarchies", IBM Sys. J. 1970).  A TLB is a cache of one set whose
+lines are pages.  Take one level and the keys (lines or pages) of the
+accesses that reach it, in chain order.  If each key's accesses form one run
+when the chain is read cyclically, then in every timed traversal a set
+holding at most ``assoc`` keys hits on every access, and a set holding more
+misses on the first access of every run and hits on the rest; the misses are
+what the next level sees.  The warm-up traversal starts cold, so it misses on
+the first access of every run and passes on more than the timed ones do.
+The closed form covers the first timed traversal too, so the family's total
+is traversals times one traversal's cost, when, level by level:
 
 * the warm-up's keys form one cyclic run each as well;
 * no set that fits in the timed traversals held more than ``assoc`` keys in
@@ -34,20 +38,24 @@ cost, when, level by level:
   chain's start only: the warm-up's end would leave that key resident.
 
 Cache strings, T(1,k) and gap strings with a gap of at least a line meet
-these.  Every other string, shuffled T(n>=2,k) among them, falls back to the
-LRU loop, which stays the reference, as does the naive model in the tests.
-The checks take two passes over the chain and one byte of seen-flags per
-line of its address range.
+these in both families.  A shuffled T(n>=2,k) splits each page's accesses
+into several runs, so its TLBs take the LRU loop, while its caches, which
+see each line once per chain, usually take the closed form.  A family whose
+levels do not all meet the checks takes the LRU loop on its own state; the
+loop stays the reference, as does the naive model in the tests.  The checks
+take two passes over the chain and one byte of seen-flags per key of its
+address range.
 
-The loop simulates only as many traversals as it needs.  The LRU state (each
-TLB's recency order and each cache set's) after a traversal depends only on
-the state before it, because every traversal replays the same accesses.  So
-once a timed traversal leaves the state as it found it, every later traversal
-costs exactly what that one did.  The simulator snapshots the state before
-each timed traversal that has a successor, compares it afterwards, and on a
-match multiplies out the rest.  Cache sets live in a table keyed by set
-index and are created on first fill, so set-up, snapshot and comparison
-scale with the lines a string touches, not with cache capacity.
+The loop simulates only as many traversals as it needs.  A family's LRU
+state (each TLB's recency order, or each cache set's) after a traversal
+depends only on its state before it, because every traversal replays the
+same accesses.  So once a timed traversal leaves the state as it found it,
+every later traversal costs exactly what that one did.  The simulator
+snapshots the family's state before each timed traversal that has a
+successor, compares it afterwards, and on a match multiplies out the rest.
+Cache sets live in a table keyed by set index and are created on first fill,
+so set-up, snapshot and comparison scale with the lines a string touches,
+not with cache capacity.
 """
 
 from __future__ import annotations
@@ -59,7 +67,7 @@ from dataclasses import dataclass, field
 from typing import List, Optional
 
 from .errors import ConfigError
-from .refstring import ReferenceString
+from .refstring import ReferenceString, _shuffle
 
 
 @dataclass(frozen=True)
@@ -123,6 +131,17 @@ class _CacheState:
         #: its first fill.
         self.sets = {}
 
+    def keys(self):
+        """The set count, and the lines of every set in recency order, one
+        set after another.
+
+        Sets are never dropped or emptied, new ones are appended, and the
+        lines of a set all share its index.  So equal counts and equal
+        lines mean that every set holds the same lines in the same order.
+        """
+        return len(self.sets), array(
+            "q", itertools.chain.from_iterable(self.sets.values()))
+
 
 class _TlbState:
     __slots__ = ("entries", "latency", "pages")
@@ -130,7 +149,13 @@ class _TlbState:
     def __init__(self, lvl: TlbLevel):
         self.entries = lvl.entries
         self.latency = lvl.latency
-        self.pages = dict()
+        #: page -> None in LRU-to-MRU order.
+        self.pages = {}
+
+    def keys(self) -> array:
+        """The pages in recency order.  An array holds the values, not the
+        key objects, which later hits replace with equal ones."""
+        return array("q", self.pages)
 
 
 def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
@@ -144,7 +169,9 @@ def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
 
 
 def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
-    """Total latency of ``loads`` accesses after one warm-up traversal.
+    """Total latency of ``loads`` accesses after one warm-up traversal: the
+    TLBs' part plus the caches' part, each in closed form or by the LRU
+    loop.
 
     ``config`` must already be validated.
     """
@@ -163,27 +190,43 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
         rng = random.Random((config.mapping_seed << 32) ^ rs.seed)
         npages = (rs.footprint + config.pagesize - 1) >> page_shift
         perm = list(range(npages))
-        rng.shuffle(perm)
+        _shuffle(rng, perm)
         paddrs = [(perm[off >> page_shift] << page_shift) | (off & page_mask)
                   for off in chain]
 
-    steady = _steady_cost(chain, paddrs, config)
-    if steady is not None:
-        return steady * (loads // n)
-
-    caches = [_CacheState(lvl) for lvl in config.cache_levels]
-    tlbs = [_TlbState(lvl) for lvl in config.tlb_levels]
-    args = (chain, paddrs, page_shift, tlbs, caches, config.memory_latency)
-
-    _traverse(*args)  # warm-up, untimed
+    traversals = loads // n
     total = 0
-    left = loads // n
+    steady = _tlb_steady_cost(chain, config)
+    if steady is None:
+        tlbs = [_TlbState(tl) for tl in config.tlb_levels]
+        pages = [off >> page_shift for off in chain]
+        total += _loop_cost(_traverse_tlbs, (pages, tlbs), tlbs, traversals)
+    else:
+        total += steady * traversals
+    steady = _cache_steady_cost(paddrs, config)
+    if steady is None:
+        caches = [_CacheState(lvl) for lvl in config.cache_levels]
+        total += _loop_cost(_traverse_caches,
+                            (paddrs, caches, config.memory_latency),
+                            caches, traversals)
+    else:
+        total += steady * traversals
+    return total
+
+
+def _loop_cost(traverse, args, levels, traversals: int) -> int:
+    """The LRU loop for one family: the total of ``traversals`` timed
+    ``traverse(*args)`` calls after one warm-up, where ``levels`` holds the
+    family's LRU state."""
+    traverse(*args)  # warm-up, untimed
+    total = 0
+    left = traversals
     while left:
-        snapshot = _snapshot(tlbs, caches) if left > 1 else None
-        cost = _traverse(*args)
+        snapshot = _snapshot(levels) if left > 1 else None
+        cost = traverse(*args)
         total += cost
         left -= 1
-        if snapshot is not None and _unchanged(snapshot, tlbs, caches):
+        if snapshot is not None and _unchanged(snapshot, levels):
             # The state after a traversal depends only on the state before
             # it, so every later traversal repeats this one exactly.
             return total + left * cost
@@ -191,9 +234,9 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
     return total
 
 
-def _steady_cost(chain, paddrs, config: SimConfig) -> Optional[int]:
-    """The cost of every timed traversal in closed form, or None where the
-    closed form does not apply (see the module docstring)."""
+def _tlb_steady_cost(chain, config: SimConfig) -> Optional[int]:
+    """The TLBs' cost of every timed traversal in closed form, or None where
+    the closed form does not apply (see the module docstring)."""
     total = 0
     reach = bytearray(b"\x03") * len(chain)
     for tl in config.tlb_levels:
@@ -203,8 +246,15 @@ def _steady_cost(chain, paddrs, config: SimConfig) -> Optional[int]:
         total += tl.latency * misses
         if not misses:
             break
-    reach = bytearray(b"\x03") * len(chain)
-    reached = len(chain)
+    return total
+
+
+def _cache_steady_cost(paddrs, config: SimConfig) -> Optional[int]:
+    """The caches' and memory's cost of every timed traversal in closed
+    form, or None where the closed form does not apply."""
+    total = 0
+    reach = bytearray(b"\x03") * len(paddrs)
+    reached = len(paddrs)
     for lvl in config.cache_levels:
         misses = _lru_level(paddrs, reach, lvl.linesize,
                             lvl.capacity // (lvl.associativity * lvl.linesize),
@@ -305,89 +355,60 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     return misses
 
 
-def _traverse(chain, paddrs, page_shift, tlbs, caches, mem_latency) -> int:
-    """Run one traversal against the LRU state; return its total latency."""
+def _traverse_tlbs(pages, tlbs) -> int:
+    """Run one traversal of the page stream against the TLBs' LRU state;
+    return its total miss penalty."""
     total = 0
-    ntlbs = len(tlbs)
-    ncaches = len(caches)
-    for vaddr, paddr in zip(chain, paddrs):
-        cost = 0
-        if ntlbs:
-            vpage = vaddr >> page_shift
-            hit_at = ntlbs
-            for ti, tl in enumerate(tlbs):
-                d = tl.pages
-                if vpage in d:
-                    del d[vpage]
-                    d[vpage] = None
-                    hit_at = ti
-                    break
-                cost += tl.latency
-            for tl in tlbs[:hit_at]:
-                d = tl.pages
-                if vpage in d:
-                    del d[vpage]
-                elif len(d) >= tl.entries:
-                    del d[next(iter(d))]
-                d[vpage] = None
-        hit_at = ncaches
-        for ci, cs in enumerate(caches):
-            line = paddr // cs.linesize
-            s = cs.sets.get(line % cs.nsets)
-            if s is not None and line in s:
-                del s[line]
-                s[line] = None
-                cost += cs.latency
-                hit_at = ci
+    levels = [(tl.pages, tl.entries, tl.latency) for tl in tlbs]
+    for page in pages:
+        for d, entries, latency in levels:
+            if page in d:
+                del d[page]
+                d[page] = None
                 break
-        else:
-            cost += mem_latency
-        for cs in caches[:hit_at]:
-            line = paddr // cs.linesize
-            idx = line % cs.nsets
-            s = cs.sets.get(idx)
-            if s is None:
-                cs.sets[idx] = {line: None}
-                continue
-            if line in s:
-                del s[line]
-            elif len(s) >= cs.assoc:
-                del s[next(iter(s))]
-            s[line] = None
-        total += cost
+            # A miss fills the level; the levels below are independent of it.
+            total += latency
+            if len(d) >= entries:
+                del d[next(iter(d))]
+            d[page] = None
     return total
 
 
-def _cache_keys(cs: _CacheState) -> array:
-    """The keys of every set of a cache level in recency order, one set after
-    another.  An array holds the values, not the key objects, which later
-    hits replace with equal ones."""
-    return array("q", itertools.chain.from_iterable(cs.sets.values()))
+def _traverse_caches(paddrs, caches, mem_latency) -> int:
+    """Run one traversal of the physical-address stream against the caches'
+    LRU state; return its total latency."""
+    total = 0
+    levels = [(cs.sets, cs.linesize, cs.nsets, cs.assoc, cs.latency)
+              for cs in caches]
+    for paddr in paddrs:
+        for sets, linesize, nsets, assoc, latency in levels:
+            line = paddr // linesize
+            idx = line % nsets
+            s = sets.get(idx)
+            if s is None:
+                sets[idx] = {line: None}
+                continue
+            if line in s:
+                del s[line]
+                s[line] = None
+                total += latency
+                break
+            if len(s) >= assoc:
+                del s[next(iter(s))]
+            s[line] = None
+        else:
+            total += mem_latency
+    return total
 
 
-def _snapshot(tlbs, caches):
-    """The LRU state: each TLB's keys in recency order, and each cache
-    level's set count and keys."""
-    return ([array("q", tl.pages) for tl in tlbs],
-            [(len(cs.sets), _cache_keys(cs)) for cs in caches])
+def _snapshot(levels) -> list:
+    """One family's LRU state: each level's keys in recency order."""
+    return [lvl.keys() for lvl in levels]
 
 
-def _unchanged(snapshot, tlbs, caches) -> bool:
-    """Whether the LRU state equals ``snapshot``.
-
-    Sets are never dropped or emptied, new ones are appended, and the keys
-    of a set all share its index.  So equal set counts and equal
-    concatenated keys mean that every set holds the same keys in the same
-    order.
-    """
-    tlb_snap, cache_snap = snapshot
-    for tl, pages in zip(tlbs, tlb_snap):
-        if array("q", tl.pages) != pages:
-            return False
-    for cs, (count, keys) in zip(caches, cache_snap):
-        if len(cs.sets) != count or _cache_keys(cs) != keys:
-            return False
-    return True
+def _unchanged(snapshot, levels) -> bool:
+    """Whether one family's LRU state equals ``snapshot``."""
+    return all(lvl.keys() == keys for lvl, keys in zip(levels, snapshot))
 
 
 class SimulatedBackend:

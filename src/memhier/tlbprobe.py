@@ -28,6 +28,17 @@ class TlbSuspect:
     boundary: int   # bytes; the last sample before the rise
     confirmed: bool = False
     confirming_n: List[int] = field(default_factory=list)
+    #: (n, T(n, boundary), T(n, footprint)) in cycles per access, for each
+    #: n that confirmation measured.
+    measured: List[Tuple[int, float, float]] = field(default_factory=list)
+
+    def to_json_dict(self) -> dict:
+        return {"footprint": self.footprint,
+                "boundary": self.boundary,
+                "confirming_n": self.confirming_n,
+                "confirmed": self.confirmed,
+                "measured": [{"n": n, "before": before, "after": after}
+                             for n, before, after in self.measured]}
 
 
 @dataclass
@@ -80,6 +91,7 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
     for n in (2, 3, 4):
         before = measure(n, suspect.boundary)
         after = measure(n, suspect.footprint)
+        suspect.measured.append((n, before, after))
         if is_step(before, after, *JUMP):
             suspect.confirming_n.append(n)
     suspect.confirmed = suspect.confirming_n == [2, 3, 4]

@@ -7,7 +7,7 @@ from memhier.analysis import (LevelReport, assemble_report, detect_transitions,
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
-from memhier.tlbprobe import TlbLevelResult, find_suspects
+from memhier.tlbprobe import TlbLevelResult, TlbSuspect, find_suspects
 
 KB = 1024
 MB = 1024 * 1024
@@ -99,13 +99,23 @@ class TestAssembleReport:
     def test_json_shape(self, env):
         fps = sample_points(KB, MB)
         curve = staircase([(32 * KB, 3), (None, 90)], fps)
+        suspect = TlbSuspect(80 * 4096, 64 * 4096, True, [2, 3, 4],
+                             [(2, 3.0, 15.5), (3, 3.0, 12.75),
+                              (4, 3.0, 11.25)])
         rep = assemble_report(env, self.l1(), curve,
                               [TlbLevelResult(1, 64 * 4096, 64)],
                               costs={"l1_seconds": 0.1},
-                              parameters={"window": 25})
+                              parameters={"window": 25},
+                              tlb_suspects=[suspect])
         d = rep.to_json_dict()
         assert set(d) == {"machine", "l1", "cache_levels", "tlb_levels",
-                          "costs", "parameters", "warnings"}
+                          "tlb_suspects", "costs", "parameters", "warnings"}
+        assert d["tlb_suspects"] == [
+            {"footprint": 80 * 4096, "boundary": 64 * 4096,
+             "confirming_n": [2, 3, 4], "confirmed": True,
+             "measured": [{"n": 2, "before": 3.0, "after": 15.5},
+                          {"n": 3, "before": 3.0, "after": 12.75},
+                          {"n": 4, "before": 3.0, "after": 11.25}]}]
         assert d["machine"]["pagesize"] == env.pagesize
         assert d["l1"]["capacity"] == 32 * KB
         assert d["cache_levels"] == [
@@ -132,6 +142,7 @@ class TestAssembleReport:
         rep = assemble_report(env, None, None, None)
         assert rep.cache_levels == []
         assert rep.tlb_levels == []
+        assert rep.to_json_dict()["tlb_suspects"] == []
         assert rep.to_json_dict()["l1"] is None
 
 

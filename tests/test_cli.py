@@ -138,8 +138,9 @@ class TestCacheCommand:
         d = run_json(capsys, ["cache", "--backend", "sim:" + cfg_path,
                               "--window", "3", "--ub", str(2048 * KB)])
         assert set(d) == {"machine", "l1", "cache_levels", "tlb_levels",
-                          "costs", "parameters", "warnings"}
+                          "tlb_suspects", "costs", "parameters", "warnings"}
         assert d["l1"] is None
+        assert d["tlb_suspects"] == []
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3},
             {"level": 2, "effective_capacity": 512 * KB, "latency": 15}]
@@ -159,6 +160,13 @@ class TestTlbCommand:
                               "--window", "3", "--ub", str(2048 * KB)])
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+        [suspect] = d["tlb_suspects"]
+        measured = suspect.pop("measured")
+        assert suspect == {"footprint": 80 * 4096, "boundary": 64 * 4096,
+                           "confirming_n": [2, 3, 4], "confirmed": True}
+        assert [set(m) for m in measured] == [{"n", "before", "after"}] * 3
+        assert [m["n"] for m in measured] == [2, 3, 4]
+        assert all(m["before"] == 3.0 < m["after"] - 0.5 for m in measured)
 
 
 class TestSimulateCommand:

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -5,6 +7,7 @@ from hypothesis import strategies as st
 from conftest import verify_cycle
 from memhier import (InvalidGeometryError, MachineEnv, build_cache_string,
                      build_gap_string, build_tlb_string)
+from memhier.refstring import _shuffle
 
 KB = 1024
 
@@ -113,6 +116,20 @@ class TestTlbString:
             build_tlb_string(1, 4096 + 512, env, seed=0)
         with pytest.raises(InvalidGeometryError):
             build_tlb_string(65, 4 * 4096, env, seed=0)
+
+
+@pytest.mark.parametrize("length", [*range(71), 5120])
+def test_shuffle_matches_stdlib(length):
+    """``_shuffle`` gives ``random.Random.shuffle``'s permutation and leaves
+    the generator where it would, so every cache and TLB string is the one
+    the stdlib shuffle makes."""
+    for seed in range(50):
+        want, got = list(range(length)), list(range(length))
+        stdlib, inlined = random.Random(seed), random.Random(seed)
+        stdlib.shuffle(want)
+        _shuffle(inlined, got)
+        assert got == want
+        assert inlined.getstate() == stdlib.getstate()
 
 
 class TestVerifyCycle:

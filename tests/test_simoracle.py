@@ -241,12 +241,17 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
     assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
 
 
+#: Both closed forms declining: the TLBs and the caches take the LRU loop.
+NO_CLOSED_FORM = {"_tlb_steady_cost": lambda *args: None,
+                  "_cache_steady_cost": lambda *args: None}
+
+
 @settings(max_examples=150, deadline=None)
 @given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
 def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
-    """The LRU loop on its own, which prices what the closed form
-    declines."""
-    with mock.patch.object(simoracle, "_steady_cost", return_value=None):
+    """The LRU loop on its own, for both families, which prices what the
+    closed forms decline."""
+    with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
 
@@ -298,16 +303,16 @@ TWO_TLBS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
 
 @pytest.fixture
 def loop_traversals(monkeypatch):
-    """Records every traversal the LRU loop simulates: none means the
-    closed form priced the run."""
+    """Records the family, "tlb" or "cache", of every traversal the LRU
+    loop simulates: none means the closed forms priced the run."""
     calls = []
-    traverse = simoracle._traverse
+    for family, name in (("tlb", "_traverse_tlbs"),
+                         ("cache", "_traverse_caches")):
+        def counted(*args, family=family, traverse=getattr(simoracle, name)):
+            calls.append(family)
+            return traverse(*args)
 
-    def counted(*args):
-        calls.append(args)
-        return traverse(*args)
-
-    monkeypatch.setattr(simoracle, "_traverse", counted)
+        monkeypatch.setattr(simoracle, name, counted)
     return calls
 
 
@@ -324,24 +329,26 @@ def loop_traversals(monkeypatch):
     build_gap_string(17, 2 * KB, 64, ENV),
     build_gap_string(33, 1024, 0, ENV),
 ], ids=repr)
-def test_closed_form_taken(cfg, rs, loop_traversals, monkeypatch):
+def test_closed_form_taken(cfg, rs, loop_traversals):
     """Cache strings, T(1,k) and gap strings with k >= linesize are priced
     without LRU bookkeeping, at the loop's exact totals."""
     closed = [simulate(cfg, rs, t) for t in (1, 2, 5)]
     assert not loop_traversals
-    monkeypatch.setattr(simoracle, "_steady_cost", lambda *args: None)
-    assert [simulate(cfg, rs, t) for t in (1, 2, 5)] == closed
-    assert loop_traversals
+    with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
+        assert [simulate(cfg, rs, t) for t in (1, 2, 5)] == closed
+    assert set(loop_traversals) == {"tlb", "cache"}
 
 
-#: Strings the closed form must hand back to the loop.
+#: Strings the closed form must hand back to the loop, and the family
+#: whose loop prices them; the other family keeps its closed form.
 DECLINED = [
     # T(n >= 2, k) shuffles its accesses, so a page's accesses form several
     # runs.
-    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9),
+    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9), "tlb",
                  id="T(3,k)"),
-    pytest.param(*LATE_FIXED_POINTS[1], id="late-gap"),
-    pytest.param(*LATE_FIXED_POINTS[2], id="late-T(4,k)"),
+    # The mirror case: one page, so the TLBs take the closed form.
+    pytest.param(*LATE_FIXED_POINTS[1], "cache", id="late-gap"),
+    pytest.param(*LATE_FIXED_POINTS[2], "tlb", id="late-T(4,k)"),
     # L1 (64-byte lines) passes the slots at 0 and 256 on in every
     # traversal, and the one at 576 only in the warm-up.  In the L2's
     # 32-byte lines, 256 and 576 share a one-way set: the steady stream
@@ -349,7 +356,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(256, 1, 64, 4),
                                          CacheLevel(320, 1, 32, 12)],
                            memory_latency=35),
-                 build_gap_string(3, 256, 64, ENV),
+                 build_gap_string(3, 256, 64, ENV), "cache",
                  id="steady-fits-warm-up-overflowed"),
     # 1664 and 1696 share a 64-byte L2 line.  1696 misses L1 in every
     # traversal, 1664 only in the warm-up, where it reached the L2 first:
@@ -359,7 +366,7 @@ DECLINED = [
                                          CacheLevel(352, 1, 32, 15)],
                            memory_latency=62),
                  ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
-                                 [3816, 1664, 1696]),
+                                 [3816, 1664, 1696]), "cache",
                  id="steady-miss-warm-up-hit"),
     # The L2 line of the chain's first slot comes back at its end, in the
     # warm-up only; so after the warm-up it is the most recent line of its
@@ -370,16 +377,16 @@ DECLINED = [
                            memory_latency=69, mapping_seed=56432),
                  ReferenceString(8192, 5096, CacheKind(8192), 6, 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
-                 id="split-first-run"),
+                 "cache", id="split-first-run"),
 ]
 
 
-@pytest.mark.parametrize("cfg, rs", DECLINED)
-def test_closed_form_declines(cfg, rs, loop_traversals):
+@pytest.mark.parametrize("cfg, rs, family", DECLINED)
+def test_closed_form_declines(cfg, rs, family, loop_traversals):
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-    assert loop_traversals
+    assert set(loop_traversals) == {family}
 
 
 def test_late_state_change_at_steady_cost(loop_traversals):
@@ -391,3 +398,19 @@ def test_late_state_change_at_steady_cost(loop_traversals):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
     assert not loop_traversals
+
+
+@pytest.mark.parametrize("cfg", [TWO_TLBS, README_LIKE],
+                         ids=["TWO_TLBS", "README_LIKE"])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals):
+    """A shuffled T(n>=2,k) splits each page's accesses into several runs,
+    so its TLBs take the loop; each of its lines occurs once per chain, so
+    its caches take the closed form."""
+    for pages in (24, 80):
+        rs = build_tlb_string(n, pages * 4096, ENV, 100 * n + pages)
+        for traversals in (1, 2, 3, 4):
+            assert simulate(cfg, rs, traversals) == \
+                naive_cycles(rs, cfg, traversals)
+    assert "tlb" in loop_traversals
+    assert "cache" not in loop_traversals

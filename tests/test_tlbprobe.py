@@ -2,6 +2,7 @@ import pytest
 
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, TlbLevel)
+from memhier.timing import JUMP, is_step
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
 
@@ -63,6 +64,9 @@ class TestConfirmation:
                             env, be, window=WINDOW, seed=1)
         assert s.confirmed
         assert s.confirming_n == [2, 3, 4]
+        assert [n for n, _, _ in s.measured] == [2, 3, 4]
+        assert all(before == 3.0 and is_step(before, after, *JUMP)
+                   for _, before, after in s.measured)
 
     def test_cache_edge_artifact_rejected(self, env):
         # No TLB at all: a rise at the cache capacity must not be confirmed,
@@ -72,6 +76,10 @@ class TestConfirmation:
                                        boundary=512 * PAGE),
                             env, be, window=WINDOW, seed=1)
         assert not s.confirmed
+        # The evidence is kept for every n, confirming or not.
+        assert [n for n, _, _ in s.measured] == [2, 3, 4]
+        assert s.confirming_n == [n for n, before, after in s.measured
+                                  if is_step(before, after, *JUMP)]
 
     def test_confirmation_deterministic(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
@@ -79,7 +87,8 @@ class TestConfirmation:
                             env, be, window=WINDOW, seed=5)
         b = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
                             env, be, window=WINDOW, seed=5)
-        assert (a.confirmed, a.confirming_n) == (b.confirmed, b.confirming_n)
+        assert (a.confirmed, a.confirming_n, a.measured) == \
+            (b.confirmed, b.confirming_n, b.measured)
 
 
 class TestFullProbe:
