@@ -2,33 +2,35 @@
 
 This is the oracle the probes are validated against: it executes a reference
 string symbolically (walking slot offsets, not real memory) and returns the
-exact average latency per access.  Caches are set-associative LRU; TLBs are
-fully associative LRU, one per level.
+exact average latency per access.
 
-The per-access cost model: an access costs the latency of the first cache
-level that holds the line (or ``memory_latency`` if none does), plus, for each
-TLB level that missed the translation, that level's miss penalty.  A full TLB
-miss therefore costs the sum of all levels' penalties, which models the walk.
-Each level sees only the accesses that missed every level above it, and
-fills on a miss.  The levels are not inclusive: no level evicts from another,
-and a hit leaves the levels below untouched (an L1 hit does not refresh the
-line's recency in the L2).  So TLB state depends only on the page stream and
-cache state only on the physical-address stream, and the two families are
-priced apart: the total is the TLBs' miss penalties plus the caches' and
-memory's latencies.
+One LRU engine prices every level.  A TLB is a cache of one set whose lines
+are pages (Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for
+Storage Hierarchies", IBM Sys. J. 1970); the TLBs see the virtual chain and
+the caches its physical addresses.  An access costs a base latency, the
+first cache level's (memory's if there is none), plus the penalty of every
+level it misses.  A TLB level's penalty is its configured one, so a full TLB
+miss costs all of them, which models the walk.  A cache level's is the
+latency of the level below it (memory's below the last) minus its own, so
+an access costs the latency of the first cache level that holds its line.
 
-Each family is priced in closed form when all its levels allow it, with no
-LRU bookkeeping (Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for
-Storage Hierarchies", IBM Sys. J. 1970).  A TLB is a cache of one set whose
-lines are pages.  Take one level and the keys (lines or pages) of the
-accesses that reach it, in chain order.  If each key's accesses form one run
-when the chain is read cyclically, then in every timed traversal a set
-holding at most ``assoc`` keys hits on every access, and a set holding more
-misses on the first access of every run and hits on the rest; the misses are
-what the next level sees.  The warm-up traversal starts cold, so it misses on
-the first access of every run and passes on more than the timed ones do.
-The closed form covers the first timed traversal too, so the family's total
-is traversals times one traversal's cost, when, level by level:
+Each level sees only the misses of the level above it, and fills on a miss.
+No level evicts from another, and a hit leaves the levels below untouched
+(an L1 hit does not refresh the line's recency in the L2).  So the engine
+runs one level over the whole stream, then the next level over its misses,
+once for the TLBs and once for the caches.
+
+Each of the two families is priced in closed form when all its levels allow
+it, with no LRU bookkeeping.  Take one level and the keys (lines or pages)
+of the accesses that reach it, in chain order.  If each key's accesses form
+one run when the chain is read cyclically, then in every timed traversal a
+set holding at most ``assoc`` keys hits on every access, and a set holding
+more misses on the first access of every run and hits on the rest; the
+misses are what the next level sees.  The warm-up traversal starts cold, so
+it misses on the first access of every run and passes on more than the timed
+ones do.  The closed form covers the first timed traversal too, so the
+family's total is traversals times one traversal's cost, when, level by
+level:
 
 * the warm-up's keys form one cyclic run each as well;
 * no set that fits in the timed traversals held more than ``assoc`` keys in
@@ -38,24 +40,22 @@ is traversals times one traversal's cost, when, level by level:
   chain's start only: the warm-up's end would leave that key resident.
 
 Cache strings, T(1,k) and gap strings with a gap of at least a line meet
-these in both families.  A shuffled T(n>=2,k) splits each page's accesses
+these for both families.  A shuffled T(n>=2,k) splits each page's accesses
 into several runs, so its TLBs take the LRU loop, while its caches, which
-see each line once per chain, usually take the closed form.  A family whose
-levels do not all meet the checks takes the LRU loop on its own state; the
-loop stays the reference, as does the naive model in the tests.  The checks
-take two passes over the chain and one byte of seen-flags per key of its
-address range.
+see each line once per chain, usually take the closed form.  The loop stays
+the reference, as does the naive model in the tests.  The checks take two
+passes over the chain and one byte of seen-flags per key of its address
+range.
 
-The loop simulates only as many traversals as it needs.  A family's LRU
-state (each TLB's recency order, or each cache set's) after a traversal
-depends only on its state before it, because every traversal replays the
-same accesses.  So once a timed traversal leaves the state as it found it,
-every later traversal costs exactly what that one did.  The simulator
-snapshots the family's state before each timed traversal that has a
-successor, compares it afterwards, and on a match multiplies out the rest.
-Cache sets live in a table keyed by set index and are created on first fill,
-so set-up, snapshot and comparison scale with the lines a string touches,
-not with cache capacity.
+The loop simulates only as many traversals as it needs.  The levels' LRU
+state after a traversal depends only on their state before it, because
+every traversal replays the same accesses.  So once a timed traversal leaves
+the state as it found it, every later traversal costs exactly what that one
+did.  The simulator snapshots the state before each timed traversal that
+has a successor, compares it afterwards, and on a match multiplies out the
+rest.  Sets live in a table keyed by set index and are created on first
+access, so set-up, snapshot and comparison scale with the lines a string
+touches, not with cache capacity.
 """
 
 from __future__ import annotations
@@ -63,6 +63,7 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
+from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -108,8 +109,11 @@ class SimConfig:
             if lvl.capacity <= prev_cap or lvl.latency <= prev_lat:
                 raise ConfigError("cache levels must increase in capacity and latency")
             prev_cap, prev_lat = lvl.capacity, lvl.latency
-        if self.cache_levels and self.memory_latency <= self.cache_levels[-1].latency:
-            raise ConfigError("memory latency must exceed the last cache level's")
+        # Memory's latency is every access's base latency when there is no
+        # cache level.
+        if self.memory_latency <= prev_lat:
+            raise ConfigError("memory latency must be positive and exceed "
+                              "the last cache level's")
         prev_ent = 0
         for tl in self.tlb_levels:
             if tl.entries <= prev_ent:
@@ -119,43 +123,48 @@ class SimConfig:
             prev_ent = tl.entries
 
 
-class _CacheState:
-    __slots__ = ("latency", "linesize", "nsets", "assoc", "sets")
+class _Level:
+    """One LRU level of either family: keys ``address // linesize`` in set
+    ``key % nsets`` of ``assoc`` ways, and ``penalty`` cycles per miss."""
 
-    def __init__(self, lvl: CacheLevel):
-        self.latency = lvl.latency
-        self.linesize = lvl.linesize
-        self.assoc = lvl.associativity
-        self.nsets = lvl.capacity // (lvl.associativity * lvl.linesize)
-        #: set index -> {line: None} in LRU-to-MRU order; a set appears on
-        #: its first fill.
-        self.sets = {}
+    __slots__ = ("linesize", "nsets", "assoc", "penalty", "sets")
+
+    def __init__(self, linesize: int, nsets: int, assoc: int, penalty: int):
+        self.linesize = linesize
+        self.nsets = nsets
+        self.assoc = assoc
+        self.penalty = penalty
+        #: set index -> {key: None} in LRU-to-MRU order; a set appears on
+        #: its first access, which fills it.
+        self.sets = defaultdict(dict)
 
     def keys(self):
-        """The set count, and the lines of every set in recency order, one
+        """The set count, and the keys of every set in recency order, one
         set after another.
 
         Sets are never dropped or emptied, new ones are appended, and the
-        lines of a set all share its index.  So equal counts and equal
-        lines mean that every set holds the same lines in the same order.
+        keys of a set all share its index.  So equal counts and equal keys
+        mean that every set holds the same keys in the same order.  An array
+        holds the values, not the key objects, which later hits replace with
+        equal ones.
         """
         return len(self.sets), array(
             "q", itertools.chain.from_iterable(self.sets.values()))
 
 
-class _TlbState:
-    __slots__ = ("entries", "latency", "pages")
-
-    def __init__(self, lvl: TlbLevel):
-        self.entries = lvl.entries
-        self.latency = lvl.latency
-        #: page -> None in LRU-to-MRU order.
-        self.pages = {}
-
-    def keys(self) -> array:
-        """The pages in recency order.  An array holds the values, not the
-        key objects, which later hits replace with equal ones."""
-        return array("q", self.pages)
+def _levels(config: SimConfig):
+    """The TLB levels and the cache levels of ``config``, with empty LRU
+    state.  A TLB is one set of pages.  A cache level's penalty is the
+    latency of the level below it, memory's below the last, minus its own."""
+    tlbs = [_Level(config.pagesize, 1, tl.entries, tl.latency)
+            for tl in config.tlb_levels]
+    below = [lvl.latency for lvl in config.cache_levels[1:]]
+    below.append(config.memory_latency)
+    caches = [_Level(lvl.linesize,
+                     lvl.capacity // (lvl.associativity * lvl.linesize),
+                     lvl.associativity, lat - lvl.latency)
+              for lvl, lat in zip(config.cache_levels, below)]
+    return tlbs, caches
 
 
 def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
@@ -170,8 +179,8 @@ def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
 
 def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
     """Total latency of ``loads`` accesses after one warm-up traversal: the
-    TLBs' part plus the caches' part, each in closed form or by the LRU
-    loop.
+    base latency of every access, plus the TLBs' miss penalties on the
+    virtual chain and the caches' on the physical addresses.
 
     ``config`` must already be validated.
     """
@@ -180,13 +189,13 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
     if loads % n:
         raise ConfigError("simulated loads must be a whole number of traversals")
 
-    page_shift = config.pagesize.bit_length() - 1
-    page_mask = config.pagesize - 1
     if config.mapping_seed is None:
         paddrs = chain
     else:
         # Fresh page permutation per (config seed, string seed): each rebuild
         # samples a different virtual-to-physical mapping.
+        page_shift = config.pagesize.bit_length() - 1
+        page_mask = config.pagesize - 1
         rng = random.Random((config.mapping_seed << 32) ^ rs.seed)
         npages = (rs.footprint + config.pagesize - 1) >> page_shift
         perm = list(range(npages))
@@ -195,35 +204,26 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
                   for off in chain]
 
     traversals = loads // n
-    total = 0
-    steady = _tlb_steady_cost(chain, config)
-    if steady is None:
-        tlbs = [_TlbState(tl) for tl in config.tlb_levels]
-        pages = [off >> page_shift for off in chain]
-        total += _loop_cost(_traverse_tlbs, (pages, tlbs), tlbs, traversals)
-    else:
-        total += steady * traversals
-    steady = _cache_steady_cost(paddrs, config)
-    if steady is None:
-        caches = [_CacheState(lvl) for lvl in config.cache_levels]
-        total += _loop_cost(_traverse_caches,
-                            (paddrs, caches, config.memory_latency),
-                            caches, traversals)
-    else:
-        total += steady * traversals
-    return total
+    tlbs, caches = _levels(config)
+    base = (config.cache_levels[0].latency if config.cache_levels
+            else config.memory_latency)
+    return (base * loads + _family_cost(chain, tlbs, traversals)
+            + _family_cost(paddrs, caches, traversals))
 
 
-def _loop_cost(traverse, args, levels, traversals: int) -> int:
-    """The LRU loop for one family: the total of ``traversals`` timed
-    ``traverse(*args)`` calls after one warm-up, where ``levels`` holds the
-    family's LRU state."""
-    traverse(*args)  # warm-up, untimed
+def _family_cost(addrs, levels, traversals: int) -> int:
+    """The miss penalties of ``traversals`` timed traversals of ``addrs``
+    through ``levels`` after one warm-up: in closed form, or else by the LRU
+    loop on ``levels``' state."""
+    steady = _steady_cost(addrs, levels)
+    if steady is not None:
+        return steady * traversals
+    _traverse(addrs, levels)  # warm-up, untimed
     total = 0
     left = traversals
     while left:
         snapshot = _snapshot(levels) if left > 1 else None
-        cost = traverse(*args)
+        cost = _traverse(addrs, levels)
         total += cost
         left -= 1
         if snapshot is not None and _unchanged(snapshot, levels):
@@ -234,38 +234,20 @@ def _loop_cost(traverse, args, levels, traversals: int) -> int:
     return total
 
 
-def _tlb_steady_cost(chain, config: SimConfig) -> Optional[int]:
-    """The TLBs' cost of every timed traversal in closed form, or None where
-    the closed form does not apply (see the module docstring)."""
+def _steady_cost(addrs, levels) -> Optional[int]:
+    """The miss penalties of every timed traversal of ``addrs`` through
+    ``levels`` in closed form, or None where the closed form does not apply
+    (see the module docstring)."""
     total = 0
-    reach = bytearray(b"\x03") * len(chain)
-    for tl in config.tlb_levels:
-        misses = _lru_level(chain, reach, config.pagesize, 1, tl.entries)
+    reach = bytearray(b"\x03") * len(addrs)
+    for lvl in levels:
+        misses = _lru_level(addrs, reach, lvl.linesize, lvl.nsets, lvl.assoc)
         if misses is None:
             return None
-        total += tl.latency * misses
+        total += lvl.penalty * misses
         if not misses:
             break
     return total
-
-
-def _cache_steady_cost(paddrs, config: SimConfig) -> Optional[int]:
-    """The caches' and memory's cost of every timed traversal in closed
-    form, or None where the closed form does not apply."""
-    total = 0
-    reach = bytearray(b"\x03") * len(paddrs)
-    reached = len(paddrs)
-    for lvl in config.cache_levels:
-        misses = _lru_level(paddrs, reach, lvl.linesize,
-                            lvl.capacity // (lvl.associativity * lvl.linesize),
-                            lvl.associativity)
-        if misses is None:
-            return None
-        total += lvl.latency * (reached - misses)
-        reached = misses
-        if not reached:
-            return total
-    return total + config.memory_latency * reached
 
 
 def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
@@ -355,49 +337,29 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     return misses
 
 
-def _traverse_tlbs(pages, tlbs) -> int:
-    """Run one traversal of the page stream against the TLBs' LRU state;
-    return its total miss penalty."""
+def _traverse(addrs, levels) -> int:
+    """Run one traversal of ``addrs`` through ``levels``' LRU state, one
+    level at a time: each level sees the misses of the level above.  Return
+    the traversal's total miss penalty."""
     total = 0
-    levels = [(tl.pages, tl.entries, tl.latency) for tl in tlbs]
-    for page in pages:
-        for d, entries, latency in levels:
-            if page in d:
-                del d[page]
-                d[page] = None
-                break
-            # A miss fills the level; the levels below are independent of it.
-            total += latency
-            if len(d) >= entries:
-                del d[next(iter(d))]
-            d[page] = None
-    return total
-
-
-def _traverse_caches(paddrs, caches, mem_latency) -> int:
-    """Run one traversal of the physical-address stream against the caches'
-    LRU state; return its total latency."""
-    total = 0
-    levels = [(cs.sets, cs.linesize, cs.nsets, cs.assoc, cs.latency)
-              for cs in caches]
-    for paddr in paddrs:
-        for sets, linesize, nsets, assoc, latency in levels:
-            line = paddr // linesize
-            idx = line % nsets
-            s = sets.get(idx)
-            if s is None:
-                sets[idx] = {line: None}
-                continue
-            if line in s:
-                del s[line]
-                s[line] = None
-                total += latency
-                break
-            if len(s) >= assoc:
-                del s[next(iter(s))]
-            s[line] = None
-        else:
-            total += mem_latency
+    for lvl in levels:
+        linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
+        sets = lvl.sets
+        misses = []
+        miss = misses.append
+        for addr in addrs:
+            key = addr // linesize
+            s = sets[key % nsets]
+            if key in s:
+                del s[key]
+                s[key] = None
+            else:
+                if len(s) >= assoc:
+                    del s[next(iter(s))]
+                s[key] = None
+                miss(addr)
+        total += lvl.penalty * len(misses)
+        addrs = misses
     return total
 
 
@@ -463,9 +425,9 @@ def parse_config(text: str) -> SimConfig:
                 tlbs.append(TlbLevel(int(parts[1]), int(parts[2])))
             elif parts[0] == "memory" and len(parts) == 2:
                 memory_latency = int(parts[1])
-            elif parts[0] == "mapping" and parts[1] == "identity":
+            elif parts[0] == "mapping" and parts[1:] == ["identity"]:
                 mapping_seed = None
-            elif parts[0] == "mapping" and parts[1] == "random" and len(parts) == 3:
+            elif parts[0] == "mapping" and len(parts) == 3 and parts[1] == "random":
                 mapping_seed = int(parts[2])
             else:
                 raise ValueError(line)

@@ -92,6 +92,17 @@ class TestExitCodes:
                     assert "is not a positive integer" in \
                         capsys.readouterr().err
 
+    @pytest.mark.parametrize("text", [
+        "pagesize 4096\ntlb 64 30\nmemory -5\n",
+        CONFIG + "mapping identity x\n",
+    ], ids=["memory-only-negative", "identity-trailing-word"])
+    def test_rejected_config_is_1(self, capsys, tmp_path, text):
+        path = tmp_path / "machine.cfg"
+        path.write_text(text)
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+
     def test_non_utf8_config_is_1(self, capsys, tmp_path):
         path = tmp_path / "machine.cfg"
         path.write_bytes(b"pagesize 4096\n\xff\xfe\n")

@@ -133,6 +133,15 @@ class TestConfigValidation:
             SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3)],
                       memory_latency=2).validate()
 
+    @pytest.mark.parametrize("memory", [-5, 0])
+    def test_memory_latency_positive_without_caches(self, memory):
+        # With no cache level, memory's latency is every access's base.
+        with pytest.raises(ConfigError):
+            SimConfig(cache_levels=[], tlb_levels=[TlbLevel(64, 30)],
+                      memory_latency=memory).validate()
+        with pytest.raises(ConfigError):
+            parse_config("pagesize 4096\ntlb 64 30\nmemory %d\n" % memory)
+
     def test_parse_roundtrip(self):
         cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
                                       CacheLevel(256 * KB, 8, 64, 13)],
@@ -145,6 +154,8 @@ class TestConfigValidation:
             parse_config("cache 32768 eight 64 3\n")
         with pytest.raises(ConfigError):
             parse_config("flux_capacitor 1\n")
+        with pytest.raises(ConfigError):
+            parse_config("mapping identity whatever\n")
 
     def test_parse_comments_and_blanks(self):
         cfg = parse_config("# a hierarchy\npagesize 4096\n\n"
@@ -183,11 +194,11 @@ def test_backend_reproducible(seed, kb):
 
 @st.composite
 def hierarchies(draw):
-    """1-3 cache levels (any way count, set count and line size), 0-2 TLB
+    """0-3 cache levels (any way count, set count and line size), 0-2 TLB
     levels, identity or random mapping."""
     levels = []
     capacity = latency = 0
-    for _ in range(draw(st.integers(1, 3))):
+    for _ in range(draw(st.integers(0, 3))):
         ways = draw(st.integers(1, 12) | st.integers(1, 2))
         linesize = draw(st.sampled_from([32, 64, 128]))
         min_sets = capacity // (ways * linesize) + 1
@@ -241,9 +252,9 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
     assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
 
 
-#: Both closed forms declining: the TLBs and the caches take the LRU loop.
-NO_CLOSED_FORM = {"_tlb_steady_cost": lambda *args: None,
-                  "_cache_steady_cost": lambda *args: None}
+#: The closed form declining for both families: the TLBs and the caches
+#: take the LRU loop.
+NO_CLOSED_FORM = {"_steady_cost": lambda *args: None}
 
 
 @settings(max_examples=150, deadline=None)
@@ -304,15 +315,25 @@ TWO_TLBS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
 @pytest.fixture
 def loop_traversals(monkeypatch):
     """Records the family, "tlb" or "cache", of every traversal the LRU
-    loop simulates: none means the closed forms priced the run."""
+    loop simulates: none means the closed form priced the run.  The family
+    is read from the level list the traversal receives, which is one of the
+    two lists the level builder returned for that run."""
     calls = []
-    for family, name in (("tlb", "_traverse_tlbs"),
-                         ("cache", "_traverse_caches")):
-        def counted(*args, family=family, traverse=getattr(simoracle, name)):
-            calls.append(family)
-            return traverse(*args)
+    built = []
+    levels, traverse = simoracle._levels, simoracle._traverse
 
-        monkeypatch.setattr(simoracle, name, counted)
+    def recorded_levels(config):
+        built[:] = levels(config)
+        return tuple(built)
+
+    def counted(addrs, lvls):
+        tlbs, caches = built
+        assert lvls is tlbs or lvls is caches
+        calls.append("tlb" if lvls is tlbs else "cache")
+        return traverse(addrs, lvls)
+
+    monkeypatch.setattr(simoracle, "_levels", recorded_levels)
+    monkeypatch.setattr(simoracle, "_traverse", counted)
     return calls
 
 
