@@ -43,9 +43,17 @@ Cache strings, T(1,k) and gap strings with a gap of at least a line meet
 these for both families.  A shuffled T(n>=2,k) splits each page's accesses
 into several runs, so its TLBs take the LRU loop, while its caches, which
 see each line once per chain, usually take the closed form.  The loop stays
-the reference, as does the naive model in the tests.  The checks take two
-passes over the chain and one byte of seen-flags per key of its address
-range.
+the reference, as does the naive model in the tests.
+
+A level hands the level below only the accesses it passes on.  Where every
+access that reaches a level reaches it in every timed traversal, as at the
+first level of each family, the level is priced by builtins over its keys,
+with no per-access bytecode: a run starts where the key changes, each key
+forms one cyclic run iff the run keys are distinct but for a last run that
+continues the first, and a traversal misses once on each key of a set that
+holds more than ``assoc``.  The one loop in Python flags the run keys in a
+bytearray indexed by key, one byte per key of the address range.  A stream
+that also holds accesses of the warm-up only keeps the exact two-pass loop.
 
 The loop simulates only as many traversals as it needs.  The levels' LRU
 state after a traversal depends only on their state before it, because
@@ -63,8 +71,10 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from itertools import compress, repeat
+from operator import floordiv, gt, itemgetter, mod, ne
 from typing import List, Optional
 
 from .errors import ConfigError
@@ -182,7 +192,9 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
     base latency of every access, plus the TLBs' miss penalties on the
     virtual chain and the caches' on the physical addresses.
 
-    ``config`` must already be validated.
+    Under a random mapping the physical addresses are an ``array('q')``,
+    eight bytes a slot with no int objects; iterating it creates each int
+    as it is read, one at a time.  ``config`` must already be validated.
     """
     chain = rs.chain
     n = len(chain)
@@ -193,15 +205,17 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
         paddrs = chain
     else:
         # Fresh page permutation per (config seed, string seed): each rebuild
-        # samples a different virtual-to-physical mapping.
+        # samples a different virtual-to-physical mapping.  A slot's physical
+        # address is its offset plus its page's delta, (frame - page) *
+        # pagesize.
         page_shift = config.pagesize.bit_length() - 1
-        page_mask = config.pagesize - 1
         rng = random.Random((config.mapping_seed << 32) ^ rs.seed)
         npages = (rs.footprint + config.pagesize - 1) >> page_shift
         perm = list(range(npages))
         _shuffle(rng, perm)
-        paddrs = [(perm[off >> page_shift] << page_shift) | (off & page_mask)
-                  for off in chain]
+        delta = [(frame - page) << page_shift
+                 for page, frame in enumerate(perm)]
+        paddrs = array("q", [off + delta[off >> page_shift] for off in chain])
 
     traversals = loads // n
     tlbs, caches = _levels(config)
@@ -241,37 +255,94 @@ def _steady_cost(addrs, levels) -> Optional[int]:
     total = 0
     reach = bytearray(b"\x03") * len(addrs)
     for lvl in levels:
-        misses = _lru_level(addrs, reach, lvl.linesize, lvl.nsets, lvl.assoc)
-        if misses is None:
+        level = _lru_level(addrs, reach, lvl.linesize, lvl.nsets, lvl.assoc)
+        if level is None:
             return None
+        misses, addrs, reach = level
         total += lvl.penalty * misses
         if not misses:
             break
     return total
 
 
+#: A level below's reach by whether the set overflows: 1 for a set that
+#: fits, which misses in the warm-up only, 3 for one that overflows.
+_REACH = b"\x01\x03"
+
+
 def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     """One LRU level of the closed form.
 
-    ``reach[i]`` says whether access ``i`` of the chain, at ``addrs[i]``,
-    reaches the level: 0 never, 1 in the warm-up traversal only, 3 in the
-    warm-up and in every timed traversal.  Keys are ``address // linesize``
-    in set ``key % nsets``.  Updates ``reach`` for the level below and
-    returns the misses of each timed traversal, or None unless every timed
-    traversal is known to cost the same.
+    ``addrs`` are the addresses of the accesses that reach the level, in
+    chain order, and ``reach[i]`` says when access ``i`` does: 1 in the
+    warm-up traversal only, 3 in the warm-up and in every timed traversal.
+    Keys are ``address // linesize`` in set ``key % nsets``.  Returns the
+    misses of each timed traversal with the addresses and reach of the
+    accesses the level passes on (None for both if it never misses), or
+    None unless every timed traversal is known to cost the same.
     """
-    # Pass 1: each key's warm-up accesses must form one cyclic run.  Count
-    # each set's keys in the warm-up (wkeys) and in the steady stream (skeys).
+    if 1 not in reach:
+        # The all-steady stream: each pass is a builtin over the keys, the
+        # run starts or the sets, but for the seen-flags of the run keys.
+        keys = list(map(floordiv, addrs, repeat(linesize)))
+        starts = bytes(map(ne, keys, itertools.chain((-1,), keys)))
+        seen = bytearray(max(keys) + 1)
+        for key in compress(keys, starts):
+            seen[key] = 1
+        # Each key forms one cyclic run iff every run's key is new but the
+        # last run's, which may continue the first run.
+        runs = starts.count(1)
+        wrapped = runs > 1 and keys[-1] == keys[0]
+        if seen.count(1) != runs - wrapped:
+            return None
+        # set index -> keys, over the sets that hold any.  With eight runs
+        # or more per set, counting the flags of each set (at s, s + nsets,
+        # s + 2 * nsets, ...) is cheaper than a dict update per run.
+        if runs >= 8 * nsets:
+            strides = map(slice, range(nsets), repeat(None), repeat(nsets))
+            counts = map(bytearray.count, map(seen.__getitem__, strides),
+                         repeat(1))
+            sets = dict(filter(itemgetter(1), enumerate(counts)))
+        else:
+            sets = Counter(map(mod, compress(keys, starts), repeat(nsets)))
+            if wrapped:
+                sets[keys[0] % nsets] -= 1
+        sizes = list(sets.values())
+        over = list(map(gt, sizes, repeat(assoc)))
+        misses = sum(compress(sizes, over))
+        if not misses:
+            return 0, None, None
+        # The warm-up misses on every run start, each timed traversal on
+        # those in a set that overflows.
+        if all(over):
+            reach = bytearray(b"\x03") * runs
+        else:
+            level = dict(zip(sets, map(_REACH.__getitem__, over)))
+            reach = bytearray(map(level.__getitem__, map(
+                mod, compress(keys, starts), repeat(nsets))))
+        if runs < len(addrs):
+            del keys  # free its ints before the addresses passed on are built
+            addrs = array("q", compress(addrs, starts))
+        if wrapped:
+            # The chain's first access continues the last run in the timed
+            # traversals.  If the first key's set fits, its second run hits
+            # in the warm-up too.
+            reach[0] = 1
+            if reach[-1] == 1:
+                addrs = addrs[:-1]
+                del reach[-1]
+        return misses, addrs, reach
+
+    # A stream with warm-up-only accesses.  Pass 1: each key's warm-up
+    # accesses must form one cyclic run.  Count each set's keys in the
+    # warm-up (wkeys) and in the steady stream (skeys).
     flags = bytearray(max(addrs) // linesize + 1)  # 1: warm-up key, 3: steady
     wkeys = [0] * min(nsets, len(flags))
-    # The key of the first access that reaches the level.
-    first = prev = addrs[len(reach) - len(reach.lstrip(b"\0"))] // linesize
+    first = prev = addrs[0] // linesize
     flags[first] = 1
     wkeys[first % nsets] = 1
     wrapped = False
-    for addr, r in zip(addrs, reach):
-        if not r:
-            continue
+    for addr in addrs:
         key = addr // linesize
         if key != prev:
             prev = key
@@ -283,19 +354,15 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
             else:
                 flags[key] = 1
                 wkeys[key % nsets] += 1
-    if reach.find(1) < 0:
-        skeys = wkeys
-        first_s, last_s = first, prev
-    else:
-        skeys = [0] * len(wkeys)
-        for addr, r in zip(addrs, reach):
-            if r == 3:
-                key = addr // linesize
-                if flags[key] == 1:
-                    flags[key] = 3
-                    skeys[key % nsets] += 1
-        first_s = addrs[reach.find(3)] // linesize
-        last_s = addrs[reach.rfind(3)] // linesize
+    skeys = [0] * len(wkeys)
+    for addr, r in zip(addrs, reach):
+        if r == 3:
+            key = addr // linesize
+            if flags[key] == 1:
+                flags[key] = 3
+                skeys[key % nsets] += 1
+    first_s = addrs[reach.find(3)] // linesize
+    last_s = addrs[reach.rfind(3)] // linesize
 
     # A steady set that fits is resident after the warm-up only if the
     # warm-up never overflowed it.
@@ -313,8 +380,6 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     prev_s = last_s
     misses = 0
     for i, r in enumerate(reach):
-        if not r:
-            continue
         key = addrs[i] // linesize
         start = key != prev
         prev = key
@@ -334,7 +399,8 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     if wrapped and wkeys[first % nsets] <= assoc:
         # The first key's second run hits: nothing came between that evicts.
         reach[last_start] = 0
-    return misses
+    return (misses, array("q", compress(addrs, reach)),
+            reach.translate(None, b"\0"))
 
 
 def _traverse(addrs, levels) -> int:

@@ -11,11 +11,14 @@ import os
 import platform
 import random
 import shutil
+import subprocess
+import sys
 import time
 from contextlib import contextmanager
 
 import pytest
 
+import memhier
 from conftest import JitterBackend
 from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
                      build_cache_string, measure_stable)
@@ -234,13 +237,19 @@ def test_criterion_7_real_hardware_smoke(tmp_path):
     expected = _sysfs_l1d()
     if expected is None:
         pytest.skip("no sysfs cache topology")
-    from memhier.cli import main
+    src = os.path.dirname(os.path.dirname(memhier.__file__))
 
     with criterion(7, "real hardware matches OS-reported L1"):
         out = tmp_path / "report.json"
         started = time.perf_counter()
-        assert main(["all", "--out", str(out)]) == 0
+        # A child process, so that the bound holds while the run is going:
+        # it is killed at 120 s, and TimeoutExpired fails the criterion.
+        done = subprocess.run(
+            [sys.executable, "-m", "memhier.cli", "all", "--out", str(out)],
+            capture_output=True, text=True, timeout=120.0,
+            env=dict(os.environ, PYTHONPATH=src))
         elapsed = time.perf_counter() - started
+        assert done.returncode == 0, done.stderr
         report = json.loads(out.read_text())
         assert (report["l1"]["capacity"], report["l1"]["linesize"]) == expected
         assert elapsed < 120.0, "full run took %.0fs" % elapsed

@@ -399,6 +399,17 @@ DECLINED = [
                  ReferenceString(8192, 5096, CacheKind(8192), 6, 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
                  "cache", id="split-first-run"),
+    # Pages 0 and 1 alternate, so the TLB declines.  The caches keep the
+    # closed form: L1 line 0 comes back as the last run, in a set that fits
+    # while the other set overflows, so that run hits in the warm-up too.
+    # Passed on to the L2, where 0 and 32 share a line, it would make line
+    # 0's run wrap around with a timed access at the chain's start only.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
+                                         CacheLevel(256, 4, 64, 6)],
+                           tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
+                 ReferenceString(8192, 0, CacheKind(8192), 6, 0,
+                                 [0, 32, 4128, 96, 4256, 8]),
+                 "tlb", id="wrapped-run-in-fitting-set"),
 ]
 
 
