@@ -17,7 +17,7 @@ from typing import Callable, List
 
 from .errors import (BudgetExceededError, CurveFormatError,
                      InvalidGeometryError)
-from .refstring import MachineEnv, build_cache_string
+from .refstring import MAX_FOOTPRINT, MachineEnv, build_cache_string
 from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, STEP_TOL, is_step,
                      run_once)
 
@@ -67,6 +67,9 @@ def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
     schedule from 4KB to UB."""
     if lb <= 0 or lb > 4096 or ub < 4096 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB <= 4KB <= UB and LB < UB")
+    if ub % 1024 or ub > MAX_FOOTPRINT:
+        raise InvalidGeometryError(
+            "UB must be a multiple of 1KB and at most %d" % MAX_FOOTPRINT)
     pts = {kb * 1024 for kb in (1, 2, 3, 4) if lb <= kb * 1024 <= ub}
     if ub > 4096:
         pts.update(octave_points(4096, ub))

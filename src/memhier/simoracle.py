@@ -53,17 +53,42 @@ forms one cyclic run iff the run keys are distinct but for a last run that
 continues the first, and a traversal misses once on each key of a set that
 holds more than ``assoc``.  The one loop in Python flags the run keys in a
 bytearray indexed by key, one byte per key of the address range.  A stream
-that also holds accesses of the warm-up only keeps the exact two-pass loop.
+with more runs than the keys up to its highest can form, counting a wrapped
+run, declines before that loop.  A stream that also holds accesses of the
+warm-up only keeps the exact two-pass loop.
 
-The loop simulates only as many traversals as it needs.  The levels' LRU
-state after a traversal depends only on their state before it, because
-every traversal replays the same accesses.  So once a timed traversal leaves
-the state as it found it, every later traversal costs exactly what that one
-did.  The simulator snapshots the state before each timed traversal that
-has a successor, compares it afterwards, and on a match multiplies out the
-rest.  Sets live in a table keyed by set index and are created on first
-access, so set-up, snapshot and comparison scale with the lines a string
-touches, not with cache capacity.
+The LRU loop prices what the closed form declines, and simulates only the
+levels that can miss.  It stops at the first level that fits: no set holds
+more than ``assoc`` of the chain's keys at its line size, and the line of
+every level above lies within one of its lines.  In the warm-up, which
+starts cold, the first access to each of its keys is also the first access
+to its line at every level above, so it misses all of them and reaches the
+level.  The level then holds every key of the chain, never evicts, and never
+misses in a timed traversal; neither it nor any level below it is simulated.
+
+The first level sees the whole chain in every traversal.  After any stream
+an LRU set holds the stream's ``assoc`` most recent distinct keys in recency
+order (the stack property of Mattson et al.), so reading the chain backwards
+gives its state after the warm-up, which every timed traversal leaves as it
+found it: one pass from that state prices them all.  In the warm-up, an
+access that is not its key's first in the chain follows the same accesses
+since the key's last one as in a timed traversal, so it misses exactly when
+it does there, and a first access misses cold.  The first level's warm-up
+misses are thus its first accesses plus its steady misses, in chain order:
+the warm-up stream of the level below, whose timed traversals each see the
+steady misses.  An intermediate level runs its warm-up stream forwards to
+pass its misses on; the last simulated level is filled backwards from its
+own, as the first one is.
+
+The levels below the first run only as many timed traversals as they need.
+Their LRU state after a traversal depends only on their state before it,
+because every traversal hands them the same accesses.  So once a timed
+traversal leaves the state as it found it, every later traversal costs
+exactly what that one did.  The simulator snapshots the state before each
+timed traversal that has a successor, compares it afterwards, and on a
+match multiplies out the rest.  Sets live in a table keyed by set index and
+are created by the fill or on first access, so set-up, snapshot and
+comparison scale with the lines a string touches, not with cache capacity.
 """
 
 from __future__ import annotations
@@ -145,18 +170,20 @@ class _Level:
         self.assoc = assoc
         self.penalty = penalty
         #: set index -> {key: None} in LRU-to-MRU order; a set appears on
-        #: its first access, which fills it.
+        #: its first access, or when ``_fill`` gives it its keys.
         self.sets = defaultdict(dict)
 
     def keys(self):
         """The set count, and the keys of every set in recency order, one
         set after another.
 
-        Sets are never dropped or emptied, new ones are appended, and the
-        keys of a set all share its index.  So equal counts and equal keys
-        mean that every set holds the same keys in the same order.  An array
-        holds the values, not the key objects, which later hits replace with
-        equal ones.
+        Sets are never dropped or emptied.  The fill creates the sets of
+        its stream, and a later access to a set that does not exist yet
+        appends it, so between a snapshot and its comparison sets are only
+        ever appended.  The keys of a set all share its index.  So equal
+        counts and equal keys mean that every set holds the same keys in the
+        same order.  An array holds the values, not the key objects, which
+        later hits replace with equal ones.
         """
         return len(self.sets), array(
             "q", itertools.chain.from_iterable(self.sets.values()))
@@ -232,20 +259,98 @@ def _family_cost(addrs, levels, traversals: int) -> int:
     steady = _steady_cost(addrs, levels)
     if steady is not None:
         return steady * traversals
-    _traverse(addrs, levels)  # warm-up, untimed
-    total = 0
+    return _loop_cost(addrs, levels, traversals)
+
+
+def _loop_cost(addrs, levels, traversals: int) -> int:
+    """The miss penalties of ``traversals`` timed traversals of ``addrs``
+    through ``levels`` after one warm-up, by the LRU loop over the levels
+    above the first that fits (see the module docstring)."""
+    levels = levels[:_first_fit(addrs, levels)]
+    if not levels:
+        return 0
+    first = levels[0]
+    _fill(first, addrs)
+    steady = _misses(addrs, first)
+    total = first.penalty * len(steady) * traversals
+    below = levels[1:]
+    if not below:
+        return total
+    # The levels below see the first level's warm-up misses, then its steady
+    # misses in every timed traversal.
+    warm = list(map(addrs.__getitem__,
+                    _warm_up_misses(addrs, first.linesize, steady)))
+    for lvl in below[:-1]:
+        warm = list(map(warm.__getitem__, _misses(warm, lvl)))
+    _fill(below[-1], warm)
+    addrs = list(map(addrs.__getitem__, steady))
     left = traversals
     while left:
-        snapshot = _snapshot(levels) if left > 1 else None
-        cost = _traverse(addrs, levels)
+        snapshot = _snapshot(below) if left > 1 else None
+        cost = _traverse(addrs, below)
         total += cost
         left -= 1
-        if snapshot is not None and _unchanged(snapshot, levels):
+        if snapshot is not None and _unchanged(snapshot, below):
             # The state after a traversal depends only on the state before
             # it, so every later traversal repeats this one exactly.
             return total + left * cost
         snapshot = None  # drop it before the next one is built
     return total
+
+
+def _warm_up_misses(addrs, linesize: int, steady) -> list:
+    """The positions of the first level's warm-up misses, given ``steady``,
+    those of each timed traversal: the first access to each key, and every
+    steady miss, which follows the same accesses in the warm-up."""
+    keys = map(floordiv, reversed(addrs), repeat(linesize))
+    firsts = dict(zip(keys, range(len(addrs) - 1, -1, -1))).values()
+    return sorted(set(firsts).union(steady))
+
+
+def _first_fit(addrs, levels) -> int:
+    """The index of the first level that never misses in a timed traversal,
+    len(levels) if none: no set holds more than ``assoc`` of the chain's
+    keys, and the line of every level above lies within one of its lines."""
+    distinct = {}  # line size -> the chain's keys
+    for i, lvl in enumerate(levels):
+        linesize = lvl.linesize
+        if any(linesize % above.linesize for above in levels[:i]):
+            continue
+        if linesize not in distinct:
+            distinct[linesize] = set(map(floordiv, addrs, repeat(linesize)))
+        keys = distinct[linesize]
+        if len(keys) <= lvl.assoc or (
+                len(keys) <= lvl.nsets * lvl.assoc
+                and max(Counter(map(mod, keys, repeat(lvl.nsets))).values())
+                <= lvl.assoc):
+            return i
+    return len(levels)
+
+
+def _fill(lvl, addrs) -> None:
+    """Give the empty ``lvl`` the LRU state that the stream ``addrs``, which
+    is not empty, leaves in it: each set's ``assoc`` most recent distinct
+    keys, read backwards, with the sets in the order of their first access.
+    """
+    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
+    keys = map(floordiv, reversed(addrs), repeat(linesize))
+    if nsets == 1:
+        recent = {}
+        for key in keys:
+            if key not in recent:
+                recent[key] = None
+                if len(recent) == assoc:
+                    break
+        lvl.sets[0] = dict.fromkeys(reversed(recent))
+        return
+    recent = defaultdict(dict)  # set index -> keys, most recent first
+    for key in dict.fromkeys(keys):
+        s = recent[key % nsets]
+        if len(s) < assoc:
+            s[key] = None
+    for index in dict.fromkeys(map(mod, map(floordiv, addrs, repeat(linesize)),
+                                   repeat(nsets))):
+        lvl.sets[index] = dict.fromkeys(reversed(recent[index]))
 
 
 def _steady_cost(addrs, levels) -> Optional[int]:
@@ -286,12 +391,15 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
         # run starts or the sets, but for the seen-flags of the run keys.
         keys = list(map(floordiv, addrs, repeat(linesize)))
         starts = bytes(map(ne, keys, itertools.chain((-1,), keys)))
-        seen = bytearray(max(keys) + 1)
+        runs = starts.count(1)
+        top = max(keys)
+        if runs > top + 2:
+            return None  # more runs than keys 0..top, and a wrapped run
+        seen = bytearray(top + 1)
         for key in compress(keys, starts):
             seen[key] = 1
         # Each key forms one cyclic run iff every run's key is new but the
         # last run's, which may continue the first run.
-        runs = starts.count(1)
         wrapped = runs > 1 and keys[-1] == keys[0]
         if seen.count(1) != runs - wrapped:
             return None
@@ -409,24 +517,31 @@ def _traverse(addrs, levels) -> int:
     the traversal's total miss penalty."""
     total = 0
     for lvl in levels:
-        linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
-        sets = lvl.sets
-        misses = []
-        miss = misses.append
-        for addr in addrs:
-            key = addr // linesize
-            s = sets[key % nsets]
-            if key in s:
-                del s[key]
-                s[key] = None
-            else:
-                if len(s) >= assoc:
-                    del s[next(iter(s))]
-                s[key] = None
-                miss(addr)
+        misses = _misses(addrs, lvl)
         total += lvl.penalty * len(misses)
-        addrs = misses
+        addrs = list(map(addrs.__getitem__, misses))
     return total
+
+
+def _misses(addrs, lvl) -> list:
+    """Run ``addrs`` through ``lvl``'s LRU state; return the positions in
+    ``addrs`` of the accesses that miss."""
+    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
+    sets = lvl.sets
+    misses = []
+    miss = misses.append
+    for i, addr in enumerate(addrs):
+        key = addr // linesize
+        s = sets[key % nsets]
+        if key in s:
+            del s[key]
+            s[key] = None
+        else:
+            if len(s) >= assoc:
+                del s[next(iter(s))]
+            s[key] = None
+            miss(i)
+    return misses
 
 
 def _snapshot(levels) -> list:

@@ -15,7 +15,7 @@ from typing import List, Tuple
 
 from .cacheprobe import ResponseCurve, octave_points, run_sweep
 from .errors import InvalidGeometryError
-from .refstring import MachineEnv, build_tlb_string
+from .refstring import MAX_FOOTPRINT, MachineEnv, build_tlb_string
 from .timing import DEFAULT_WINDOW, JUMP, is_step, measure_stable
 
 DEFAULT_LB_PAGES = 4
@@ -54,6 +54,8 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
     """Stability-disciplined sweep of T(1,k) over the page-count schedule."""
     if lb % env.pagesize or ub % env.pagesize:
         raise InvalidGeometryError("TLB bounds must be multiples of pagesize")
+    if ub > MAX_FOOTPRINT:
+        raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
     footprints = [p * env.pagesize for p in pages]
     counter = [seed]

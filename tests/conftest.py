@@ -102,6 +102,14 @@ class JitterBackend:
         return cycles
 
 
+class NoRunBackend:
+    """A backend on which no string may run: for inputs that must be
+    rejected before the first measurement."""
+
+    def run(self, rs, loads):
+        raise AssertionError("a string ran on a backend that allows none")
+
+
 def verify_cycle(rs):
     """Check the single-cycle invariant and the per-kind placement rules."""
     chain = rs.chain

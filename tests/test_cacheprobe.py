@@ -6,6 +6,9 @@ from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, curve_from_csv, curve_to_csv)
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, octave_points,
                                 run_cache_sweep, run_sweep, sample_points)
+from memhier.refstring import MAX_FOOTPRINT
+
+from conftest import NoRunBackend
 
 KB = 1024
 MB = 1024 * 1024
@@ -27,6 +30,15 @@ class TestSamplePoints:
     def test_invalid_range(self):
         with pytest.raises(InvalidGeometryError):
             sample_points(8 * KB, 4 * KB)
+
+    @pytest.mark.parametrize("ub", [5000000, MAX_FOOTPRINT + KB],
+                             ids=["not-1KB-multiple", "over-allocation-limit"])
+    def test_bad_ub_rejected_before_any_run(self, env, ub):
+        with pytest.raises(InvalidGeometryError):
+            run_cache_sweep(sample_points(KB, ub), env, NoRunBackend())
+
+    def test_ub_at_allocation_limit(self):
+        assert sample_points(KB, MAX_FOOTPRINT)[-1] == MAX_FOOTPRINT
 
     def test_octave_points_from_four(self):
         assert octave_points(4, 64) == [4, 5, 6, 7, 8, 10, 12, 14, 16,

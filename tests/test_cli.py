@@ -6,9 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memhier import ConfigError, CurveFormatError, load_config
+from memhier import (ConfigError, CurveFormatError, SimulatedBackend,
+                     load_config)
 from memhier.cacheprobe import load_curve
 from memhier.cli import main
+
+from conftest import NoRunBackend
 
 KB = 1024
 
@@ -100,6 +103,17 @@ class TestExitCodes:
         path = tmp_path / "machine.cfg"
         path.write_text(text)
         assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+
+    @pytest.mark.parametrize("argv", [
+        ["cache", "--ub", "5000000", "--window", "5"],
+        ["tlb", "--ub", str(128 * KB * KB)],
+    ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit"])
+    def test_bad_ub_is_1_before_any_run(self, capsys, monkeypatch, cfg_path,
+                                        argv):
+        monkeypatch.setattr(SimulatedBackend, "run", NoRunBackend.run)
+        assert main(argv + ["--backend", "sim:" + cfg_path]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("memhier: ")
 

@@ -313,27 +313,46 @@ TWO_TLBS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
 
 
 @pytest.fixture
-def loop_traversals(monkeypatch):
-    """Records the family, "tlb" or "cache", of every traversal the LRU
-    loop simulates: none means the closed form priced the run.  The family
-    is read from the level list the traversal receives, which is one of the
-    two lists the level builder returned for that run."""
-    calls = []
+def built_levels(monkeypatch):
+    """The TLB levels and the cache levels of the latest run, as the level
+    builder returned them."""
     built = []
-    levels, traverse = simoracle._levels, simoracle._traverse
+    levels = simoracle._levels
 
     def recorded_levels(config):
         built[:] = levels(config)
         return tuple(built)
 
-    def counted(addrs, lvls):
-        tlbs, caches = built
-        assert lvls is tlbs or lvls is caches
-        calls.append("tlb" if lvls is tlbs else "cache")
+    monkeypatch.setattr(simoracle, "_levels", recorded_levels)
+    return built
+
+
+@pytest.fixture
+def loop_traversals(monkeypatch, built_levels):
+    """Records the family, "tlb" or "cache", of every family the LRU loop
+    prices, and of every traversal it simulates: none means the closed form
+    priced the run.  The family is the one whose level list was received
+    (which may be empty), or else the one that holds every level received,
+    which may be any part of its list."""
+    calls = []
+    loop, traverse = simoracle._loop_cost, simoracle._traverse
+
+    def family(lvls):
+        for name, levels in zip(("tlb", "cache"), built_levels):
+            if lvls is levels or lvls and all(lvl in levels for lvl in lvls):
+                return name
+        raise AssertionError("levels of neither family")
+
+    def counted_loop(addrs, lvls, traversals):
+        calls.append(family(lvls))
+        return loop(addrs, lvls, traversals)
+
+    def counted_traverse(addrs, lvls):
+        calls.append(family(lvls))
         return traverse(addrs, lvls)
 
-    monkeypatch.setattr(simoracle, "_levels", recorded_levels)
-    monkeypatch.setattr(simoracle, "_traverse", counted)
+    monkeypatch.setattr(simoracle, "_loop_cost", counted_loop)
+    monkeypatch.setattr(simoracle, "_traverse", counted_traverse)
     return calls
 
 
@@ -446,3 +465,71 @@ def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals):
                 naive_cycles(rs, cfg, traversals)
     assert "tlb" in loop_traversals
     assert "cache" not in loop_traversals
+
+
+@pytest.mark.parametrize("pages, simulated", [(24, []), (80, [0])])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_fitting_tlb_level_never_simulated(n, pages, simulated,
+                                           built_levels, loop_traversals):
+    """A T(n>=2,k) takes the TLBs' loop, which stops at the first level that
+    holds every page: 64 entries hold 24 pages, and 1024 hold 80.  That
+    level and those below it are neither filled nor run."""
+    rs = build_tlb_string(n, pages * 4096, ENV, 10 * n + pages)
+    for traversals in (1, 2, 3, 4):
+        assert simulate(TWO_TLBS, rs, traversals) == \
+            naive_cycles(rs, TWO_TLBS, traversals)
+        tlbs, _ = built_levels
+        assert [i for i, lvl in enumerate(tlbs) if lvl.sets] == simulated
+    assert "tlb" in loop_traversals
+
+
+def test_fitting_level_below_a_wider_line_is_simulated():
+    """The L3 holds all three of the chain's lines, but its 32-byte lines
+    lie within the L2's 64-byte ones: 1696 reaches it in the timed
+    traversals only (see "steady-miss-warm-up-hit"), and misses once."""
+    cfg = SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
+                                  CacheLevel(192, 1, 64, 5),
+                                  CacheLevel(1024, 1, 32, 15)],
+                    memory_latency=62)
+    rs = ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
+                         [3816, 1664, 1696])
+    for traversals in (1, 2, 3):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+
+
+@st.composite
+def lru_streams(draw):
+    """An empty LRU level and a non-empty stream of addresses, over few
+    enough keys that sets overflow and keys come back."""
+    level = simoracle._Level(draw(st.sampled_from([32, 64, 128])),
+                             draw(st.just(1) | st.integers(1, 6)),
+                             draw(st.integers(1, 8)), 1)
+    return level, draw(st.lists(st.integers(0, 4095), min_size=1,
+                                max_size=120))
+
+
+@settings(max_examples=200, deadline=None)
+@given(lru_streams())
+def test_fill_matches_forward_warm_up(case):
+    """Reading a stream backwards gives the LRU state that running it
+    forwards from empty leaves, set order included: each set holds its
+    ``assoc`` most recent keys (the stack property, Mattson et al. 1970)."""
+    filled, addrs = case
+    run = simoracle._Level(filled.linesize, filled.nsets, filled.assoc, 1)
+    simoracle._fill(filled, addrs)
+    simoracle._misses(addrs, run)
+    assert filled.keys() == run.keys()
+
+
+@settings(max_examples=200, deadline=None)
+@given(lru_streams())
+def test_first_level_warm_up_misses(case):
+    """A level that sees the whole chain misses in the warm-up on the first
+    access to each key and on the misses of a timed traversal, which every
+    later traversal repeats."""
+    lvl, addrs = case
+    warm = simoracle._misses(addrs, lvl)
+    steady = simoracle._misses(addrs, lvl)
+    assert simoracle._warm_up_misses(addrs, lvl.linesize, steady) == warm
+    assert simoracle._misses(addrs, lvl) == steady

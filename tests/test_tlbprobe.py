@@ -2,9 +2,12 @@ import pytest
 
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, TlbLevel)
+from memhier.refstring import MAX_FOOTPRINT
 from memhier.timing import JUMP, is_step
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
+
+from conftest import NoRunBackend
 
 KB = 1024
 MB = 1024 * 1024
@@ -25,6 +28,11 @@ class TestSweep:
         with pytest.raises(InvalidGeometryError):
             run_tlb_sweep(5000, 64 * PAGE, env,
                           tlb_backend([TlbLevel(16, 30)]), window=WINDOW)
+
+    def test_ub_over_allocation_limit_rejected_before_any_run(self, env):
+        with pytest.raises(InvalidGeometryError):
+            run_tlb_probe(env, NoRunBackend(), ub=MAX_FOOTPRINT + PAGE,
+                          window=WINDOW)
 
     def test_curve_rises_past_entry_count(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
