@@ -31,8 +31,8 @@ from .timing import DEFAULT_WINDOW
 
 
 def _positive_int(text: str) -> int:
-    """The ``--window``, ``--lb`` and ``--ub`` type: an integer of at least
-    1."""
+    """The ``--window``, ``--lb``, ``--ub`` and ``--max-assoc`` type: an
+    integer of at least 1."""
     try:
         value = int(text)
     except ValueError:
@@ -55,7 +55,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="lower bound of the sweep in bytes")
         p.add_argument("--ub", type=_positive_int, default=None,
                        help="upper bound of the sweep in bytes")
-        p.add_argument("--max-assoc", type=int, default=l1probe.DEFAULT_MAX_ASSOC)
+        p.add_argument("--max-assoc", type=_positive_int,
+                       default=l1probe.DEFAULT_MAX_ASSOC)
         p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                        help="stability window (runs without a new minimum)")
         p.add_argument("--seed", type=int, default=0)

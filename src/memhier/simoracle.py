@@ -47,15 +47,16 @@ the reference, as does the naive model in the tests.
 
 A level hands the level below only the accesses it passes on.  Where every
 access that reaches a level reaches it in every timed traversal, as at the
-first level of each family, the level is priced by builtins over its keys,
-with no per-access bytecode: a run starts where the key changes, each key
-forms one cyclic run iff the run keys are distinct but for a last run that
-continues the first, and a traversal misses once on each key of a set that
-holds more than ``assoc``.  The one loop in Python flags the run keys in a
-bytearray indexed by key, one byte per key of the address range.  A stream
-with more runs than the keys up to its highest can form, counting a wrapped
-run, declines before that loop.  A stream that also holds accesses of the
-warm-up only keeps the exact two-pass loop.
+first level of each family, builtins price the level.  The run analysis of
+its stream finds the keys and the runs, which start where the key changes,
+and flags the run keys in a bytearray indexed by key, the one loop in
+Python: each key forms one cyclic run iff they are distinct but for a last
+run that continues the first.  A stream with more runs than its key range
+can hold declines before that loop.  A traversal misses once on each key of
+a set holding more than ``assoc``.  A level that passes on every access in
+every traversal hands its stream on, which at the same line size has the
+same keys and runs: the level below reuses the analysis.  Warm-up-only
+accesses keep the exact two-pass loop.
 
 The LRU loop prices what the closed form declines, and simulates only the
 levels that can miss.  It stops at the first level that fits: no set holds
@@ -359,15 +360,43 @@ def _steady_cost(addrs, levels) -> Optional[int]:
     (see the module docstring)."""
     total = 0
     reach = bytearray(b"\x03") * len(addrs)
+    runs = None  # the run analysis of ``addrs``, while it holds
     for lvl in levels:
-        level = _lru_level(addrs, reach, lvl.linesize, lvl.nsets, lvl.assoc)
+        if 1 not in reach and (runs is None or runs[0] != lvl.linesize):
+            runs = None  # one key list at a time
+            runs = _runs(addrs, lvl.linesize)
+            if runs is None:
+                return None
+        level = _lru_level(addrs, reach, runs, lvl)
         if level is None:
             return None
-        misses, addrs, reach = level
+        misses, passed, reach = level
         total += lvl.penalty * misses
         if not misses:
             break
+        if passed is not addrs or 1 in reach:
+            addrs, runs = passed, None
     return total
+
+
+def _runs(addrs, linesize: int):
+    """The run analysis of ``addrs`` at ``linesize`` (see the module
+    docstring), or None unless each key forms one cyclic run."""
+    keys = list(map(floordiv, addrs, repeat(linesize)))
+    starts = bytes(map(ne, keys, itertools.chain((-1,), keys)))
+    runs = starts.count(1)
+    top = max(keys)
+    if runs > top + 2:
+        return None  # more runs than keys 0..top, and a wrapped run
+    seen = bytearray(top + 1)
+    for key in compress(keys, starts):
+        seen[key] = 1
+    # Each key forms one cyclic run iff every run's key is new but the
+    # last run's, which may continue the first run.
+    wrapped = runs > 1 and keys[-1] == keys[0]
+    if seen.count(1) != runs - wrapped:
+        return None
+    return linesize, keys, starts, runs, seen, wrapped
 
 
 #: A level below's reach by whether the set overflows: 1 for a set that
@@ -375,7 +404,7 @@ def _steady_cost(addrs, levels) -> Optional[int]:
 _REACH = b"\x01\x03"
 
 
-def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
+def _lru_level(addrs, reach, analysis, lvl):
     """One LRU level of the closed form.
 
     ``addrs`` are the addresses of the accesses that reach the level, in
@@ -384,25 +413,15 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
     Keys are ``address // linesize`` in set ``key % nsets``.  Returns the
     misses of each timed traversal with the addresses and reach of the
     accesses the level passes on (None for both if it never misses), or
-    None unless every timed traversal is known to cost the same.
+    None unless every timed traversal is known to cost the same.  A stream
+    that reaches the level in every traversal comes with its run analysis
+    (``_runs``).  Passing on every access in every traversal, it returns
+    ``addrs`` itself: at the same line size the level below has the same
+    keys and runs, and reuses the analysis.  Passing on fewer empties the keys.
     """
-    if 1 not in reach:
-        # The all-steady stream: each pass is a builtin over the keys, the
-        # run starts or the sets, but for the seen-flags of the run keys.
-        keys = list(map(floordiv, addrs, repeat(linesize)))
-        starts = bytes(map(ne, keys, itertools.chain((-1,), keys)))
-        runs = starts.count(1)
-        top = max(keys)
-        if runs > top + 2:
-            return None  # more runs than keys 0..top, and a wrapped run
-        seen = bytearray(top + 1)
-        for key in compress(keys, starts):
-            seen[key] = 1
-        # Each key forms one cyclic run iff every run's key is new but the
-        # last run's, which may continue the first run.
-        wrapped = runs > 1 and keys[-1] == keys[0]
-        if seen.count(1) != runs - wrapped:
-            return None
+    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
+    if analysis is not None:
+        _, keys, starts, runs, seen, wrapped = analysis
         # set index -> keys, over the sets that hold any.  With eight runs
         # or more per set, counting the flags of each set (at s, s + nsets,
         # s + 2 * nsets, ...) is cheaper than a dict update per run.
@@ -429,7 +448,7 @@ def _lru_level(addrs, reach, linesize: int, nsets: int, assoc: int):
             reach = bytearray(map(level.__getitem__, map(
                 mod, compress(keys, starts), repeat(nsets))))
         if runs < len(addrs):
-            del keys  # free its ints before the addresses passed on are built
+            keys.clear()  # free its ints before the addresses are built
             addrs = array("q", compress(addrs, starts))
         if wrapped:
             # The chain's first access continues the last run in the timed

@@ -82,6 +82,16 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "is not a positive integer" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["0", "-8"])
+    def test_max_assoc_must_be_positive(self, capsys, cfg_path, value):
+        # A usage error, before the L1 probe sees the value.
+        for argv in (["l1", "--backend", "sim:" + cfg_path],
+                     ["simulate", cfg_path]):
+            assert main(argv + ["--max-assoc", value]) == 2, argv
+            err = capsys.readouterr().err
+            assert "is not a positive integer" in err
+            assert "Traceback" not in err
+
     def test_bounds_must_be_positive(self, capsys, cfg_path):
         # A bound of 0 is a usage error, not the probe's default bound.
         for bound in ("--lb", "--ub"):

@@ -1,3 +1,4 @@
+from array import array
 from unittest import mock
 
 import pytest
@@ -496,6 +497,92 @@ def test_fitting_level_below_a_wider_line_is_simulated():
     for traversals in (1, 2, 3):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
+
+
+def family_streams(cfg, rs):
+    """The address stream and the levels of each family of one run."""
+    streams = []
+
+    def recorded(addrs, levels, traversals):
+        streams.append((addrs, levels))
+        return 0
+
+    with mock.patch.object(simoracle, "_family_cost", recorded):
+        simulate(cfg, rs, 1)
+    return streams
+
+
+def fresh_streams(addrs, reach, analysis, lvl, lru_level=simoracle._lru_level):
+    """``_lru_level`` passing on a copy of its stream, so that no level
+    below reuses its run analysis."""
+    level = lru_level(addrs, reach, analysis, lvl)
+    if level is None or level[1] is None:
+        return level
+    misses, passed, reach = level
+    return misses, array("q", passed), reach
+
+
+@settings(max_examples=300, deadline=None)
+@given(cfg=hierarchies(), rs=strings())
+def test_reused_run_analysis_matches_fresh_one(cfg, rs):
+    """Reusing the run analysis of the level above gives the closed form
+    that analysing the stream afresh at every level gives, a decline
+    included."""
+    for addrs, levels in family_streams(cfg, rs):
+        reused = simoracle._steady_cost(addrs, levels)
+        with mock.patch.object(simoracle, "_lru_level", fresh_streams):
+            assert simoracle._steady_cost(addrs, levels) == reused
+
+
+@pytest.fixture
+def analyses(monkeypatch):
+    """The line size of every run analysis made."""
+    made = []
+    runs = simoracle._runs
+
+    def counted(addrs, linesize):
+        made.append(linesize)
+        return runs(addrs, linesize)
+
+    monkeypatch.setattr(simoracle, "_runs", counted)
+    return made
+
+
+def test_run_analysis_reused_at_same_line_size(analyses, loop_traversals):
+    """Every L1 set overflows with 64 lines of the 256 KB string, each
+    access its own run: the L2 sees the L1's stream and reuses its
+    analysis."""
+    rs = build_cache_string(256 * KB, ENV, 21)
+    for traversals in (1, 2):
+        assert simulate(two_level(), rs, traversals) == \
+            naive_cycles(rs, two_level(), traversals)
+    assert analyses == [64, 64]
+    assert not loop_traversals
+
+
+def test_run_analysis_redone_at_new_line_size(analyses, loop_traversals):
+    """A 32-byte L1 passes on every access of a cache string to a 64-byte
+    L2, whose keys are not the L1's: its stream is analysed again."""
+    cfg = SimConfig(cache_levels=[CacheLevel(16 * KB, 4, 32, 3),
+                                  CacheLevel(128 * KB, 8, 64, 12)],
+                    memory_latency=60)
+    rs = build_cache_string(64 * KB, ENV, 22)
+    for traversals in (1, 2):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+    assert analyses == [32, 64] * 2
+    assert not loop_traversals
+
+
+def test_second_tlb_reuses_run_analysis(analyses, loop_traversals):
+    """T(1,k) over 80 pages overflows the 64-entry TLB, one access per
+    page: the 1024-entry TLB reuses its analysis."""
+    rs = build_tlb_string(1, 80 * 4096, ENV, 23)
+    for traversals in (1, 2):
+        assert simulate(TWO_TLBS, rs, traversals) == \
+            naive_cycles(rs, TWO_TLBS, traversals)
+    assert analyses.count(4096) == 2
+    assert not loop_traversals
 
 
 @st.composite
