@@ -79,6 +79,8 @@ class HierarchyReport:
     parameters: dict
     warnings: List[str] = field(default_factory=list)
     tlb_suspects: List[TlbSuspect] = field(default_factory=list)
+    #: probe name -> {"string_runs": n}, for each probe that ran.
+    probes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
         return {
@@ -100,6 +102,7 @@ class HierarchyReport:
                            for lv in self.tlb_levels],
             "tlb_suspects": [s.to_json_dict() for s in self.tlb_suspects],
             "costs": self.costs,
+            "probes": self.probes,
             "parameters": self.parameters,
             "warnings": self.warnings,
         }
@@ -118,8 +121,8 @@ def assemble_report(env: MachineEnv,
                     tlb_levels: Optional[List[TlbLevelResult]],
                     costs: Optional[dict] = None,
                     parameters: Optional[dict] = None,
-                    tlb_suspects: Optional[List[TlbSuspect]] = None
-                    ) -> HierarchyReport:
+                    tlb_suspects: Optional[List[TlbSuspect]] = None,
+                    probes: Optional[dict] = None) -> HierarchyReport:
     warnings: List[str] = []
     cache_levels: List[LevelReport] = []
     if cache_curve is not None:
@@ -136,4 +139,5 @@ def assemble_report(env: MachineEnv,
     return HierarchyReport(machine=env, l1=l1, cache_levels=cache_levels,
                            tlb_levels=tlb_levels or [], costs=costs or {},
                            parameters=parameters or {}, warnings=warnings,
-                           tlb_suspects=tlb_suspects or [])
+                           tlb_suspects=tlb_suspects or [],
+                           probes=probes or {})

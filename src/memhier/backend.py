@@ -11,9 +11,10 @@ every timed run by it; the simulator counts cycles natively.  A "cycle" is
 the duration of one dependent register add in the C kernel ``add_chain``.
 
 The real backend links the chain in an anonymous ``mmap`` region and chases
-it with a C kernel, compiled once per process by the system C compiler ``cc``
+it with C kernels, compiled once per process by the system C compiler ``cc``
 and loaded with ctypes; interpreted chasing cannot resolve cache-level latency
-differences.  Its modules are imported lazily: simulator runs never load them.
+differences, and linking slot by slot in Python took most of a run.  Its
+modules are imported lazily: simulator runs never load them.
 """
 
 from __future__ import annotations
@@ -30,6 +31,15 @@ PIN_CPU_ENV = "MEMHIER_PIN_CPU"
 
 _KERNEL_SOURCE = r"""
 #include <stdint.h>
+
+/* Link the circular chain whose slots lie at byte offsets off[0..n-1]:
+ * each slot holds the index of the next. */
+void link(int64_t *slots, const int64_t *off, int64_t n)
+{
+    for (int64_t i = 0; i + 1 < n; i++)
+        slots[off[i] / 8] = off[i + 1] / 8;
+    slots[off[n - 1] / 8] = off[0] / 8;
+}
 
 int64_t chase(const int64_t *slots, int64_t i, int64_t loads)
 {
@@ -52,7 +62,8 @@ int64_t add_chain(int64_t n)
 
 @functools.cache
 def _kernels():
-    """The library of ``chase`` and ``add_chain``, built once per process."""
+    """The library of ``link``, ``chase`` and ``add_chain``, built once per
+    process."""
     import ctypes
     import subprocess
     import tempfile
@@ -71,10 +82,22 @@ def _kernels():
             raise MemhierError("the real-memory backend needs a working C "
                                "compiler 'cc' on PATH: %s" % exc) from exc
     i64 = ctypes.c_int64
+    lib.link.argtypes = (ctypes.POINTER(i64), ctypes.c_void_p, i64)
+    lib.link.restype = None
     lib.chase.argtypes = (ctypes.POINTER(i64), i64, i64)
     lib.add_chain.argtypes = (i64,)
     lib.chase.restype = lib.add_chain.restype = i64
     return lib
+
+
+def link_chain(slots, rs: ReferenceString) -> None:
+    """Write the chain of ``rs`` into ``slots``, a ctypes array of 8-byte
+    slots over its region, with one ``link`` call: each chain slot holds the
+    index of the next."""
+    from array import array
+
+    offsets = array("q", rs.chain)
+    _kernels().link(slots, offsets.buffer_info()[0], rs.chain_length)
 
 
 def acquire_region(footprint: int):
@@ -157,9 +180,7 @@ class RealMemoryBackend:
         region = acquire_region(rs.footprint)
         slots = (ctypes.c_int64 * (len(region) // word)).from_buffer(region)
         try:
-            idx = [off // word for off in rs.chain]
-            for here, there in zip(idx, idx[1:] + idx[:1]):
-                slots[here] = there
+            link_chain(slots, rs)
             entry = rs.entry // word
             self._chase(slots, entry, n)  # warm-up, untimed
             t0 = time.perf_counter()

@@ -68,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze")
     p.add_argument("curve", help="CSV response curve to analyze")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     p.add_argument("--out", default=None)
 
     p = sub.add_parser("simulate")
@@ -110,6 +109,7 @@ def _run_probes(args, which: str) -> dict:
     env = _probe_env(config)
     started = time.perf_counter()
     costs: dict = {}
+    probes: dict = {}
     l1_report = None
     cache_curve = None
     tlb_levels = tlb_suspects = None
@@ -122,6 +122,7 @@ def _run_probes(args, which: str) -> dict:
                                          window=args.window)
         env.l1_linesize = l1_report.linesize
         costs["l1"] = l1_report.cost
+        probes["l1"] = {"string_runs": l1_report.string_runs}
 
     if which in ("cache", "all"):
         points = cacheprobe.sample_points(
@@ -131,19 +132,22 @@ def _run_probes(args, which: str) -> dict:
                                                  window=args.window,
                                                  seed=args.seed)
         costs["cache"] = cache_curve.cost
+        probes["cache"] = {"string_runs": cache_curve.total_string_runs}
 
     if which in ("tlb", "all"):
-        tlb_levels, tlb_suspects, _curve, tlb_cost = tlbprobe.run_tlb_probe(
+        tlb_levels, tlb_suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
             env, backend,
             lb=_bound(args.lb, 0) if which == "tlb" else 0,
             ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
                 else tlbprobe.DEFAULT_UB),
             window=args.window, seed=args.seed)
         costs["tlb"] = tlb_cost
+        probes["tlb"] = {"string_runs": tlb_curve.total_string_runs + sum(
+            s.string_runs for s in tlb_suspects)}
 
     costs["total"] = time.perf_counter() - started
     report = analysis.assemble_report(
-        env, l1_report, cache_curve, tlb_levels, costs=costs,
+        env, l1_report, cache_curve, tlb_levels, costs=costs, probes=probes,
         parameters={"window": args.window, "seed": args.seed,
                     "backend": args.backend, "max_assoc": args.max_assoc,
                     "lb": args.lb, "ub": args.ub},

@@ -1,5 +1,22 @@
-"""Three-loop L1 probe: capacity at maximum associativity, associativity by
-halving, line size by offset sweep; latency comes from the all-hit baseline.
+"""Gap-string L1 probe: capacity and way size by searches over power-of-two
+strides, line size by offset sweep; latency comes from the all-hit baseline.
+
+G(n, k, o) is the gap string of ``refstring.build_gap_string``.  After
+Yotov, Pingali & Stodghill (SIGMETRICS 2005), capacity is measured as n * k
+by bracketing and then bisection, and no search assumes a power-of-two
+number of ways:
+
+1. double the stride k over powers of two until G(MaxAssoc+1, k, 0) misses;
+2. bisect n in [1, MaxAssoc] for the smallest n whose G(n+1, k, 0) misses:
+   the capacity C is n * k;
+3. bisect j for the largest way size W = k * 2^j that divides C and whose
+   G(C/W+1, W, 0) misses: the number of ways is C/W.
+
+At a power-of-two stride k that divides the way size S, G(n+1, k, 0) puts
+ceil((n+1)k / S) lines in one set, so it misses exactly when (n+1)k > C; and
+G(C/W+1, W, 0) misses exactly when W divides S.  Both predicates are
+monotone where they are searched and nowhere else: 32K/8 misses at a 2 KB
+stride but hits at 2.5 KB, and 48K/12 hits at n = 16 with gap C/16.
 
 Works on L1 only because L1 data caches are core-private and virtually
 mapped; the multi-level sweep handles everything above it.
@@ -9,9 +26,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import List
+from typing import List, Tuple
 
-from .cacheprobe import octave_points
 from .errors import ProbeError
 from .refstring import MachineEnv, build_gap_string
 from .timing import DEFAULT_WINDOW, STEP_TOL, is_step, measure_stable
@@ -30,8 +46,8 @@ class L1Params:
     def __post_init__(self):
         if self.lb >= self.ub:
             raise ProbeError("L1 probe needs LB < UB")
-        if self.max_assoc < 1 or self.max_assoc & (self.max_assoc - 1):
-            raise ProbeError("MaxAssoc must be a power of two")
+        if self.max_assoc < 1:
+            raise ProbeError("MaxAssoc must be a positive integer")
 
 
 @dataclass
@@ -42,60 +58,96 @@ class L1Report:
     latency: int
     cost: float
     flags: List[str] = field(default_factory=list)
+    string_runs: int = 0
 
 
-def _measure_gap(n: int, k: int, o: int, env: MachineEnv, backend,
-                 window: int) -> float:
-    rs_factory = lambda: build_gap_string(n, k, o, env)
-    return measure_stable(rs_factory, backend,
-                          window=window).min_cycles_per_access
+class GapTimer:
+    """Stable times of gap strings on one backend, and the string runs they
+    took."""
+
+    def __init__(self, env: MachineEnv, backend,
+                 window: int = DEFAULT_WINDOW):
+        self.env = env
+        self.backend = backend
+        self.window = window
+        self.string_runs = 0
+
+    def cycles(self, n: int, k: int, o: int = 0) -> float:
+        """Stable time of G(n, k, o) in cycles per access."""
+        m = measure_stable(lambda: build_gap_string(n, k, o, self.env),
+                           self.backend, window=self.window)
+        self.string_runs += m.runs_taken
+        return m.min_cycles_per_access
+
+    def misses(self, base: float, n: int, k: int, o: int = 0) -> bool:
+        """Whether G(n, k, o) leaves the all-hit baseline ``base``."""
+        return is_step(base, self.cycles(n, k, o), STEP_TOL)
 
 
-def baseline(params: L1Params, env: MachineEnv, backend,
-             window: int = DEFAULT_WINDOW) -> float:
+def baseline(params: L1Params, timer: GapTimer) -> float:
     """Stable time of G(2, LB/2, 0): the all-hit L1 reference in cycles."""
-    return _measure_gap(2, params.lb // 2, 0, env, backend, window)
+    return timer.cycles(2, params.lb // 2)
 
 
-def find_capacity(params: L1Params, base: float, env: MachineEnv, backend,
-                  window: int = DEFAULT_WINDOW) -> int:
-    """First gap k whose G(MaxAssoc+1, k, 0) leaves the baseline gives the
-    capacity as k * MaxAssoc."""
+def find_stride(params: L1Params, base: float, timer: GapTimer) -> int:
+    """Search 1: the first power-of-two gap k whose G(MaxAssoc+1, k, 0)
+    misses, doubling from max(LB/MaxAssoc, word) rounded down to a power of
+    two while k * MaxAssoc stays within UB."""
     ma = params.max_assoc
-    for k in octave_points(max(params.lb // ma, env.word), params.ub // ma):
-        t = _measure_gap(ma + 1, k, 0, env, backend, window)
-        if is_step(base, t, STEP_TOL):
-            return k * ma
+    k = 1 << (max(params.lb // ma, timer.env.word).bit_length() - 1)
+    while k * ma <= params.ub:
+        if timer.misses(base, ma + 1, k):
+            return k
+        k *= 2
     raise ProbeError("no gap produced misses: capacity above UB=%d" % params.ub)
 
 
-def find_associativity(params: L1Params, l1_size: int, base: float,
-                       env: MachineEnv, backend,
-                       window: int = DEFAULT_WINDOW):
-    """Shrink n from MaxAssoc: the first n whose G(n+1, size/n, 0) returns to
-    baseline gives associativity n*2.  Returns (ways, flags)."""
-    n = params.max_assoc
-    while n >= 1:
-        t = _measure_gap(n + 1, l1_size // n, 0, env, backend, window)
-        if not is_step(base, t, STEP_TOL):
-            if n == params.max_assoc:
-                # True associativity exceeds what halving can resolve;
-                # report the cap with a marker.
-                return params.max_assoc, ["associativity-exceeds-max"]
-            return n * 2, []
-        n //= 2
-    return 1, ["direct-mapped"]
+def find_capacity(params: L1Params, base: float,
+                  timer: GapTimer) -> Tuple[int, int]:
+    """Searches 1 and 2: at the stride k of ``find_stride``, bisect for the
+    smallest n in [1, MaxAssoc] whose G(n+1, k, 0) misses.  Returns
+    (capacity n * k, k)."""
+    k = find_stride(params, base, timer)
+    # G(lo+1, k, 0) hits (lo = 0 is the empty case); G(hi+1, k, 0) misses.
+    lo, hi = 0, params.max_assoc
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if timer.misses(base, mid + 1, k):
+            hi = mid
+        else:
+            lo = mid
+    return hi * k, k
 
 
-def find_linesize(params: L1Params, l1_size: int, l1_assoc: int, base: float,
-                  env: MachineEnv, backend,
-                  window: int = DEFAULT_WINDOW) -> int:
+def find_associativity(capacity: int, stride: int, base: float,
+                       timer: GapTimer) -> Tuple[int, List[str]]:
+    """Search 3: bisect j for the largest way size W = stride * 2^j that
+    divides ``capacity`` and whose G(capacity/W+1, W, 0) misses.  Returns
+    (capacity/W ways, flags)."""
+    n = capacity // stride
+    # W = stride * 2^j divides the capacity for j up to n's factors of two.
+    # G(n+1, stride, 0), at j = lo = 0, is the miss search 2 ended on;
+    # j = hi never misses.
+    lo, hi = 0, (n & -n).bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        way = stride << mid
+        if timer.misses(base, capacity // way + 1, way):
+            lo = mid
+        else:
+            hi = mid
+    ways = capacity // (stride << lo)
+    return ways, ["direct-mapped"] if ways == 1 else []
+
+
+def find_linesize(l1_size: int, l1_assoc: int, base: float,
+                  timer: GapTimer) -> int:
     """First offset o that moves the final reference into the next set,
     dropping G(assoc+1, size/assoc, o) back to baseline."""
     gap = l1_size // l1_assoc
+    env = timer.env
     for o in range(env.word, env.pagesize, env.word):
-        t = _measure_gap(l1_assoc + 1, gap, o, env, backend, window)
-        if not is_step(base, t, STEP_TOL):
+        if not timer.misses(base, l1_assoc + 1, gap, o):
             return o
     raise ProbeError("no offset restored the baseline: linesize not found")
 
@@ -103,12 +155,11 @@ def find_linesize(params: L1Params, l1_size: int, l1_assoc: int, base: float,
 def run_l1_probe(params: L1Params, env: MachineEnv, backend,
                  window: int = DEFAULT_WINDOW) -> L1Report:
     started = time.perf_counter()
-    base = baseline(params, env, backend, window)
-    capacity = find_capacity(params, base, env, backend, window)
-    assoc, flags = find_associativity(params, capacity, base, env, backend,
-                                      window)
-    linesize = find_linesize(params, capacity, assoc, base, env, backend,
-                             window)
+    timer = GapTimer(env, backend, window)
+    base = baseline(params, timer)
+    capacity, stride = find_capacity(params, base, timer)
+    assoc, flags = find_associativity(capacity, stride, base, timer)
+    linesize = find_linesize(capacity, assoc, base, timer)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
                     latency=max(1, round(base)), cost=time.perf_counter() - started,
-                    flags=flags)
+                    flags=flags, string_runs=timer.string_runs)

@@ -31,6 +31,8 @@ class TlbSuspect:
     #: (n, T(n, boundary), T(n, footprint)) in cycles per access, for each
     #: n that confirmation measured.
     measured: List[Tuple[int, float, float]] = field(default_factory=list)
+    #: String runs its confirmation took.
+    string_runs: int = 0
 
     def to_json_dict(self) -> dict:
         return {"footprint": self.footprint,
@@ -87,8 +89,9 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
         def factory():
             counter[0] += 1
             return build_tlb_string(n, footprint, env, counter[0])
-        return measure_stable(factory, backend,
-                              window=window).min_cycles_per_access
+        m = measure_stable(factory, backend, window=window)
+        suspect.string_runs += m.runs_taken
+        return m.min_cycles_per_access
 
     for n in (2, 3, 4):
         before = measure(n, suspect.boundary)

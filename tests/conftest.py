@@ -173,3 +173,17 @@ def _check_tlb_placement(rs, kind):
     if any(c != kind.lines_per_page for c in counts.values()):
         return False
     return len(counts) * pagesize == kind.footprint
+
+
+class CountingBackend:
+    """Wraps a backend and counts its string runs; exact when the inner
+    backend is."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.exact = getattr(inner, "exact", False)
+        self.runs = 0
+
+    def run(self, rs, loads):
+        self.runs += 1
+        return self.inner.run(rs, loads)

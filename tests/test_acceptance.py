@@ -48,18 +48,24 @@ def test_criterion_1_l1_oracle_equivalence(env):
                for assoc in (2, 4, 8)
                for ls in (32, 64, 128)]
     spot_checks = [(16 * KB, 16, 64), (32 * KB, 16, 64)]
+    # Way counts that are not powers of two, and a direct-mapped L1.
+    odd_ways = [(24 * KB, 6, 64), (48 * KB, 12, 64), (36 * KB, 9, 64),
+                (96 * KB, 12, 128), (30 * KB, 15, 64), (16 * KB, 1, 64)]
+    max_assoc = {(80 * KB, 20, 64): 32}
     with criterion(1, "L1 oracle equivalence"):
-        for cap, assoc, ls in configs + spot_checks:
+        for cap, assoc, ls in configs + spot_checks + odd_ways + \
+                list(max_assoc):
             cfg = SimConfig(cache_levels=[CacheLevel(cap, assoc, ls, 3),
                                           CacheLevel(8 * MB, 16, 64, 15)],
                             memory_latency=100)
+            params = L1Params(max_assoc=max_assoc.get((cap, assoc, ls), 16))
             started = time.perf_counter()
-            rep = run_l1_probe(L1Params(), env, SimulatedBackend(cfg),
-                               window=5)
+            rep = run_l1_probe(params, env, SimulatedBackend(cfg), window=5)
             elapsed = time.perf_counter() - started
             got = (rep.capacity, rep.associativity, rep.linesize)
             assert got == (cap, assoc, ls), "config %r -> %r" % (
                 (cap, assoc, ls), got)
+            assert rep.flags == (["direct-mapped"] if assoc == 1 else [])
             assert elapsed < 5.0, "config %r took %.1fs" % ((cap, assoc, ls),
                                                             elapsed)
 

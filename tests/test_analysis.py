@@ -106,10 +106,13 @@ class TestAssembleReport:
                               [TlbLevelResult(1, 64 * 4096, 64)],
                               costs={"l1_seconds": 0.1},
                               parameters={"window": 25},
-                              tlb_suspects=[suspect])
+                              tlb_suspects=[suspect],
+                              probes={"l1": {"string_runs": 21}})
         d = rep.to_json_dict()
+        assert d["probes"] == {"l1": {"string_runs": 21}}
         assert set(d) == {"machine", "l1", "cache_levels", "tlb_levels",
-                          "tlb_suspects", "costs", "parameters", "warnings"}
+                          "tlb_suspects", "costs", "probes", "parameters",
+                          "warnings"}
         assert d["tlb_suspects"] == [
             {"footprint": 80 * 4096, "boundary": 64 * 4096,
              "confirming_n": [2, 3, 4], "confirmed": True,

@@ -10,8 +10,8 @@ import pytest
 import memhier
 from memhier import (AllocationFailureError, MemhierError, RealMemoryBackend,
                      acquire_region, backend, build_cache_string,
-                     build_gap_string, run_once)
-from memhier.backend import PIN_CPU_ENV, maybe_pin_cpu
+                     build_gap_string, build_tlb_string, run_once)
+from memhier.backend import PIN_CPU_ENV, link_chain, maybe_pin_cpu
 from memhier.cli import main
 
 KB = 1024
@@ -49,6 +49,38 @@ class TestAcquireRegion:
         finally:
             del view
             region.close()
+
+
+def _slots(region):
+    return (ctypes.c_int64 * (len(region) // 8)).from_buffer(region)
+
+
+class TestLinkChain:
+    @pytest.mark.parametrize("make", [
+        lambda env: build_gap_string(17, 2 * KB, 0, env),
+        lambda env: build_gap_string(13, 4 * KB, 64, env),
+        lambda env: build_cache_string(3 * KB, env, 1),
+        lambda env: build_cache_string(256 * KB, env, 2),
+        lambda env: build_tlb_string(1, 64 * 4096, env, 3),
+        lambda env: build_tlb_string(4, 64 * 4096, env, 4),
+    ])
+    def test_same_slots_as_python_loop(self, env, make):
+        needs_cc()
+        rs = make(env)
+        linked, expected = (acquire_region(rs.footprint) for _ in range(2))
+        slots = _slots(expected)
+        idx = [off // 8 for off in rs.chain]
+        for here, there in zip(idx, idx[1:] + idx[:1]):
+            slots[here] = there
+        del slots
+        slots = _slots(linked)
+        link_chain(slots, rs)
+        del slots
+        try:
+            assert linked[:] == expected[:]
+        finally:
+            linked.close()
+            expected.close()
 
 
 class TestRealBackend:

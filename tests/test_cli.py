@@ -160,6 +160,17 @@ class TestL1Command:
                            "cost": d["l1"]["cost"], "flags": []}
         assert d["cache_levels"] == []
         assert d["costs"]["l1"] > 0
+        assert d["probes"] == {"l1": {"string_runs": 21}}
+
+    def test_max_assoc_twelve_on_twelve_ways(self, capsys, tmp_path):
+        path = tmp_path / "twelve.cfg"
+        path.write_text("cache 49152 12 64 5\ncache 2097152 16 64 16\n"
+                        "memory 200\n")
+        d = run_json(capsys, ["l1", "--backend", "sim:%s" % path,
+                              "--window", "3", "--max-assoc", "12"])
+        assert (d["l1"]["capacity"], d["l1"]["associativity"],
+                d["l1"]["linesize"]) == (48 * KB, 12, 64)
+        assert d["parameters"]["max_assoc"] == 12
 
     def test_out_file(self, tmp_path, cfg_path):
         out = tmp_path / "report.json"
@@ -173,8 +184,11 @@ class TestCacheCommand:
         d = run_json(capsys, ["cache", "--backend", "sim:" + cfg_path,
                               "--window", "3", "--ub", str(2048 * KB)])
         assert set(d) == {"machine", "l1", "cache_levels", "tlb_levels",
-                          "tlb_suspects", "costs", "parameters", "warnings"}
+                          "tlb_suspects", "costs", "probes", "parameters",
+                          "warnings"}
         assert d["l1"] is None
+        assert list(d["probes"]) == ["cache"]
+        assert d["probes"]["cache"]["string_runs"] > 0
         assert d["tlb_suspects"] == []
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3},
@@ -195,6 +209,8 @@ class TestTlbCommand:
                               "--window", "3", "--ub", str(2048 * KB)])
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+        assert list(d["probes"]) == ["tlb"]
+        assert d["probes"]["tlb"]["string_runs"] > 0
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")
         assert suspect == {"footprint": 80 * 4096, "boundary": 64 * 4096,
@@ -215,6 +231,7 @@ class TestSimulateCommand:
         assert d["warnings"] == []
         assert d["costs"]["total"] > 0
         assert d["parameters"]["window"] == 3
+        assert sorted(d["probes"]) == ["cache", "l1", "tlb"]
 
 
 class TestAnalyzeCommand:
@@ -229,6 +246,12 @@ class TestAnalyzeCommand:
         d = run_json(capsys, ["analyze", str(path)])
         assert d["levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
+
+    def test_format_is_a_usage_error(self, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("footprint_bytes,cycles_per_access,knocked_out\n")
+        assert main(["analyze", str(path), "--format", "csv"]) == 2
+        assert main(["analyze", str(path), "--format", "json"]) == 2
 
 
 #: CSV-like text: rows shaped like curve rows (footprint, any float

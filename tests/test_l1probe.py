@@ -1,8 +1,10 @@
 import pytest
 
-from memhier import CacheLevel, SimConfig, SimulatedBackend
-from memhier.l1probe import (L1Params, baseline, find_associativity,
-                             find_capacity, find_linesize, run_l1_probe)
+from conftest import CountingBackend
+from memhier import CacheLevel, ProbeError, SimConfig, SimulatedBackend
+from memhier.l1probe import (GapTimer, L1Params, baseline, find_associativity,
+                             find_capacity, find_linesize, find_stride,
+                             run_l1_probe)
 
 KB = 1024
 
@@ -16,39 +18,75 @@ def backend(cap=32 * KB, assoc=8, linesize=64, latency=3):
     return SimulatedBackend(cfg)
 
 
+def timer(env, be=None):
+    return GapTimer(env, be or backend(), WINDOW)
+
+
 class TestL1Loops:
     def test_baseline_is_l1_latency(self, env):
-        assert baseline(L1Params(), env, backend(latency=3), WINDOW) == 3.0
-        assert baseline(L1Params(), env, backend(latency=4), WINDOW) == 4.0
+        assert baseline(L1Params(), timer(env, backend(latency=3))) == 3.0
+        assert baseline(L1Params(), timer(env, backend(latency=4))) == 4.0
 
     def test_capacity_first_trigger(self, env):
-        base = 3.0
-        cap = find_capacity(L1Params(), base, env, backend(), WINDOW)
-        assert cap == 32 * KB  # first trigger at k = 2KB with MaxAssoc 16
+        # 32KB/8-way with MaxAssoc 16: G(17, 1KB, 0) spans 17KB and hits;
+        # G(17, 2KB, 0) puts 9 lines in a set of 8.
+        assert find_stride(L1Params(), 3.0, timer(env)) == 2 * KB
+        assert find_capacity(L1Params(), 3.0, timer(env)) == (32 * KB, 2 * KB)
+
+    def test_stride_above_ub_is_an_error(self, env):
+        with pytest.raises(ProbeError, match="capacity above UB"):
+            find_stride(L1Params(ub=16 * KB), 3.0, timer(env))
 
     def test_capacity_pentium4_geometry(self, env):
         be = backend(cap=8 * KB, assoc=4, latency=4)
-        cap = find_capacity(L1Params(), 4.0, env, be, WINDOW)
-        assert cap == 8 * KB
+        assert find_capacity(L1Params(), 4.0, timer(env, be)) == (8 * KB, 512)
 
-    def test_associativity_detected_at_half(self, env):
-        # 32KB/8-way: G(5, 8KB, 0) is the first all-hit string, at n = 4.
-        ways, flags = find_associativity(L1Params(), 32 * KB, 3.0, env,
-                                         backend(), WINDOW)
-        assert (ways, flags) == (8, [])
+    @pytest.mark.parametrize("cap,assoc,stride", [
+        (48 * KB, 12, 4 * KB),
+        (24 * KB, 6, 2 * KB),
+        (36 * KB, 9, 4 * KB),
+    ])
+    def test_capacity_any_way_count(self, env, cap, assoc, stride):
+        be = backend(cap=cap, assoc=assoc, latency=4)
+        assert find_capacity(L1Params(), 4.0, timer(env, be)) == (cap, stride)
+
+    def test_associativity_is_capacity_over_way_size(self, env):
+        # 32KB/8-way at a 2KB stride: G(9, 4KB, 0) misses, G(5, 8KB, 0)
+        # hits, so the way size is 4KB.
+        assert find_associativity(32 * KB, 2 * KB, 3.0, timer(env)) == (8, [])
+
+    def test_associativity_not_a_power_of_two(self, env):
+        be = backend(cap=48 * KB, assoc=12)
+        assert find_associativity(48 * KB, 4 * KB, 3.0,
+                                  timer(env, be)) == (12, [])
 
     def test_direct_mapped_flagged(self, env):
         be = backend(cap=16 * KB, assoc=1)
-        ways, flags = find_associativity(L1Params(), 16 * KB, 3.0, env,
-                                         be, WINDOW)
-        assert ways == 1
-        assert flags == ["direct-mapped"]
+        assert find_associativity(16 * KB, KB, 3.0,
+                                  timer(env, be)) == (1, ["direct-mapped"])
 
     def test_linesize_sweep(self, env):
-        assert find_linesize(L1Params(), 32 * KB, 8, 3.0, env,
-                             backend(linesize=64), WINDOW) == 64
-        assert find_linesize(L1Params(), 32 * KB, 8, 3.0, env,
-                             backend(linesize=32), WINDOW) == 32
+        assert find_linesize(32 * KB, 8, 3.0,
+                             timer(env, backend(linesize=64))) == 64
+        assert find_linesize(32 * KB, 8, 3.0,
+                             timer(env, backend(linesize=32))) == 32
+
+    def test_timer_counts_string_runs(self, env):
+        be = CountingBackend(backend())
+        t = GapTimer(env, be, WINDOW)
+        t.cycles(2, 512)
+        t.cycles(17, 2 * KB)
+        assert t.string_runs == be.runs == 2
+
+
+class TestParams:
+    def test_any_positive_max_assoc(self):
+        assert L1Params(max_assoc=12).max_assoc == 12
+
+    @pytest.mark.parametrize("ma", [0, -4])
+    def test_nonpositive_max_assoc_rejected(self, ma):
+        with pytest.raises(ProbeError):
+            L1Params(max_assoc=ma)
 
 
 class TestFullProbe:
@@ -57,6 +95,8 @@ class TestFullProbe:
         (8 * KB, 4, 64, 4),    # Pentium-4-like geometry
         (32 * KB, 8, 32, 4),
         (64 * KB, 2, 128, 3),
+        (48 * KB, 12, 64, 5),
+        (24 * KB, 6, 64, 4),
     ])
     def test_exact_recovery(self, env, cap, assoc, ls, lat):
         rep = run_l1_probe(L1Params(), env,
@@ -70,3 +110,17 @@ class TestFullProbe:
         rep = run_l1_probe(L1Params(), env, backend(16 * KB, 16, 64, 2),
                            window=WINDOW)
         assert (rep.capacity, rep.associativity, rep.linesize) == (16 * KB, 16, 64)
+
+    def test_max_assoc_not_a_power_of_two(self, env):
+        rep = run_l1_probe(L1Params(max_assoc=12), env,
+                           backend(48 * KB, 12, 64, 5), window=WINDOW)
+        assert (rep.capacity, rep.associativity, rep.linesize) == (48 * KB, 12, 64)
+
+    def test_32k8_string_runs(self, env):
+        # Baseline 1, strides 64 B to 2 KB 6, capacity bisection 4, way-size
+        # bisection 2, line-size sweep 8: one run each on an exact backend.
+        be = CountingBackend(backend())
+        rep = run_l1_probe(L1Params(), env, be, window=WINDOW)
+        assert (rep.capacity, rep.associativity, rep.linesize) == (32 * KB, 8, 64)
+        assert be.runs <= 21
+        assert rep.string_runs == be.runs

@@ -7,7 +7,7 @@ from memhier.timing import JUMP, is_step
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
 
-from conftest import NoRunBackend
+from conftest import CountingBackend, NoRunBackend
 
 KB = 1024
 MB = 1024 * 1024
@@ -88,6 +88,13 @@ class TestConfirmation:
         assert [n for n, _, _ in s.measured] == [2, 3, 4]
         assert s.confirming_n == [n for n, before, after in s.measured
                                   if is_step(before, after, *JUMP)]
+
+    def test_confirmation_counts_its_string_runs(self, env):
+        be = CountingBackend(tlb_backend([TlbLevel(64, 30)]))
+        s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
+                            env, be, window=WINDOW, seed=1)
+        # Six measurements, each of at least WINDOW + 1 runs.
+        assert s.string_runs == be.runs >= 6 * (WINDOW + 1)
 
     def test_confirmation_deterministic(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
