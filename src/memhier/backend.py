@@ -93,11 +93,19 @@ def _kernels():
 def link_chain(slots, rs: ReferenceString) -> None:
     """Write the chain of ``rs`` into ``slots``, a ctypes array of 8-byte
     slots over its region, with one ``link`` call: each chain slot holds the
-    index of the next."""
+    index of the next.  The kernel does not check bounds, so this does: a
+    chain that does not fit ``slots`` raises MemhierError."""
     from array import array
 
+    n = rs.chain_length
+    if not 1 <= n == len(rs.chain):
+        raise MemhierError("chain_length %d does not match %d chain slots"
+                           % (n, len(rs.chain)))
+    if min(rs.chain) < 0 or max(rs.chain) // 8 >= len(slots):
+        raise MemhierError("chain offsets outside the %d byte region"
+                           % (8 * len(slots)))
     offsets = array("q", rs.chain)
-    _kernels().link(slots, offsets.buffer_info()[0], rs.chain_length)
+    _kernels().link(slots, offsets.buffer_info()[0], n)
 
 
 def acquire_region(footprint: int):

@@ -18,6 +18,9 @@ G(C/W+1, W, 0) misses exactly when W divides S.  Both predicates are
 monotone where they are searched and nowhere else: 32K/8 misses at a 2 KB
 stride but hits at 2.5 KB, and 48K/12 hits at n = 16 with gap C/16.
 
+On a backend whose runs do not repeat exactly, a result that its own strings
+contradict is an error rather than a report (``check_geometry``).
+
 Works on L1 only because L1 data caches are core-private and virtually
 mapped; the multi-level sweep handles everything above it.
 """
@@ -152,14 +155,43 @@ def find_linesize(l1_size: int, l1_assoc: int, base: float,
     raise ProbeError("no offset restored the baseline: linesize not found")
 
 
+def check_geometry(capacity: int, assoc: int, linesize: int, base: float,
+                   timer: GapTimer) -> None:
+    """Raise ProbeError unless the geometry is self-consistent under LRU: the
+    line size is a power of two that divides the way size W; fresh runs of
+    G(assoc, W, 0) stay at the baseline and of G(assoc+1, W, 0) leave it;
+    and G(assoc+1, W, 0) misses on every access, so G(2*assoc+2, W, 0) is
+    no step above it.  A noisy miss test can lead the searches to any
+    geometry, and a set that an exact fit already partly misses to one way
+    too few; this turns either into an error instead of a report."""
+    way = capacity // assoc
+    if linesize & (linesize - 1) or way % linesize:
+        raise ProbeError("inconsistent L1 result: linesize %d does not divide "
+                         "the %d byte way" % (linesize, way))
+    fits = timer.cycles(assoc, way) if assoc > 1 else base
+    over = timer.cycles(assoc + 1, way)
+    full = timer.cycles(2 * assoc + 2, way)
+    if (is_step(base, fits, STEP_TOL) or not is_step(base, over, STEP_TOL)
+            or is_step(over, full, STEP_TOL)):
+        raise ProbeError(
+            "inconsistent L1 result: %d ways of %d bytes, but G(n, %d, 0) "
+            "reads %.2f, %.2f and %.2f for n = %d, %d and %d against a "
+            "baseline of %.2f" % (assoc, way, way, fits, over, full, assoc,
+                                  assoc + 1, 2 * assoc + 2, base))
+
+
 def run_l1_probe(params: L1Params, env: MachineEnv, backend,
                  window: int = DEFAULT_WINDOW) -> L1Report:
+    """Measure the L1 geometry.  On a backend whose runs do not repeat
+    exactly, the result must pass ``check_geometry``."""
     started = time.perf_counter()
     timer = GapTimer(env, backend, window)
     base = baseline(params, timer)
     capacity, stride = find_capacity(params, base, timer)
     assoc, flags = find_associativity(capacity, stride, base, timer)
     linesize = find_linesize(capacity, assoc, base, timer)
+    if not getattr(backend, "exact", False):
+        check_geometry(capacity, assoc, linesize, base, timer)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
                     latency=max(1, round(base)), cost=time.perf_counter() - started,
                     flags=flags, string_runs=timer.string_runs)

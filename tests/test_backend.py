@@ -1,4 +1,5 @@
 import ctypes
+import dataclasses
 import mmap
 import os
 import shutil
@@ -81,6 +82,26 @@ class TestLinkChain:
         finally:
             linked.close()
             expected.close()
+
+
+    @pytest.mark.parametrize("chain,length", [
+        ([0, 2 * KB, 4 * KB], 3),    # the last slot is past the region
+        ([0, -8], 2),
+        ([0, 8], 3),
+        ([], 0),
+    ])
+    def test_chain_outside_region_raises(self, env, chain, length):
+        rs = dataclasses.replace(build_gap_string(2, 2 * KB, 0, env),
+                                 chain=chain, chain_length=length)
+        region = acquire_region(4 * KB)
+        slots = _slots(region)
+        try:
+            with pytest.raises(MemhierError):
+                link_chain(slots, rs)
+            assert not any(region[:])
+        finally:
+            del slots
+            region.close()
 
 
 class TestRealBackend:

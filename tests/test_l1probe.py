@@ -2,9 +2,10 @@ import pytest
 
 from conftest import CountingBackend
 from memhier import CacheLevel, ProbeError, SimConfig, SimulatedBackend
-from memhier.l1probe import (GapTimer, L1Params, baseline, find_associativity,
-                             find_capacity, find_linesize, find_stride,
-                             run_l1_probe)
+from memhier import l1probe
+from memhier.l1probe import (GapTimer, L1Params, baseline, check_geometry,
+                             find_associativity, find_capacity, find_linesize,
+                             find_stride, run_l1_probe)
 
 KB = 1024
 
@@ -16,6 +17,17 @@ def backend(cap=32 * KB, assoc=8, linesize=64, latency=3):
                                   CacheLevel(4096 * KB, 16, 64, 15)],
                     memory_latency=100)
     return SimulatedBackend(cfg)
+
+
+class InexactBackend:
+    """A simulated backend that does not declare its runs exact, as the real
+    one does not."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def run(self, rs, loads):
+        return self.inner.run(rs, loads)
 
 
 def timer(env, be=None):
@@ -124,3 +136,41 @@ class TestFullProbe:
         assert (rep.capacity, rep.associativity, rep.linesize) == (32 * KB, 8, 64)
         assert be.runs <= 21
         assert rep.string_runs == be.runs
+
+
+class TestCheckGeometry:
+    def test_true_geometry_passes(self, env):
+        check_geometry(32 * KB, 8, 64, 3.0, timer(env))
+        check_geometry(48 * KB, 12, 64, 3.0,
+                       timer(env, backend(48 * KB, 12, 64, 3)))
+        check_geometry(16 * KB, 1, 64, 3.0,
+                       timer(env, backend(16 * KB, 1, 64, 3)))
+
+    @pytest.mark.parametrize("cap,assoc,ls", [
+        (30 * KB, 15, 8),      # G(16, 2K, 0) fits: 8 lines in each set
+        (44 * KB, 11, 32),     # G(12, 4K, 0) fits the 12 ways
+        (32 * KB, 8, 56),      # not a power of two
+        (32 * KB, 8, 8 * KB),  # larger than the way
+        (64 * KB, 16, 64),     # G(16, 4K, 0) already misses
+        (32 * KB, 16, 64),     # G(17, 2K, 0) misses in one of two sets
+    ])
+    def test_contradicted_geometry_is_an_error(self, env, cap, assoc, ls):
+        # The true L1 is 32K/8/64 (48K/12/64 for the 11-way claim).
+        be = backend(48 * KB, 12, 64, 3) if assoc == 11 else backend()
+        with pytest.raises(ProbeError, match="inconsistent L1 result"):
+            check_geometry(cap, assoc, ls, 3.0, timer(env, be))
+
+    def test_checked_only_where_runs_are_not_exact(self, env, monkeypatch):
+        # The true geometry passes the check on an inexact backend.
+        rep = run_l1_probe(L1Params(), env, InexactBackend(backend()),
+                           window=WINDOW)
+        assert (rep.capacity, rep.associativity, rep.linesize) \
+            == (32 * KB, 8, 64)
+        # A line size no cache has: reported as found on an exact backend,
+        # an error on an inexact one.
+        monkeypatch.setattr(l1probe, "find_linesize", lambda *a: 56)
+        assert run_l1_probe(L1Params(), env, backend(),
+                            window=WINDOW).linesize == 56
+        with pytest.raises(ProbeError, match="inconsistent L1 result"):
+            run_l1_probe(L1Params(), env, InexactBackend(backend()),
+                         window=WINDOW)
