@@ -181,21 +181,27 @@ def curve_to_csv(curve: ResponseCurve) -> str:
 
 def curve_from_csv(text: str) -> ResponseCurve:
     points: List[SamplePoint] = []
+    footprints = set()
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("footprint_bytes"):
             continue
         try:
             fp_s, val_s, ko_s = line.split(",")
+            knocked_out = int(ko_s)
             p = SamplePoint(footprint=int(fp_s), min_cycles=float(val_s),
-                            knocked_out=bool(int(ko_s)))
-            # NaN marks an unmeasured point; a measured one is a finite,
-            # non-negative number of cycles.
-            if p.min_cycles < 0 or math.isinf(p.min_cycles):
-                raise ValueError(val_s)
+                            knocked_out=bool(knocked_out))
+            # A footprint is positive and appears once.  NaN marks an
+            # unmeasured point; a measured one is a finite, non-negative
+            # number of cycles.
+            if (p.footprint <= 0 or p.footprint in footprints
+                    or knocked_out not in (0, 1)
+                    or p.min_cycles < 0 or math.isinf(p.min_cycles)):
+                raise ValueError(line)
         except ValueError:
             raise CurveFormatError("bad curve row at line %d: %r"
                                    % (lineno, raw))
+        footprints.add(p.footprint)
         if math.isnan(p.min_cycles):
             p.min_cycles = math.inf
         points.append(p)

@@ -48,23 +48,34 @@ def _build_parser() -> argparse.ArgumentParser:
                                                  "characterization")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, l1: bool, curve: bool):
+        """The options every probing command takes, with ``--max-assoc``
+        where it runs the L1 probe and ``--format`` where it sweeps the
+        caches; elsewhere either is a usage error."""
         p.add_argument("--backend", default="real",
                        help="'real' or 'sim:<config-file>' (default: real)")
         p.add_argument("--lb", type=_positive_int, default=None,
                        help="lower bound of the sweep in bytes")
         p.add_argument("--ub", type=_positive_int, default=None,
                        help="upper bound of the sweep in bytes")
-        p.add_argument("--max-assoc", type=_positive_int,
-                       default=l1probe.DEFAULT_MAX_ASSOC)
+        if l1:
+            p.add_argument("--max-assoc", type=_positive_int,
+                           default=l1probe.DEFAULT_MAX_ASSOC)
+        else:
+            p.set_defaults(max_assoc=None)
         p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                        help="stability window (runs without a new minimum)")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
+        if curve:
+            p.add_argument("--format", choices=("json", "csv"),
+                           default="json")
+        else:
+            p.set_defaults(format="json")
         p.add_argument("--out", default=None, help="write output to this path")
 
-    for name in ("l1", "cache", "tlb", "all"):
-        add_common(sub.add_parser(name))
+    for name, l1, curve in (("l1", True, False), ("cache", False, True),
+                            ("tlb", False, False), ("all", True, True)):
+        add_common(sub.add_parser(name), l1, curve)
 
     p = sub.add_parser("analyze")
     p.add_argument("curve", help="CSV response curve to analyze")
@@ -72,7 +83,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate")
     p.add_argument("config", help="simulator hierarchy config file")
-    add_common(p)
+    add_common(p, l1=True, curve=True)
     return parser
 
 

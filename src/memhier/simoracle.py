@@ -20,76 +20,75 @@ No level evicts from another, and a hit leaves the levels below untouched
 runs one level over the whole stream, then the next level over its misses,
 once for the TLBs and once for the caches.
 
-Each of the two families is priced in closed form when all its levels allow
-it, with no LRU bookkeeping.  Take one level and the keys (lines or pages)
-of the accesses that reach it, in chain order.  If each key's accesses form
-one run when the chain is read cyclically, then in every timed traversal a
-set holding at most ``assoc`` keys hits on every access, and a set holding
-more misses on the first access of every run and hits on the rest; the
-misses are what the next level sees.  The warm-up traversal starts cold, so
-it misses on the first access of every run and passes on more than the timed
-ones do.  The closed form covers the first timed traversal too, so the
-family's total is traversals times one traversal's cost, when, level by
-level:
+Each family is priced in closed form from its first level down, with no
+LRU bookkeeping, for as long as one condition holds; the LRU loop prices the
+levels left.  Take a level that every access reaching it reaches in every
+traversal, the warm-up included, as at the first level of each family.  The
+condition: each key's (line's or page's) accesses there form one run when
+the chain is read cyclically.  Then every timed traversal misses on the
+first access of every run in a set holding more than ``assoc`` keys, and
+hits on the rest, and the family's closed-form total is traversals times
+one traversal's cost.  The warm-up starts cold, so it also misses on the
+first access to each key of a set that fits, and on the chain's first
+access where the last run wraps around to it.  The level below sees the
+warm-up's misses in the warm-up and the timed misses in every timed
+traversal.  Where the two differ, the closed form stops at that level.
 
-* the warm-up's keys form one cyclic run each as well;
-* no set that fits in the timed traversals held more than ``assoc`` keys in
-  the warm-up, which would have evicted some of them;
-* every timed miss is also a warm-up miss, so the level below has seen it;
-* the run of the warm-up's first key does not hold timed accesses at the
-  chain's start only: the warm-up's end would leave that key resident.
+Cache strings, T(1,k) and gap strings with a gap of at least a line take
+the closed form at the first level of both families.  A shuffled T(n>=2,k)
+splits each page's accesses into several runs, so its TLBs take the LRU
+loop, while its caches, which see each line once per chain, usually take the
+closed form.  The loop stays the reference, as does the naive model in the
+tests.
 
-Cache strings, T(1,k) and gap strings with a gap of at least a line meet
-these for both families.  A shuffled T(n>=2,k) splits each page's accesses
-into several runs, so its TLBs take the LRU loop, while its caches, which
-see each line once per chain, usually take the closed form.  The loop stays
-the reference, as does the naive model in the tests.
+Builtins price a closed-form level.  The run analysis of its stream finds
+the keys and the runs, which start where the key changes, and flags the run
+keys in a bytearray indexed by key, the one loop in Python: each key forms
+one cyclic run iff they are distinct but for a last run that continues the
+first.  A stream with more runs than its key range can hold declines before
+that loop.  A traversal misses once on each key of a set holding more than
+``assoc``.  A level that passes on every access in every traversal hands its
+stream on, which at the same line size has the same keys and runs: the
+level below reuses the analysis.
 
-A level hands the level below only the accesses it passes on.  Where every
-access that reaches a level reaches it in every timed traversal, as at the
-first level of each family, builtins price the level.  The run analysis of
-its stream finds the keys and the runs, which start where the key changes,
-and flags the run keys in a bytearray indexed by key, the one loop in
-Python: each key forms one cyclic run iff they are distinct but for a last
-run that continues the first.  A stream with more runs than its key range
-can hold declines before that loop.  A traversal misses once on each key of
-a set holding more than ``assoc``.  A level that passes on every access in
-every traversal hands its stream on, which at the same line size has the
-same keys and runs: the level below reuses the analysis.  Warm-up-only
-accesses keep the exact two-pass loop.
+The LRU loop takes the stream that reaches the first level left, in the
+warm-up and in the timed traversals, and simulates only the levels that can
+miss.  It stops at the first level that fits: no set holds more than
+``assoc`` of the stream's keys at its line size, and the line of every level
+above it that the loop took lies within one of its lines.  In the warm-up,
+which starts cold, the first access to each of its keys is also the first
+access to its line at every such level above, so it misses all of them and
+reaches the level.  The level then holds every key it will see, never
+evicts, and never misses in a timed traversal; neither it nor any level
+below it is simulated.
 
-The LRU loop prices what the closed form declines, and simulates only the
-levels that can miss.  It stops at the first level that fits: no set holds
-more than ``assoc`` of the chain's keys at its line size, and the line of
-every level above lies within one of its lines.  In the warm-up, which
-starts cold, the first access to each of its keys is also the first access
-to its line at every level above, so it misses all of them and reaches the
-level.  The level then holds every key of the chain, never evicts, and never
-misses in a timed traversal; neither it nor any level below it is simulated.
-
-The first level sees the whole chain in every traversal.  After any stream
-an LRU set holds the stream's ``assoc`` most recent distinct keys in recency
-order (the stack property of Mattson et al.), so reading the chain backwards
-gives its state after the warm-up, which every timed traversal leaves as it
-found it: one pass from that state prices them all.  In the warm-up, an
-access that is not its key's first in the chain follows the same accesses
+Where every access reaches the first level in every traversal, as when the
+run analysis declines, that level sees the same stream each time.  After any
+stream an LRU set holds the stream's ``assoc`` most recent distinct keys in
+recency order (the stack property of Mattson et al.), so reading the stream
+backwards gives its state after the warm-up, which every timed traversal
+leaves as it found it: one pass from that state prices them all.  In the
+warm-up, an access that is not its key's first follows the same accesses
 since the key's last one as in a timed traversal, so it misses exactly when
-it does there, and a first access misses cold.  The first level's warm-up
-misses are thus its first accesses plus its steady misses, in chain order:
-the warm-up stream of the level below, whose timed traversals each see the
-steady misses.  An intermediate level runs its warm-up stream forwards to
-pass its misses on; the last simulated level is filled backwards from its
-own, as the first one is.
+it does there, and a first access misses cold.  The level's warm-up misses
+are thus its first accesses plus its steady misses, in chain order: the
+warm-up stream of the level below, whose timed traversals each see the
+steady misses.  Where the closed form stopped at accesses that reach the
+level in the warm-up only, it hands over the level's warm-up stream, and
+those of its accesses that reach it in every traversal are the timed one:
+the level is one of these levels below.  An intermediate level runs its
+warm-up stream forwards to pass its misses on; the last simulated level is
+filled backwards from its own.
 
-The levels below the first run only as many timed traversals as they need.
-Their LRU state after a traversal depends only on their state before it,
-because every traversal hands them the same accesses.  So once a timed
-traversal leaves the state as it found it, every later traversal costs
-exactly what that one did.  The simulator snapshots the state before each
-timed traversal that has a successor, compares it afterwards, and on a
-match multiplies out the rest.  Sets live in a table keyed by set index and
-are created by the fill or on first access, so set-up, snapshot and
-comparison scale with the lines a string touches, not with cache capacity.
+The levels below run only as many timed traversals as they need.  Their LRU
+state after a traversal depends only on their state before it, because
+every traversal hands them the same accesses.  So once a timed traversal
+leaves the state as it found it, every later traversal costs exactly what
+that one did.  The simulator snapshots the state before each timed
+traversal that has a successor, compares it afterwards, and on a match
+multiplies out the rest.  Sets live in a table keyed by set index and are
+created by the fill or on first access, so set-up, snapshot and comparison
+scale with the lines a string touches, not with cache capacity.
 """
 
 from __future__ import annotations
@@ -255,43 +254,49 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
 
 def _family_cost(addrs, levels, traversals: int) -> int:
     """The miss penalties of ``traversals`` timed traversals of ``addrs``
-    through ``levels`` after one warm-up: in closed form, or else by the LRU
-    loop on ``levels``' state."""
-    steady = _steady_cost(addrs, levels)
-    if steady is not None:
-        return steady * traversals
-    return _loop_cost(addrs, levels, traversals)
+    through ``levels`` after one warm-up: in closed form as far as it goes,
+    then by the LRU loop on the levels left."""
+    steady, i, addrs, reach = _steady_cost(addrs, levels)
+    return steady * traversals + _loop_cost(addrs, reach, levels[i:],
+                                            traversals)
 
 
-def _loop_cost(addrs, levels, traversals: int) -> int:
-    """The miss penalties of ``traversals`` timed traversals of ``addrs``
-    through ``levels`` after one warm-up, by the LRU loop over the levels
-    above the first that fits (see the module docstring)."""
+def _loop_cost(addrs, reach, levels, traversals: int) -> int:
+    """The miss penalties of ``traversals`` timed traversals through
+    ``levels`` after one warm-up, by the LRU loop over the levels above the
+    first that fits (see the module docstring).  ``addrs`` reach the first
+    level in the warm-up, and those whose ``reach`` is 3 in every timed
+    traversal too."""
     levels = levels[:_first_fit(addrs, levels)]
     if not levels:
         return 0
-    first = levels[0]
-    _fill(first, addrs)
-    steady = _misses(addrs, first)
-    total = first.penalty * len(steady) * traversals
-    below = levels[1:]
-    if not below:
-        return total
-    # The levels below see the first level's warm-up misses, then its steady
-    # misses in every timed traversal.
-    warm = list(map(addrs.__getitem__,
-                    _warm_up_misses(addrs, first.linesize, steady)))
-    for lvl in below[:-1]:
+    total = 0
+    if 1 not in reach:
+        first = levels[0]
+        _fill(first, addrs)
+        steady = _misses(addrs, first)
+        total = first.penalty * len(steady) * traversals
+        levels = levels[1:]
+        if not levels:
+            return total
+        # The levels below see the first level's warm-up misses, then its
+        # steady misses in every timed traversal.
+        warm = list(map(addrs.__getitem__,
+                        _warm_up_misses(addrs, first.linesize, steady)))
+        addrs = list(map(addrs.__getitem__, steady))
+    else:
+        warm = addrs
+        addrs = list(compress(addrs, reach.replace(b"\x01", b"\0")))
+    for lvl in levels[:-1]:
         warm = list(map(warm.__getitem__, _misses(warm, lvl)))
-    _fill(below[-1], warm)
-    addrs = list(map(addrs.__getitem__, steady))
+    _fill(levels[-1], warm)
     left = traversals
     while left:
-        snapshot = _snapshot(below) if left > 1 else None
-        cost = _traverse(addrs, below)
+        snapshot = _snapshot(levels) if left > 1 else None
+        cost = _traverse(addrs, levels)
         total += cost
         left -= 1
-        if snapshot is not None and _unchanged(snapshot, below):
+        if snapshot is not None and _unchanged(snapshot, levels):
             # The state after a traversal depends only on the state before
             # it, so every later traversal repeats this one exactly.
             return total + left * cost
@@ -310,9 +315,10 @@ def _warm_up_misses(addrs, linesize: int, steady) -> list:
 
 def _first_fit(addrs, levels) -> int:
     """The index of the first level that never misses in a timed traversal,
-    len(levels) if none: no set holds more than ``assoc`` of the chain's
-    keys, and the line of every level above lies within one of its lines."""
-    distinct = {}  # line size -> the chain's keys
+    len(levels) if none: no set holds more than ``assoc`` of the keys of
+    ``addrs``, the stream that reaches the first level in the warm-up, and
+    the line of every level above lies within one of its lines."""
+    distinct = {}  # line size -> the stream's keys
     for i, lvl in enumerate(levels):
         linesize = lvl.linesize
         if any(linesize % above.linesize for above in levels[:i]):
@@ -354,29 +360,30 @@ def _fill(lvl, addrs) -> None:
         lvl.sets[index] = dict.fromkeys(reversed(recent[index]))
 
 
-def _steady_cost(addrs, levels) -> Optional[int]:
-    """The miss penalties of every timed traversal of ``addrs`` through
-    ``levels`` in closed form, or None where the closed form does not apply
-    (see the module docstring)."""
+def _steady_cost(addrs, levels):
+    """The miss penalties of one timed traversal of ``addrs`` through
+    ``levels`` in closed form, as far as it goes (see the module
+    docstring).  Returns them with the index of the first level it did not
+    price, and the addresses and reach (see ``_lru_level``) of the accesses
+    that reach that level."""
     total = 0
     reach = bytearray(b"\x03") * len(addrs)
     runs = None  # the run analysis of ``addrs``, while it holds
-    for lvl in levels:
-        if 1 not in reach and (runs is None or runs[0] != lvl.linesize):
+    for i, lvl in enumerate(levels):
+        if 1 in reach:
+            return total, i, addrs, reach
+        if runs is None or runs[0] != lvl.linesize:
             runs = None  # one key list at a time
             runs = _runs(addrs, lvl.linesize)
             if runs is None:
-                return None
-        level = _lru_level(addrs, reach, runs, lvl)
-        if level is None:
-            return None
-        misses, passed, reach = level
+                return total, i, addrs, reach
+        misses, passed, reach = _lru_level(addrs, runs, lvl)
         total += lvl.penalty * misses
         if not misses:
             break
-        if passed is not addrs or 1 in reach:
+        if passed is not addrs:
             addrs, runs = passed, None
-    return total
+    return total, len(levels), addrs, reach
 
 
 def _runs(addrs, linesize: int):
@@ -404,130 +411,60 @@ def _runs(addrs, linesize: int):
 _REACH = b"\x01\x03"
 
 
-def _lru_level(addrs, reach, analysis, lvl):
+def _lru_level(addrs, analysis, lvl):
     """One LRU level of the closed form.
 
-    ``addrs`` are the addresses of the accesses that reach the level, in
-    chain order, and ``reach[i]`` says when access ``i`` does: 1 in the
-    warm-up traversal only, 3 in the warm-up and in every timed traversal.
-    Keys are ``address // linesize`` in set ``key % nsets``.  Returns the
-    misses of each timed traversal with the addresses and reach of the
-    accesses the level passes on (None for both if it never misses), or
-    None unless every timed traversal is known to cost the same.  A stream
-    that reaches the level in every traversal comes with its run analysis
-    (``_runs``).  Passing on every access in every traversal, it returns
+    ``addrs`` are the addresses of the accesses that reach the level in
+    every traversal, in chain order, and ``analysis`` is their run analysis
+    (``_runs``).  Keys are ``address // linesize`` in set ``key % nsets``.
+    Returns the misses of each timed traversal with the addresses of the
+    accesses the level passes on and their reach: ``reach[i]`` is 1 where
+    access ``i`` is passed on in the warm-up traversal only, 3 where in the
+    warm-up and in every timed traversal (None for both if the level never
+    misses).  Passing on every access in every traversal, it returns
     ``addrs`` itself: at the same line size the level below has the same
-    keys and runs, and reuses the analysis.  Passing on fewer empties the keys.
+    keys and runs, and reuses the analysis.  Passing on fewer empties the
+    keys.
     """
-    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
-    if analysis is not None:
-        _, keys, starts, runs, seen, wrapped = analysis
-        # set index -> keys, over the sets that hold any.  With eight runs
-        # or more per set, counting the flags of each set (at s, s + nsets,
-        # s + 2 * nsets, ...) is cheaper than a dict update per run.
-        if runs >= 8 * nsets:
-            strides = map(slice, range(nsets), repeat(None), repeat(nsets))
-            counts = map(bytearray.count, map(seen.__getitem__, strides),
-                         repeat(1))
-            sets = dict(filter(itemgetter(1), enumerate(counts)))
-        else:
-            sets = Counter(map(mod, compress(keys, starts), repeat(nsets)))
-            if wrapped:
-                sets[keys[0] % nsets] -= 1
-        sizes = list(sets.values())
-        over = list(map(gt, sizes, repeat(assoc)))
-        misses = sum(compress(sizes, over))
-        if not misses:
-            return 0, None, None
-        # The warm-up misses on every run start, each timed traversal on
-        # those in a set that overflows.
-        if all(over):
-            reach = bytearray(b"\x03") * runs
-        else:
-            level = dict(zip(sets, map(_REACH.__getitem__, over)))
-            reach = bytearray(map(level.__getitem__, map(
-                mod, compress(keys, starts), repeat(nsets))))
-        if runs < len(addrs):
-            keys.clear()  # free its ints before the addresses are built
-            addrs = array("q", compress(addrs, starts))
+    nsets, assoc = lvl.nsets, lvl.assoc
+    _, keys, starts, runs, seen, wrapped = analysis
+    # set index -> keys, over the sets that hold any.  With eight runs or
+    # more per set, counting the flags of each set (at s, s + nsets,
+    # s + 2 * nsets, ...) is cheaper than a dict update per run.
+    if runs >= 8 * nsets:
+        strides = map(slice, range(nsets), repeat(None), repeat(nsets))
+        counts = map(bytearray.count, map(seen.__getitem__, strides),
+                     repeat(1))
+        sets = dict(filter(itemgetter(1), enumerate(counts)))
+    else:
+        sets = Counter(map(mod, compress(keys, starts), repeat(nsets)))
         if wrapped:
-            # The chain's first access continues the last run in the timed
-            # traversals.  If the first key's set fits, its second run hits
-            # in the warm-up too.
-            reach[0] = 1
-            if reach[-1] == 1:
-                addrs = addrs[:-1]
-                del reach[-1]
-        return misses, addrs, reach
-
-    # A stream with warm-up-only accesses.  Pass 1: each key's warm-up
-    # accesses must form one cyclic run.  Count each set's keys in the
-    # warm-up (wkeys) and in the steady stream (skeys).
-    flags = bytearray(max(addrs) // linesize + 1)  # 1: warm-up key, 3: steady
-    wkeys = [0] * min(nsets, len(flags))
-    first = prev = addrs[0] // linesize
-    flags[first] = 1
-    wkeys[first % nsets] = 1
-    wrapped = False
-    for addr in addrs:
-        key = addr // linesize
-        if key != prev:
-            prev = key
-            if flags[key] or wrapped:
-                # Only the first key may come back, and only as the last run.
-                if key != first or wrapped:
-                    return None
-                wrapped = True
-            else:
-                flags[key] = 1
-                wkeys[key % nsets] += 1
-    skeys = [0] * len(wkeys)
-    for addr, r in zip(addrs, reach):
-        if r == 3:
-            key = addr // linesize
-            if flags[key] == 1:
-                flags[key] = 3
-                skeys[key % nsets] += 1
-    first_s = addrs[reach.find(3)] // linesize
-    last_s = addrs[reach.rfind(3)] // linesize
-
-    # A steady set that fits is resident after the warm-up only if the
-    # warm-up never overflowed it.
-    for count, wcount in zip(skeys, wkeys):
-        if count and count <= assoc < wcount:
-            return None
-    # The first key's run, split by the warm-up's end, must not hold steady
-    # accesses at the start only: they would hit once and miss thereafter.
-    if wrapped and first_s == first and last_s != first:
-        return None
-
-    # Pass 2: the warm-up misses on every run start, the steady stream on
-    # every cyclic run start in a set holding more than ``assoc`` keys.
-    prev = -1
-    prev_s = last_s
-    misses = 0
-    for i, r in enumerate(reach):
-        key = addrs[i] // linesize
-        start = key != prev
-        prev = key
-        miss = False
-        if r == 3:
-            if key != prev_s and skeys[key % nsets] > assoc:
-                if not start:
-                    return None  # a timed miss the warm-up did not pass on
-                miss = True
-                misses += 1
-            prev_s = key
-        if start:
-            reach[i] = 3 if miss else 1
-            last_start = i
-        else:
-            reach[i] = 0
-    if wrapped and wkeys[first % nsets] <= assoc:
-        # The first key's second run hits: nothing came between that evicts.
-        reach[last_start] = 0
-    return (misses, array("q", compress(addrs, reach)),
-            reach.translate(None, b"\0"))
+            sets[keys[0] % nsets] -= 1
+    sizes = list(sets.values())
+    over = list(map(gt, sizes, repeat(assoc)))
+    misses = sum(compress(sizes, over))
+    if not misses:
+        return 0, None, None
+    # The warm-up misses on every run start, each timed traversal on those
+    # in a set that overflows.
+    if all(over):
+        reach = bytearray(b"\x03") * runs
+    else:
+        level = dict(zip(sets, map(_REACH.__getitem__, over)))
+        reach = bytearray(map(level.__getitem__, map(
+            mod, compress(keys, starts), repeat(nsets))))
+    if runs < len(addrs):
+        keys.clear()  # free its ints before the addresses are built
+        addrs = array("q", compress(addrs, starts))
+    if wrapped:
+        # The chain's first access continues the last run in the timed
+        # traversals.  If the first key's set fits, its second run hits in
+        # the warm-up too.
+        reach[0] = 1
+        if reach[-1] == 1:
+            addrs = addrs[:-1]
+            del reach[-1]
+    return misses, addrs, reach
 
 
 def _traverse(addrs, levels) -> int:

@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memhier import (ConfigError, CurveFormatError, SimulatedBackend,
-                     load_config)
+                     curve_from_csv, load_config)
 from memhier.cacheprobe import load_curve
-from memhier.cli import main
+from memhier.cli import _build_parser, main
 
 from conftest import NoRunBackend
 
@@ -44,6 +44,23 @@ class TestExitCodes:
         assert main([]) == 2
         assert main(["l1", "--format", "xml"]) == 2
 
+    @pytest.mark.parametrize("argv", [
+        ["l1", "--format", "csv"], ["tlb", "--format", "csv"],
+        ["tlb", "--format", "json"], ["cache", "--max-assoc", "12"],
+        ["tlb", "--max-assoc", "12"],
+    ], ids=["l1-format", "tlb-format-csv", "tlb-format-json",
+            "cache-max-assoc", "tlb-max-assoc"])
+    def test_option_the_command_does_not_read_is_2(self, capsys, cfg_path,
+                                                   argv):
+        assert main(argv + ["--backend", "sim:" + cfg_path]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["all"], ["simulate", "machine.cfg"]])
+    def test_all_and_simulate_take_max_assoc_and_format(self, argv):
+        args = _build_parser().parse_args(
+            argv + ["--max-assoc", "12", "--format", "csv"])
+        assert (args.max_assoc, args.format) == (12, "csv")
+
     def test_bad_backend_is_1(self, capsys):
         assert main(["l1", "--backend", "quantum"]) == 1
         assert "unknown backend" in capsys.readouterr().err
@@ -72,6 +89,22 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "memhier: bad curve row at line 2: '1024,%s,0'\n" % value
+
+    @pytest.mark.parametrize("row", [
+        "0,3.0,0", "-1024,3.0,0", "1024,3.0,0", "2048,3.0,5", "2048,3.0,-1",
+    ], ids=["zero-footprint", "negative-footprint", "repeated-footprint",
+            "knocked-out-5", "knocked-out-minus-1"])
+    def test_bad_curve_row_is_1(self, capsys, tmp_path, row):
+        # A repeated 1024 row would make a 3-cycle plateau read 6.
+        text = ("footprint_bytes,cycles_per_access,knocked_out\n"
+                "1024,3.0,0\n%s\n4096,9.0,0\n" % row)
+        with pytest.raises(CurveFormatError, match="at line 3"):
+            curve_from_csv(text)
+        path = tmp_path / "curve.csv"
+        path.write_text(text)
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == "memhier: bad curve row at line 3: %r\n" % row
 
     def test_window_must_be_positive(self, capsys, cfg_path):
         for argv in (["l1", "--window", "0"],
@@ -190,6 +223,7 @@ class TestCacheCommand:
         assert list(d["probes"]) == ["cache"]
         assert d["probes"]["cache"]["string_runs"] > 0
         assert d["tlb_suspects"] == []
+        assert d["parameters"]["max_assoc"] is None
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3},
             {"level": 2, "effective_capacity": 512 * KB, "latency": 15}]
@@ -210,6 +244,7 @@ class TestTlbCommand:
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
         assert list(d["probes"]) == ["tlb"]
+        assert d["parameters"]["max_assoc"] is None
         assert d["probes"]["tlb"]["string_runs"] > 0
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")

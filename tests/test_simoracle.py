@@ -253,9 +253,20 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
     assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
 
 
-#: The closed form declining for both families: the TLBs and the caches
-#: take the LRU loop.
-NO_CLOSED_FORM = {"_steady_cost": lambda *args: None}
+def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
+    """``_steady_cost`` handing each family over to the LRU loop at its
+    level ``stop`` at the latest."""
+    def stopped(addrs, levels):
+        total, i, addrs, reach = steady(addrs, levels[:stop])
+        if reach is None:  # a level never misses, so none below does
+            i = len(levels)
+        return total, i, addrs, reach
+    return stopped
+
+
+#: The closed form stopping at once for both families: the TLBs and the
+#: caches take the LRU loop from their first level.
+NO_CLOSED_FORM = {"_steady_cost": closed_form_stopping_at(0)}
 
 
 @settings(max_examples=150, deadline=None)
@@ -266,6 +277,19 @@ def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
     with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
+def test_hand_over_at_every_level_matches_naive_hierarchy(cfg, rs,
+                                                          traversals):
+    """The closed form handing each family over to the LRU loop at each of
+    its levels in turn, with the stream that reaches that level."""
+    want = naive_cycles(rs, cfg, traversals)
+    for stop in range(max(len(cfg.tlb_levels), len(cfg.cache_levels)) + 1):
+        with mock.patch.object(simoracle, "_steady_cost",
+                               closed_form_stopping_at(stop)):
+            assert simulate(cfg, rs, traversals) == want, stop
 
 
 #: Runs whose first timed traversals change the LRU state.
@@ -330,23 +354,24 @@ def built_levels(monkeypatch):
 
 @pytest.fixture
 def loop_traversals(monkeypatch, built_levels):
-    """Records the family, "tlb" or "cache", of every family the LRU loop
-    prices, and of every traversal it simulates: none means the closed form
-    priced the run.  The family is the one whose level list was received
-    (which may be empty), or else the one that holds every level received,
-    which may be any part of its list."""
+    """Records the family, "tlb" or "cache", and the index in it of the
+    first level received, of every level list the LRU loop receives and of
+    every traversal it simulates: none means the closed form priced the
+    run.  The family is the one that holds every level received, which may
+    be any part of its list."""
     calls = []
     loop, traverse = simoracle._loop_cost, simoracle._traverse
 
     def family(lvls):
         for name, levels in zip(("tlb", "cache"), built_levels):
-            if lvls is levels or lvls and all(lvl in levels for lvl in lvls):
-                return name
+            if all(lvl in levels for lvl in lvls):
+                return name, levels.index(lvls[0])
         raise AssertionError("levels of neither family")
 
-    def counted_loop(addrs, lvls, traversals):
-        calls.append(family(lvls))
-        return loop(addrs, lvls, traversals)
+    def counted_loop(addrs, reach, lvls, traversals):
+        if lvls:
+            calls.append(family(lvls))
+        return loop(addrs, reach, lvls, traversals)
 
     def counted_traverse(addrs, lvls):
         calls.append(family(lvls))
@@ -355,6 +380,16 @@ def loop_traversals(monkeypatch, built_levels):
     monkeypatch.setattr(simoracle, "_loop_cost", counted_loop)
     monkeypatch.setattr(simoracle, "_traverse", counted_traverse)
     return calls
+
+
+def handed_over(calls):
+    """Each family of ``loop_traversals``' records, and the index of the
+    first level of it that the LRU loop took: where the closed form
+    stopped."""
+    first = {}
+    for name, index in calls:
+        first[name] = min(index, first.get(name, index))
+    return first
 
 
 @pytest.mark.parametrize("cfg", [README_LIKE, TWO_TLBS, two_level()])
@@ -370,26 +405,35 @@ def loop_traversals(monkeypatch, built_levels):
     build_gap_string(17, 2 * KB, 64, ENV),
     build_gap_string(33, 1024, 0, ENV),
 ], ids=repr)
-def test_closed_form_taken(cfg, rs, loop_traversals):
+def test_closed_form_taken(cfg, rs, built_levels, loop_traversals):
     """Cache strings, T(1,k) and gap strings with k >= linesize are priced
-    without LRU bookkeeping, at the loop's exact totals."""
-    closed = [simulate(cfg, rs, t) for t in (1, 2, 5)]
-    assert not loop_traversals
+    without LRU bookkeeping, at the loop's exact totals.  The closed form
+    prices each family's first level.  Where some L1 sets fit and others
+    overflow, as for the part page and G(33, 1K, 0), the L2's stream has
+    warm-up-only accesses: the loop takes the L2, which holds the whole
+    string, and simulates nothing."""
+    closed = []
+    for traversals in (1, 2, 5):
+        closed.append(simulate(cfg, rs, traversals))
+        assert not any(lvl.sets for levels in built_levels for lvl in levels)
+    assert handed_over(loop_traversals) in ({}, {"cache": 1})
     with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
         assert [simulate(cfg, rs, t) for t in (1, 2, 5)] == closed
-    assert set(loop_traversals) == {"tlb", "cache"}
+    assert handed_over(loop_traversals) == {
+        name: 0 for name, levels in zip(("tlb", "cache"), built_levels)
+        if levels}
 
 
-#: Strings the closed form must hand back to the loop, and the family
-#: whose loop prices them; the other family keeps its closed form.
+#: Strings the closed form must hand over to the loop, and where: each
+#: family the loop takes levels of, and the index of the first it takes.
 DECLINED = [
     # T(n >= 2, k) shuffles its accesses, so a page's accesses form several
     # runs.
-    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9), "tlb",
+    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9), {"tlb": 0},
                  id="T(3,k)"),
     # The mirror case: one page, so the TLBs take the closed form.
-    pytest.param(*LATE_FIXED_POINTS[1], "cache", id="late-gap"),
-    pytest.param(*LATE_FIXED_POINTS[2], "tlb", id="late-T(4,k)"),
+    pytest.param(*LATE_FIXED_POINTS[1], {"cache": 1}, id="late-gap"),
+    pytest.param(*LATE_FIXED_POINTS[2], {"tlb": 0}, id="late-T(4,k)"),
     # L1 (64-byte lines) passes the slots at 0 and 256 on in every
     # traversal, and the one at 576 only in the warm-up.  In the L2's
     # 32-byte lines, 256 and 576 share a one-way set: the steady stream
@@ -397,7 +441,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(256, 1, 64, 4),
                                          CacheLevel(320, 1, 32, 12)],
                            memory_latency=35),
-                 build_gap_string(3, 256, 64, ENV), "cache",
+                 build_gap_string(3, 256, 64, ENV), {"cache": 1},
                  id="steady-fits-warm-up-overflowed"),
     # 1664 and 1696 share a 64-byte L2 line.  1696 misses L1 in every
     # traversal, 1664 only in the warm-up, where it reached the L2 first:
@@ -407,7 +451,7 @@ DECLINED = [
                                          CacheLevel(352, 1, 32, 15)],
                            memory_latency=62),
                  ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
-                                 [3816, 1664, 1696]), "cache",
+                                 [3816, 1664, 1696]), {"cache": 1},
                  id="steady-miss-warm-up-hit"),
     # The L2 line of the chain's first slot comes back at its end, in the
     # warm-up only; so after the warm-up it is the most recent line of its
@@ -418,38 +462,43 @@ DECLINED = [
                            memory_latency=69, mapping_seed=56432),
                  ReferenceString(8192, 5096, CacheKind(8192), 6, 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
-                 "cache", id="split-first-run"),
-    # Pages 0 and 1 alternate, so the TLB declines.  The caches keep the
-    # closed form: L1 line 0 comes back as the last run, in a set that fits
-    # while the other set overflows, so that run hits in the warm-up too.
-    # Passed on to the L2, where 0 and 32 share a line, it would make line
-    # 0's run wrap around with a timed access at the chain's start only.
+                 {"cache": 1}, id="split-first-run"),
+    # Pages 0 and 1 alternate, so the TLB declines.  The L1 takes the
+    # closed form: line 0 comes back as the last run, in a set that fits
+    # while the other set overflows, so that run hits in the warm-up too and
+    # is not passed on.  Passed on to the L2, where 0 and 32 share a line,
+    # it would make line 0's run wrap around with a timed access at the
+    # chain's start only.  The L1's fitting set passes warm-up-only
+    # accesses on, so the loop takes the L2.
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
                  ReferenceString(8192, 0, CacheKind(8192), 6, 0,
                                  [0, 32, 4128, 96, 4256, 8]),
-                 "tlb", id="wrapped-run-in-fitting-set"),
+                 {"tlb": 0, "cache": 1}, id="wrapped-run-in-fitting-set"),
 ]
 
 
-@pytest.mark.parametrize("cfg, rs, family", DECLINED)
-def test_closed_form_declines(cfg, rs, family, loop_traversals):
+@pytest.mark.parametrize("cfg, rs, stops", DECLINED)
+def test_closed_form_declines(cfg, rs, stops, loop_traversals):
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-    assert set(loop_traversals) == {family}
+    assert handed_over(loop_traversals) == stops
 
 
-def test_late_state_change_at_steady_cost(loop_traversals):
-    """The first late fixed point changes only the LRU order: its first
-    timed traversal costs what every later one does, so the closed form
-    prices it."""
+def test_late_state_change_at_steady_cost(built_levels, loop_traversals):
+    """The first late fixed point changes only the L2's LRU order: its
+    first timed traversal costs what every later one does.  The closed form
+    prices the L1, whose direct-mapped sets partly overflow, and hands the
+    L2 to the loop; the L2 holds the whole string, so nothing is
+    simulated."""
     cfg, rs = LATE_FIXED_POINTS[0]
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-    assert not loop_traversals
+        assert not any(lvl.sets for levels in built_levels for lvl in levels)
+    assert handed_over(loop_traversals) == {"cache": 1}
 
 
 @pytest.mark.parametrize("cfg", [TWO_TLBS, README_LIKE],
@@ -464,8 +513,7 @@ def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals):
         for traversals in (1, 2, 3, 4):
             assert simulate(cfg, rs, traversals) == \
                 naive_cycles(rs, cfg, traversals)
-    assert "tlb" in loop_traversals
-    assert "cache" not in loop_traversals
+    assert handed_over(loop_traversals) == {"tlb": 0}
 
 
 @pytest.mark.parametrize("pages, simulated", [(24, []), (80, [0])])
@@ -481,7 +529,7 @@ def test_fitting_tlb_level_never_simulated(n, pages, simulated,
             naive_cycles(rs, TWO_TLBS, traversals)
         tlbs, _ = built_levels
         assert [i for i, lvl in enumerate(tlbs) if lvl.sets] == simulated
-    assert "tlb" in loop_traversals
+    assert handed_over(loop_traversals)["tlb"] == 0
 
 
 def test_fitting_level_below_a_wider_line_is_simulated():
@@ -512,11 +560,11 @@ def family_streams(cfg, rs):
     return streams
 
 
-def fresh_streams(addrs, reach, analysis, lvl, lru_level=simoracle._lru_level):
+def fresh_streams(addrs, analysis, lvl, lru_level=simoracle._lru_level):
     """``_lru_level`` passing on a copy of its stream, so that no level
     below reuses its run analysis."""
-    level = lru_level(addrs, reach, analysis, lvl)
-    if level is None or level[1] is None:
+    level = lru_level(addrs, analysis, lvl)
+    if level[1] is None:
         return level
     misses, passed, reach = level
     return misses, array("q", passed), reach
@@ -526,12 +574,16 @@ def fresh_streams(addrs, reach, analysis, lvl, lru_level=simoracle._lru_level):
 @given(cfg=hierarchies(), rs=strings())
 def test_reused_run_analysis_matches_fresh_one(cfg, rs):
     """Reusing the run analysis of the level above gives the closed form
-    that analysing the stream afresh at every level gives, a decline
-    included."""
+    that analysing the stream afresh at every level gives, down to the
+    level where it stops and the stream it hands over."""
+    def steady(addrs, levels):
+        total, stop, passed, reach = simoracle._steady_cost(addrs, levels)
+        return total, stop, list(passed), reach
+
     for addrs, levels in family_streams(cfg, rs):
-        reused = simoracle._steady_cost(addrs, levels)
+        reused = steady(addrs, levels)
         with mock.patch.object(simoracle, "_lru_level", fresh_streams):
-            assert simoracle._steady_cost(addrs, levels) == reused
+            assert steady(addrs, levels) == reused
 
 
 @pytest.fixture
