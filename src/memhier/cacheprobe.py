@@ -171,8 +171,11 @@ def run_cache_sweep(points: List[int], env: MachineEnv, backend,
 # CSV curve export: footprint_bytes,cycles_per_access,knocked_out(0|1)
 # ---------------------------------------------------------------------------
 
+CSV_HEADER = "footprint_bytes,cycles_per_access,knocked_out"
+
+
 def curve_to_csv(curve: ResponseCurve) -> str:
-    lines = ["footprint_bytes,cycles_per_access,knocked_out"]
+    lines = [CSV_HEADER]
     for p in curve.points:
         value = p.min_cycles if p.measured else float("nan")
         lines.append("%d,%.6f,%d" % (p.footprint, value, int(p.knocked_out)))
@@ -182,10 +185,13 @@ def curve_to_csv(curve: ResponseCurve) -> str:
 def curve_from_csv(text: str) -> ResponseCurve:
     points: List[SamplePoint] = []
     footprints = set()
-    for lineno, raw in enumerate(text.splitlines(), 1):
+    rows = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), 1)
+            if raw.strip()]
+    # Only the first non-blank line may be the header.
+    if rows and rows[0][1].strip() == CSV_HEADER:
+        del rows[0]
+    for lineno, raw in rows:
         line = raw.strip()
-        if not line or line.startswith("footprint_bytes"):
-            continue
         try:
             fp_s, val_s, ko_s = line.split(",")
             knocked_out = int(ko_s)

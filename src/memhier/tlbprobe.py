@@ -4,7 +4,9 @@ on-demand confirmation with the higher line-count strings T(2..4, k).
 A rise in T(1,k) can come from a cache boundary instead of a TLB boundary;
 only rises that T(2,k), T(3,k) and T(4,k) all reproduce at the same footprint
 are reported, because a cache-edge artifact moves to a smaller footprint when
-the lines-per-page count grows.
+the lines-per-page count grows.  Confirmation measures n = 2, 3, 4 in that
+order and stops at the first n that does not reproduce the rise, since that
+n alone rejects the suspect.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ class TlbSuspect:
     confirmed: bool = False
     confirming_n: List[int] = field(default_factory=list)
     #: (n, T(n, boundary), T(n, footprint)) in cycles per access, for each
-    #: n that confirmation measured.
+    #: n that confirmation measured: 2, 3, 4 in order, up to and including
+    #: the first n that did not reproduce the rise.
     measured: List[Tuple[int, float, float]] = field(default_factory=list)
     #: String runs its confirmation took.
     string_runs: int = 0
@@ -40,7 +43,8 @@ class TlbSuspect:
                 "confirming_n": self.confirming_n,
                 "confirmed": self.confirmed,
                 "measured": [{"n": n, "before": before, "after": after}
-                             for n, before, after in self.measured]}
+                             for n, before, after in self.measured],
+                "string_runs": self.string_runs}
 
 
 @dataclass
@@ -81,8 +85,9 @@ def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
 
 def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0) -> TlbSuspect:
-    """Measure T(n, boundary) and T(n, footprint) for n = 2, 3, 4; the
-    suspect is confirmed only if every n reproduces the jump."""
+    """Measure T(n, boundary) and T(n, footprint) for n = 2, 3, 4 in that
+    order, stopping after the first n that does not reproduce the jump; the
+    suspect is confirmed only if every n reproduces it."""
     counter = [seed]
 
     def measure(n: int, footprint: int) -> float:
@@ -97,8 +102,9 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
         before = measure(n, suspect.boundary)
         after = measure(n, suspect.footprint)
         suspect.measured.append((n, before, after))
-        if is_step(before, after, *JUMP):
-            suspect.confirming_n.append(n)
+        if not is_step(before, after, *JUMP):
+            break
+        suspect.confirming_n.append(n)
     suspect.confirmed = suspect.confirming_n == [2, 3, 4]
     return suspect
 

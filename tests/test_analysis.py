@@ -101,7 +101,7 @@ class TestAssembleReport:
         curve = staircase([(32 * KB, 3), (None, 90)], fps)
         suspect = TlbSuspect(80 * 4096, 64 * 4096, True, [2, 3, 4],
                              [(2, 3.0, 15.5), (3, 3.0, 12.75),
-                              (4, 3.0, 11.25)])
+                              (4, 3.0, 11.25)], 28)
         rep = assemble_report(env, self.l1(), curve,
                               [TlbLevelResult(1, 64 * 4096, 64)],
                               costs={"l1_seconds": 0.1},
@@ -118,7 +118,8 @@ class TestAssembleReport:
              "confirming_n": [2, 3, 4], "confirmed": True,
              "measured": [{"n": 2, "before": 3.0, "after": 15.5},
                           {"n": 3, "before": 3.0, "after": 12.75},
-                          {"n": 4, "before": 3.0, "after": 11.25}]}]
+                          {"n": 4, "before": 3.0, "after": 11.25}],
+             "string_runs": 28}]
         assert d["machine"]["pagesize"] == env.pagesize
         assert d["l1"]["capacity"] == 32 * KB
         assert d["cache_levels"] == [

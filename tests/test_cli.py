@@ -92,8 +92,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("row", [
         "0,3.0,0", "-1024,3.0,0", "1024,3.0,0", "2048,3.0,5", "2048,3.0,-1",
+        "footprint_bytes_typo,abc",
+        "footprint_bytes,cycles_per_access,knocked_out",
     ], ids=["zero-footprint", "negative-footprint", "repeated-footprint",
-            "knocked-out-5", "knocked-out-minus-1"])
+            "knocked-out-5", "knocked-out-minus-1", "junk-row",
+            "second-header"])
     def test_bad_curve_row_is_1(self, capsys, tmp_path, row):
         # A repeated 1024 row would make a 3-cycle plateau read 6.
         text = ("footprint_bytes,cycles_per_access,knocked_out\n"
@@ -105,6 +108,18 @@ class TestExitCodes:
         assert main(["analyze", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == "memhier: bad curve row at line 3: %r\n" % row
+
+    @pytest.mark.parametrize("header", [
+        "footprint_bytes,cycles_per_access,knocked_out\n",
+        "\n  footprint_bytes,cycles_per_access,knocked_out\n", "", "\n"])
+    def test_curve_parses_with_or_without_header(self, header):
+        curve = curve_from_csv(header + "1024,3.0,0\n2048,nan,1\n")
+        assert curve.footprints() == [1024, 2048]
+        assert [p.knocked_out for p in curve.points] == [False, True]
+
+    def test_inexact_header_is_a_bad_row(self):
+        with pytest.raises(CurveFormatError, match="at line 1"):
+            curve_from_csv("footprint_bytes,cycles\n1024,3.0,0\n")
 
     def test_window_must_be_positive(self, capsys, cfg_path):
         for argv in (["l1", "--window", "0"],
@@ -249,7 +264,8 @@ class TestTlbCommand:
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")
         assert suspect == {"footprint": 80 * 4096, "boundary": 64 * 4096,
-                           "confirming_n": [2, 3, 4], "confirmed": True}
+                           "confirming_n": [2, 3, 4], "confirmed": True,
+                           "string_runs": 28}
         assert [set(m) for m in measured] == [{"n", "before", "after"}] * 3
         assert [m["n"] for m in measured] == [2, 3, 4]
         assert all(m["before"] == 3.0 < m["after"] - 0.5 for m in measured)
@@ -267,6 +283,23 @@ class TestSimulateCommand:
         assert d["costs"]["total"] > 0
         assert d["parameters"]["window"] == 3
         assert sorted(d["probes"]) == ["cache", "l1", "tlb"]
+
+    def test_readme_config_tlb_suspects(self, capsys, cfg_path):
+        d = run_json(capsys, ["simulate", cfg_path, "--window", "3",
+                              "--ub", "4194304"])
+        assert d["tlb_levels"] == [
+            {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+        tlb, l1_edge = d["tlb_suspects"]
+        assert (tlb["boundary"], tlb["footprint"]) == (64 * 4096, 80 * 4096)
+        assert tlb["confirmed"] and tlb["confirming_n"] == [2, 3, 4]
+        assert [m["n"] for m in tlb["measured"]] == [2, 3, 4]
+        # The L1 edge: T(2,k) misses the L1 at the boundary already, so
+        # n = 2 shows no rise and confirmation stops there.
+        assert (l1_edge["boundary"], l1_edge["footprint"]) == \
+            (2 * 1024 * KB, 2560 * KB)
+        assert not l1_edge["confirmed"] and l1_edge["confirming_n"] == []
+        assert [m["n"] for m in l1_edge["measured"]] == [2]
+        assert 0 < l1_edge["string_runs"] < tlb["string_runs"]
 
 
 class TestAnalyzeCommand:

@@ -1,6 +1,8 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
+from memhier import (CacheLevel, InvalidGeometryError, MachineEnv, SimConfig,
                      SimulatedBackend, TlbLevel)
 from memhier.refstring import MAX_FOOTPRINT
 from memhier.timing import JUMP, is_step
@@ -14,6 +16,18 @@ MB = 1024 * 1024
 PAGE = 4096
 
 WINDOW = 3
+
+
+class RecordingBackend(CountingBackend):
+    """A ``CountingBackend`` that also keeps the kind of every string run."""
+
+    def __init__(self, inner):
+        super().__init__(inner)
+        self.kinds = []
+
+    def run(self, rs, loads):
+        self.kinds.append(rs.kind)
+        return super().run(rs, loads)
 
 
 def tlb_backend(levels, cache_cap=16 * MB):
@@ -84,10 +98,35 @@ class TestConfirmation:
                                        boundary=512 * PAGE),
                             env, be, window=WINDOW, seed=1)
         assert not s.confirmed
-        # The evidence is kept for every n, confirming or not.
-        assert [n for n, _, _ in s.measured] == [2, 3, 4]
-        assert s.confirming_n == [n for n, before, after in s.measured
-                                  if is_step(before, after, *JUMP)]
+        # T(2,k) maps pages 32 apart to the same two sets, so it too
+        # overflows the 16 ways past 512 pages; T(3,k) spreads them and does
+        # not.  Confirmation stops at n = 3, the n that rejected the suspect.
+        assert [n for n, _, _ in s.measured] == [2, 3]
+        assert s.confirming_n == [2]
+        (_, before2, after2), (_, before3, after3) = s.measured
+        assert is_step(before2, after2, *JUMP)
+        assert not is_step(before3, after3, *JUMP)
+
+    def test_cache_edge_rejection_takes_only_the_n2_runs(self, env):
+        # The L1 edge of the README config: T(1,k) leaves a 32 KB L1 past
+        # 512 pages, but T(2,k) already misses it at 512, so n = 2 shows no
+        # rise and rejects the suspect on its own.
+        cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                      CacheLevel(512 * KB, 8, 64, 15)],
+                        memory_latency=100)
+        be = RecordingBackend(SimulatedBackend(cfg))
+        s = confirm_suspect(TlbSuspect(footprint=640 * PAGE,
+                                       boundary=512 * PAGE),
+                            env, be, window=WINDOW, seed=1)
+        assert (s.confirmed, s.confirming_n) == (False, [])
+        assert [n for n, _, _ in s.measured] == [2]
+        # Every run is a T(2, boundary) string until the first
+        # T(2, footprint) string, and nothing else ran.
+        kinds = [(k.lines_per_page, k.footprint) for k in be.kinds]
+        split = kinds.index((2, 640 * PAGE))
+        assert kinds == ([(2, 512 * PAGE)] * split
+                         + [(2, 640 * PAGE)] * (len(kinds) - split))
+        assert s.string_runs == be.runs < 6 * (WINDOW + 1)
 
     def test_confirmation_counts_its_string_runs(self, env):
         be = CountingBackend(tlb_backend([TlbLevel(64, 30)]))
@@ -104,6 +143,39 @@ class TestConfirmation:
                             env, be, window=WINDOW, seed=5)
         assert (a.confirmed, a.confirming_n, a.measured) == \
             (b.confirmed, b.confirming_n, b.measured)
+
+
+class StepBackend:
+    """A stub backend on which T(n, k) reads 3 cycles at the boundary and,
+    at the footprint, 3 cycles plus a jump only for the n in ``steps``."""
+
+    def __init__(self, footprint, steps):
+        self.footprint = footprint
+        self.steps = steps
+
+    def run(self, rs, loads):
+        kind = rs.kind
+        jumps = kind.footprint == self.footprint and \
+            kind.lines_per_page in self.steps
+        return 3.0 + (10.0 if jumps else 0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(steps=st.sets(st.sampled_from([2, 3, 4])),
+       seed=st.integers(0, 2**16))
+def test_confirmation_stops_at_first_n_without_a_step(steps, seed):
+    env = MachineEnv(pagesize=4096, word=8, l1_linesize=64)
+    be = CountingBackend(StepBackend(80 * PAGE, steps))
+    s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
+                        env, be, window=WINDOW, seed=seed)
+    measured_n = [n for n, _, _ in s.measured]
+    failing = [n for n in (2, 3, 4) if n not in steps]
+    assert s.confirmed == (not failing)
+    assert measured_n == ([2, 3, 4] if not failing
+                          else list(range(2, failing[0] + 1)))
+    assert s.confirming_n == (measured_n if not failing
+                              else measured_n[:-1])
+    assert s.string_runs == be.runs == len(measured_n) * 2 * (WINDOW + 1)
 
 
 class TestFullProbe:
