@@ -78,8 +78,8 @@ def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
 
 def octave_points(lb: int, ub: int) -> List[int]:
     """Each power of two with three uniformly spaced points in between (p,
-    1.25p, 1.5p, 1.75p), plus LB and UB themselves; used for gap sweeps, the
-    page-count schedule of the TLB test and the cache schedule above 4KB."""
+    1.25p, 1.5p, 1.75p), plus LB and UB themselves; used for the page-count
+    schedule of the TLB test and the cache schedule above 4KB."""
     if lb <= 0 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB < UB")
     pts = set()

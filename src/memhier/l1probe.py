@@ -1,22 +1,27 @@
-"""Gap-string L1 probe: capacity and way size by searches over power-of-two
-strides, line size by offset sweep; latency comes from the all-hit baseline.
+"""Gap-string L1 probe: capacity, way size and line size by searches over
+powers of two; latency comes from the all-hit baseline.
 
 G(n, k, o) is the gap string of ``refstring.build_gap_string``.  After
 Yotov, Pingali & Stodghill (SIGMETRICS 2005), capacity is measured as n * k
 by bracketing and then bisection, and no search assumes a power-of-two
 number of ways:
 
-1. double the stride k over powers of two until G(MaxAssoc+1, k, 0) misses;
+1. bisect the exponent of a power-of-two stride k for the smallest k whose
+   G(MaxAssoc+1, k, 0) misses;
 2. bisect n in [1, MaxAssoc] for the smallest n whose G(n+1, k, 0) misses:
    the capacity C is n * k;
 3. bisect j for the largest way size W = k * 2^j that divides C and whose
-   G(C/W+1, W, 0) misses: the number of ways is C/W.
+   G(C/W+1, W, 0) misses: the number of ways is C/W;
+4. double the offset o from one word for the first G(C/W+1, W, o) back at
+   the baseline: the line size is o.
 
 At a power-of-two stride k that divides the way size S, G(n+1, k, 0) puts
-ceil((n+1)k / S) lines in one set, so it misses exactly when (n+1)k > C; and
-G(C/W+1, W, 0) misses exactly when W divides S.  Both predicates are
-monotone where they are searched and nowhere else: 32K/8 misses at a 2 KB
-stride but hits at 2.5 KB, and 48K/12 hits at n = 16 with gap C/16.
+ceil((n+1)k / S) lines in one set, so it misses exactly when (n+1)k > C, and
+every k at or above S misses; G(C/W+1, W, 0) misses exactly when W divides
+S; and G(C/W+1, W, o) for o below W moves its last line out of the set
+exactly when o reaches the line size.  The predicates are monotone where
+they are searched and nowhere else: 32K/8 misses at a 2 KB stride but hits
+at 2.5 KB, and 48K/12 hits at n = 16 with gap C/16.
 
 On a backend whose runs do not repeat exactly, a result that its own strings
 contradict is an error rather than a report (``check_geometry``).
@@ -93,16 +98,25 @@ def baseline(params: L1Params, timer: GapTimer) -> float:
 
 
 def find_stride(params: L1Params, base: float, timer: GapTimer) -> int:
-    """Search 1: the first power-of-two gap k whose G(MaxAssoc+1, k, 0)
-    misses, doubling from max(LB/MaxAssoc, word) rounded down to a power of
-    two while k * MaxAssoc stays within UB."""
+    """Search 1: the smallest power-of-two gap k whose G(MaxAssoc+1, k, 0)
+    misses, by bisecting the exponent of k from max(LB/MaxAssoc, word),
+    rounded down to a power of two, to the largest k with k * MaxAssoc
+    within UB."""
     ma = params.max_assoc
-    k = 1 << (max(params.lb // ma, timer.env.word).bit_length() - 1)
-    while k * ma <= params.ub:
-        if timer.misses(base, ma + 1, k):
-            return k
-        k *= 2
-    raise ProbeError("no gap produced misses: capacity above UB=%d" % params.ub)
+    # G(MaxAssoc+1, 2^lo, 0) hits and G(MaxAssoc+1, 2^hi, 0) misses; both
+    # ends start one step outside the range, where nothing is measured.
+    lo = max(params.lb // ma, timer.env.word).bit_length() - 2
+    hi = (params.ub // ma).bit_length()
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if timer.misses(base, ma + 1, 1 << mid):
+            hi = mid
+        else:
+            lo = mid
+    if (1 << hi) * ma > params.ub:
+        raise ProbeError("no gap produced misses: capacity above UB=%d"
+                         % params.ub)
+    return 1 << hi
 
 
 def find_capacity(params: L1Params, base: float,
@@ -145,13 +159,16 @@ def find_associativity(capacity: int, stride: int, base: float,
 
 def find_linesize(l1_size: int, l1_assoc: int, base: float,
                   timer: GapTimer) -> int:
-    """First offset o that moves the final reference into the next set,
-    dropping G(assoc+1, size/assoc, o) back to baseline."""
+    """Search 4: the first offset o of word, 2 word, 4 word, ... below the
+    pagesize that moves the final reference into the next set, dropping
+    G(assoc+1, size/assoc, o) back to baseline."""
     gap = l1_size // l1_assoc
     env = timer.env
-    for o in range(env.word, env.pagesize, env.word):
+    o = env.word
+    while o < env.pagesize:
         if not timer.misses(base, l1_assoc + 1, gap, o):
             return o
+        o *= 2
     raise ProbeError("no offset restored the baseline: linesize not found")
 
 
@@ -159,25 +176,33 @@ def check_geometry(capacity: int, assoc: int, linesize: int, base: float,
                    timer: GapTimer) -> None:
     """Raise ProbeError unless the geometry is self-consistent under LRU: the
     line size is a power of two that divides the way size W; fresh runs of
-    G(assoc, W, 0) stay at the baseline and of G(assoc+1, W, 0) leave it;
-    and G(assoc+1, W, 0) misses on every access, so G(2*assoc+2, W, 0) is
-    no step above it.  A noisy miss test can lead the searches to any
-    geometry, and a set that an exact fit already partly misses to one way
-    too few; this turns either into an error instead of a report."""
+    G(assoc, W, 0) stay at the baseline and of G(assoc+1, W, 0) leave it,
+    as does G(assoc+1, W, L/2) for a line size L above one word, whose last
+    slot stays in its line; and G(assoc+1, W, 0) misses on every access, so
+    G(2*assoc+2, W, 0) is no step above it.  A noisy miss test can lead the
+    searches to any geometry, the line-size search to a multiple of the
+    line, and a set that an exact fit already partly misses to one way too
+    few; this turns each into an error instead of a report."""
     way = capacity // assoc
     if linesize & (linesize - 1) or way % linesize:
         raise ProbeError("inconsistent L1 result: linesize %d does not divide "
                          "the %d byte way" % (linesize, way))
     fits = timer.cycles(assoc, way) if assoc > 1 else base
     over = timer.cycles(assoc + 1, way)
+    half = linesize // 2 if linesize > timer.env.word else 0
+    over_half = timer.cycles(assoc + 1, way, half) if half else over
     full = timer.cycles(2 * assoc + 2, way)
     if (is_step(base, fits, STEP_TOL) or not is_step(base, over, STEP_TOL)
+            or not is_step(base, over_half, STEP_TOL)
             or is_step(over, full, STEP_TOL)):
+        reads = {(assoc, 0): fits, (assoc + 1, 0): over,
+                 (assoc + 1, half): over_half, (2 * assoc + 2, 0): full}
         raise ProbeError(
-            "inconsistent L1 result: %d ways of %d bytes, but G(n, %d, 0) "
-            "reads %.2f, %.2f and %.2f for n = %d, %d and %d against a "
-            "baseline of %.2f" % (assoc, way, way, fits, over, full, assoc,
-                                  assoc + 1, 2 * assoc + 2, base))
+            "inconsistent L1 result: %d ways of %d bytes with %d byte lines, "
+            "but %s against a baseline of %.2f"
+            % (assoc, way, linesize,
+               ", ".join("G(%d, %d, %d) reads %.2f" % (n, way, o, c)
+                         for (n, o), c in reads.items()), base))
 
 
 def run_l1_probe(params: L1Params, env: MachineEnv, backend,

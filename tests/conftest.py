@@ -124,8 +124,9 @@ def verify_cycle(rs):
         return False
     kind = rs.kind
     if isinstance(kind, GapKind):
-        expected = [i * kind.k for i in range(kind.n - 1)]
-        expected.append((kind.n - 1) * kind.k + kind.o)
+        # Descending address order, from the offset slot down to 0.
+        expected = [(kind.n - 1) * kind.k + kind.o]
+        expected.extend(i * kind.k for i in range(kind.n - 2, -1, -1))
         return chain == expected
     if isinstance(kind, CacheKind):
         return _check_cache_placement(rs)
@@ -176,14 +177,16 @@ def _check_tlb_placement(rs, kind):
 
 
 class CountingBackend:
-    """Wraps a backend and counts its string runs; exact when the inner
-    backend is."""
+    """Wraps a backend, counts its string runs and records the kind of each;
+    exact when the inner backend is."""
 
     def __init__(self, inner):
         self.inner = inner
         self.exact = getattr(inner, "exact", False)
         self.runs = 0
+        self.kinds = []
 
     def run(self, rs, loads):
         self.runs += 1
+        self.kinds.append(rs.kind)
         return self.inner.run(rs, loads)

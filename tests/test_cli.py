@@ -208,7 +208,7 @@ class TestL1Command:
                            "cost": d["l1"]["cost"], "flags": []}
         assert d["cache_levels"] == []
         assert d["costs"]["l1"] > 0
-        assert d["probes"] == {"l1": {"string_runs": 21}}
+        assert d["probes"] == {"l1": {"string_runs": 15}}
 
     def test_max_assoc_twelve_on_twelve_ways(self, capsys, tmp_path):
         path = tmp_path / "twelve.cfg"

@@ -11,6 +11,18 @@ KB = 1024
 
 WINDOW = 3
 
+#: Acceptance criterion 1's L1s (capacity, ways, line size) and their
+#: MaxAssoc: every power-of-two grid point, two spot checks, way counts that
+#: are not powers of two, a direct-mapped L1, and 20 ways under MaxAssoc 32.
+CRITERION_1 = [((cap * KB, assoc, ls), 16)
+               for cap in (8, 16, 32, 64)
+               for assoc in (2, 4, 8)
+               for ls in (32, 64, 128)] + [
+    ((16 * KB, 16, 64), 16), ((32 * KB, 16, 64), 16),
+    ((24 * KB, 6, 64), 16), ((48 * KB, 12, 64), 16), ((36 * KB, 9, 64), 16),
+    ((96 * KB, 12, 128), 16), ((30 * KB, 15, 64), 16), ((16 * KB, 1, 64), 16),
+    ((80 * KB, 20, 64), 32)]
+
 
 def backend(cap=32 * KB, assoc=8, linesize=64, latency=3):
     cfg = SimConfig(cache_levels=[CacheLevel(cap, assoc, linesize, latency),
@@ -44,6 +56,25 @@ class TestL1Loops:
         # G(17, 2KB, 0) puts 9 lines in a set of 8.
         assert find_stride(L1Params(), 3.0, timer(env)) == 2 * KB
         assert find_capacity(L1Params(), 3.0, timer(env)) == (32 * KB, 2 * KB)
+
+    @pytest.mark.parametrize("geometry,max_assoc", CRITERION_1)
+    def test_stride_bisection_matches_scan(self, env, geometry, max_assoc):
+        # Every power-of-two stride from max(LB/MaxAssoc, word), rounded
+        # down, while stride * MaxAssoc is within UB: the misses form one
+        # run up to UB, and the bisection lands on its first stride.
+        params = L1Params(max_assoc=max_assoc)
+        t = timer(env, backend(*geometry))
+        base = baseline(params, t)
+        first = max(params.lb // max_assoc, env.word)
+        strides = [1 << e for e in range(first.bit_length() - 1, 32)
+                   if (1 << e) * max_assoc <= params.ub]
+        missed = [t.misses(base, max_assoc + 1, k) for k in strides]
+        assert missed == sorted(missed) and missed[-1]
+        assert find_stride(params, base, t) == strides[missed.index(True)]
+
+    def test_stride_at_the_bottom_of_its_range(self, env):
+        # LB/MaxAssoc = 2 KB, and G(17, 2KB, 0) already misses on 32K/8.
+        assert find_stride(L1Params(lb=32 * KB), 3.0, timer(env)) == 2 * KB
 
     def test_stride_above_ub_is_an_error(self, env):
         with pytest.raises(ProbeError, match="capacity above UB"):
@@ -82,6 +113,12 @@ class TestL1Loops:
                              timer(env, backend(linesize=64))) == 64
         assert find_linesize(32 * KB, 8, 3.0,
                              timer(env, backend(linesize=32))) == 32
+
+    def test_linesize_doubles_the_offset(self, env):
+        # For a 64 B line the offsets 8, 16 and 32 miss and 64 hits.
+        be = CountingBackend(backend(linesize=64))
+        assert find_linesize(32 * KB, 8, 3.0, timer(env, be)) == 64
+        assert [kind.o for kind in be.kinds] == [8, 16, 32, 64]
 
     def test_timer_counts_string_runs(self, env):
         be = CountingBackend(backend())
@@ -129,12 +166,13 @@ class TestFullProbe:
         assert (rep.capacity, rep.associativity, rep.linesize) == (48 * KB, 12, 64)
 
     def test_32k8_string_runs(self, env):
-        # Baseline 1, strides 64 B to 2 KB 6, capacity bisection 4, way-size
-        # bisection 2, line-size sweep 8: one run each on an exact backend.
+        # Baseline 1, stride bisection over 64 B to 256 KB 4, capacity
+        # bisection 4, way-size bisection 2, line offsets 8 B to 64 B 4: one
+        # run each on an exact backend.
         be = CountingBackend(backend())
         rep = run_l1_probe(L1Params(), env, be, window=WINDOW)
         assert (rep.capacity, rep.associativity, rep.linesize) == (32 * KB, 8, 64)
-        assert be.runs <= 21
+        assert be.runs == 15
         assert rep.string_runs == be.runs
 
 
@@ -153,6 +191,7 @@ class TestCheckGeometry:
         (32 * KB, 8, 8 * KB),  # larger than the way
         (64 * KB, 16, 64),     # G(16, 4K, 0) already misses
         (32 * KB, 16, 64),     # G(17, 2K, 0) misses in one of two sets
+        (32 * KB, 8, 128),     # G(9, 4K, 64) hits: twice the line size
     ])
     def test_contradicted_geometry_is_an_error(self, env, cap, assoc, ls):
         # The true L1 is 32K/8/64 (48K/12/64 for the 11-way claim).

@@ -15,21 +15,24 @@ KB = 1024
 class TestGapString:
     def test_fig4_geometry(self, env):
         rs = build_gap_string(33, 1024, 0, env)
-        assert rs.chain == [i * 1024 for i in range(33)]
+        assert rs.chain == [i * 1024 for i in range(32, -1, -1)]
+        assert rs.entry == 32 * 1024
         assert rs.chain_length == 33
         assert verify_cycle(rs)
 
     def test_minimal_string(self, env):
         rs = build_gap_string(2, 512, 0, env)
-        assert rs.chain == [0, 512]
+        assert rs.chain == [512, 0]
+        assert rs.entry == 512
 
     def test_fig5_geometry(self, env):
         rs = build_gap_string(5, 8192, 0, env)
-        assert rs.chain == [0, 8192, 16384, 24576, 32768]
+        assert rs.chain == [32768, 24576, 16384, 8192, 0]
 
     def test_offset_moves_last_slot(self, env):
         rs = build_gap_string(9, 4096, 64, env)
-        assert rs.chain[-1] == 8 * 4096 + 64
+        assert rs.chain[0] == rs.entry == 8 * 4096 + 64
+        assert rs.chain[1:] == [i * 4096 for i in range(7, -1, -1)]
         assert verify_cycle(rs)
 
     def test_deterministic(self, env):
@@ -155,6 +158,8 @@ def test_gap_strings_always_cycle(n, kexp, o):
     env = MachineEnv(pagesize=4096)
     rs = build_gap_string(n, 1 << kexp, o * env.word, env)
     assert verify_cycle(rs)
+    assert rs.entry == max(rs.chain)
+    assert rs.chain == sorted(rs.chain, reverse=True)
 
 
 @settings(max_examples=40, deadline=None)
