@@ -79,7 +79,8 @@ class HierarchyReport:
     parameters: dict
     warnings: List[str] = field(default_factory=list)
     tlb_suspects: List[TlbSuspect] = field(default_factory=list)
-    #: probe name -> {"string_runs": n}, for each probe that ran.
+    #: probe name -> {"string_runs": n, ...}, for each probe that ran; the
+    #: sweeping probes (cache, tlb) add "knocked_out" and "revivals".
     probes: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:

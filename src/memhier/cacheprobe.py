@@ -2,10 +2,12 @@
 
 The sweep repeatedly measures every still-active sample footprint, ascending,
 until each point's minimum has been stable for a full window.  After every
-pass, interior points whose value agrees with both neighbors are knocked out
-of the range; a point that later reaches a new minimum revives any knocked-out
-immediate neighbor.  Sweeping ascending each pass distributes outside
-interference across sizes instead of concentrating it.
+pass, each point above the bottom one whose value agrees with every neighbor
+it has (the top point has one, below it) is knocked out of the range; a point
+that later reaches a new minimum revives any knocked-out immediate neighbor.
+The bottom point is never knocked out: its strings are the cheapest, and its
+new minima start the revival cascade.  Sweeping ascending each pass
+distributes outside interference across sizes instead of concentrating it.
 """
 
 from __future__ import annotations
@@ -41,14 +43,16 @@ class SamplePoint:
 class ResponseCurve:
     points: List[SamplePoint]
     total_string_runs: int = 0
+    revivals: int = 0
     cost: float = 0.0
 
     def footprints(self) -> List[int]:
         return [p.footprint for p in self.points]
 
     def values(self) -> List[float]:
-        """Per-point values with knocked-out points inheriting the nearest
-        measured neighbor below (the form the analysis consumes)."""
+        """Per-point values, where a knocked-out point takes the value of
+        the nearest point below it that is not knocked out (the form the
+        analysis consumes)."""
         out: List[float] = []
         last = math.nan
         for p in self.points:
@@ -130,19 +134,21 @@ def run_sweep(footprints: List[int],
                     if 0 <= j < len(points) and points[j].knocked_out:
                         points[j].knocked_out = False
                         points[j].runs_since_min = 0
+                        curve.revivals += 1
             else:
                 p.runs_since_min += 1
         if knockout:
-            for idx in range(1, len(points) - 1):
+            # The bottom point stays active; the top one has one neighbor.
+            for idx in range(1, len(points)):
                 p = points[idx]
-                below, above = points[idx - 1], points[idx + 1]
+                neighbors = points[idx - 1:idx + 2:2]
                 # Equal: neither point is a step above the other.
                 if (not p.knocked_out and p.measured
-                        and below.measured and above.measured
+                        and all(q.measured for q in neighbors)
                         and all(not is_step(min(p.min_cycles, q.min_cycles),
                                             max(p.min_cycles, q.min_cycles),
                                             STEP_TOL)
-                                for q in (below, above))):
+                                for q in neighbors)):
                     p.knocked_out = True
                     # Treated as stable unless a neighbor revives it.
                     p.runs_since_min = window

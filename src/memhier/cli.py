@@ -115,6 +115,14 @@ def _bound(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
+def _sweep_probe(curve: cacheprobe.ResponseCurve, string_runs: int) -> dict:
+    """A sweeping probe's counts: the string runs it took, the sweep's points
+    knocked out at its end, and its revivals."""
+    return {"string_runs": string_runs,
+            "knocked_out": sum(p.knocked_out for p in curve.points),
+            "revivals": curve.revivals}
+
+
 def _run_probes(args, which: str) -> dict:
     backend, config = _make_backend(args.backend)
     env = _probe_env(config)
@@ -143,7 +151,8 @@ def _run_probes(args, which: str) -> dict:
                                                  window=args.window,
                                                  seed=args.seed)
         costs["cache"] = cache_curve.cost
-        probes["cache"] = {"string_runs": cache_curve.total_string_runs}
+        probes["cache"] = _sweep_probe(cache_curve,
+                                       cache_curve.total_string_runs)
 
     if which in ("tlb", "all"):
         tlb_levels, tlb_suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
@@ -153,8 +162,8 @@ def _run_probes(args, which: str) -> dict:
                 else tlbprobe.DEFAULT_UB),
             window=args.window, seed=args.seed)
         costs["tlb"] = tlb_cost
-        probes["tlb"] = {"string_runs": tlb_curve.total_string_runs + sum(
-            s.string_runs for s in tlb_suspects)}
+        probes["tlb"] = _sweep_probe(tlb_curve, tlb_curve.total_string_runs
+                                     + sum(s.string_runs for s in tlb_suspects))
 
     costs["total"] = time.perf_counter() - started
     report = analysis.assemble_report(

@@ -178,11 +178,13 @@ def check_geometry(capacity: int, assoc: int, linesize: int, base: float,
     line size is a power of two that divides the way size W; fresh runs of
     G(assoc, W, 0) stay at the baseline and of G(assoc+1, W, 0) leave it,
     as does G(assoc+1, W, L/2) for a line size L above one word, whose last
-    slot stays in its line; and G(assoc+1, W, 0) misses on every access, so
-    G(2*assoc+2, W, 0) is no step above it.  A noisy miss test can lead the
-    searches to any geometry, the line-size search to a multiple of the
-    line, and a set that an exact fit already partly misses to one way too
-    few; this turns each into an error instead of a report."""
+    slot stays in its line; G(assoc+1, W, L), whose last slot moves to the
+    next set, is back at the baseline; and G(assoc+1, W, 0) misses on every
+    access, so G(2*assoc+2, W, 0) is no step above it.  A noisy miss test
+    can lead the searches to any geometry, the line-size search to a
+    multiple of the line, a noisy hit to a fraction of it, and a set that
+    an exact fit already partly misses to one way too few; this turns each
+    into an error instead of a report."""
     way = capacity // assoc
     if linesize & (linesize - 1) or way % linesize:
         raise ProbeError("inconsistent L1 result: linesize %d does not divide "
@@ -191,12 +193,15 @@ def check_geometry(capacity: int, assoc: int, linesize: int, base: float,
     over = timer.cycles(assoc + 1, way)
     half = linesize // 2 if linesize > timer.env.word else 0
     over_half = timer.cycles(assoc + 1, way, half) if half else over
+    next_set = timer.cycles(assoc + 1, way, linesize)
     full = timer.cycles(2 * assoc + 2, way)
     if (is_step(base, fits, STEP_TOL) or not is_step(base, over, STEP_TOL)
             or not is_step(base, over_half, STEP_TOL)
+            or is_step(base, next_set, STEP_TOL)
             or is_step(over, full, STEP_TOL)):
         reads = {(assoc, 0): fits, (assoc + 1, 0): over,
-                 (assoc + 1, half): over_half, (2 * assoc + 2, 0): full}
+                 (assoc + 1, half): over_half,
+                 (assoc + 1, linesize): next_set, (2 * assoc + 2, 0): full}
         raise ProbeError(
             "inconsistent L1 result: %d ways of %d bytes with %d byte lines, "
             "but %s against a baseline of %.2f"

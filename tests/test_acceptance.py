@@ -6,6 +6,7 @@ environment dependent, so it is marked xfail(strict=False): a pass is
 reported, a failure does not gate the suite.
 """
 
+import functools
 import json
 import os
 import platform
@@ -21,7 +22,7 @@ import pytest
 import memhier
 from conftest import JitterBackend
 from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
-                     build_cache_string, measure_stable)
+                     build_cache_string, cacheprobe, measure_stable, tlbprobe)
 from memhier.analysis import detect_transitions
 from memhier.cacheprobe import run_cache_sweep, sample_points
 from memhier.l1probe import L1Params, run_l1_probe
@@ -109,20 +110,26 @@ TLB_GRID = [g for g in
             if 16 <= g <= 2048]
 
 
+def random_tlb_hierarchy(seed):
+    """A randomized 1-2 level TLB config with a benign cache, and its
+    entry counts."""
+    rng = random.Random(2000 + seed)
+    entries = [rng.choice([g for g in TLB_GRID if g <= 512])]
+    penalties = [rng.randint(20, 40)]
+    if rng.random() < 0.5:
+        entries.append(entries[0] * rng.choice((4, 8, 16)))
+        penalties.append(penalties[0] + rng.randint(60, 120))
+    cfg = SimConfig(cache_levels=[CacheLevel(16 * MB, 16, 64, 3)],
+                    tlb_levels=[TlbLevel(e, p)
+                                for e, p in zip(entries, penalties)],
+                    memory_latency=250)
+    return cfg, entries
+
+
 def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
     with criterion(3, "TLB oracle equivalence and false-positive rejection"):
-        # Randomized 1-2 level TLB configs with a benign cache.
         for seed in range(25):
-            rng = random.Random(2000 + seed)
-            entries = [rng.choice([g for g in TLB_GRID if g <= 512])]
-            penalties = [rng.randint(20, 40)]
-            if rng.random() < 0.5:
-                entries.append(entries[0] * rng.choice((4, 8, 16)))
-                penalties.append(penalties[0] + rng.randint(60, 120))
-            cfg = SimConfig(cache_levels=[CacheLevel(16 * MB, 16, 64, 3)],
-                            tlb_levels=[TlbLevel(e, p)
-                                        for e, p in zip(entries, penalties)],
-                            memory_latency=250)
+            cfg, entries = random_tlb_hierarchy(seed)
             levels, _, _, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg),
                 ub=4 * entries[-1] * PAGE, window=3, seed=seed)
@@ -166,6 +173,42 @@ def test_criterion_4_knockout_revival_efficiency(env):
             ratio, exhaustive.total_string_runs, with_ko.total_string_runs)
         assert detect_transitions(with_ko) == detect_transitions(exhaustive) \
             == [(16 * KB, 3), (128 * KB, 12)]
+
+
+def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
+    def both_sweeps(make_backend, points, seed):
+        return [detect_transitions(run_cache_sweep(
+                    points, env, make_backend(), window=5, seed=seed,
+                    knockout=knockout))
+                for knockout in (True, False)]
+
+    with criterion(4, "knockout matches the exhaustive sweep under jitter"):
+        for seed in range(20):
+            with_ko, exhaustive = both_sweeps(
+                lambda: _three_plateau_backend(seed),
+                sample_points(KB, 512 * KB), seed)
+            assert with_ko == exhaustive, \
+                "three-plateau seed %d: %r vs %r" % (seed, with_ko, exhaustive)
+        for seed in range(25):
+            cfg, _ = random_hierarchy(random.Random(1000 + seed))
+            with_ko, exhaustive = both_sweeps(
+                lambda: JitterBackend(SimulatedBackend(cfg), seed=seed),
+                sample_points(KB, 2 * cfg.cache_levels[-1].capacity), seed)
+            assert with_ko == exhaustive, \
+                "random hierarchy seed %d: %r vs %r" % (seed, with_ko,
+                                                        exhaustive)
+        # The T(1,k) sweep of criterion 3's first configs.
+        for seed in range(10):
+            cfg, entries = random_tlb_hierarchy(seed)
+            got = []
+            for knockout in (True, False):
+                monkeypatch.setattr(tlbprobe, "run_sweep", functools.partial(
+                    cacheprobe.run_sweep, knockout=knockout))
+                levels, _, _, _ = run_tlb_probe(
+                    env, SimulatedBackend(cfg), ub=4 * entries[-1] * PAGE,
+                    window=3, seed=seed)
+                got.append([lv.entries for lv in levels])
+            assert got == [entries, entries], "TLB seed %d: %r" % (seed, got)
 
 
 def test_criterion_5_timing_engine_convergence(env):

@@ -59,12 +59,16 @@ def stepped_backend():
 
 
 class TestSweep:
-    def test_flat_hierarchy_knocks_out_interior(self, env):
+    def test_flat_hierarchy_knocks_out_all_but_bottom(self, env):
+        # The first pass measures every point once and knocks out all but
+        # the bottom one, the top point included; only the bottom point then
+        # runs its stability window.
         pts = sample_points(KB, 64 * KB)
         curve = run_cache_sweep(pts, env, flat_backend(), window=3, seed=1)
         assert not curve.points[0].knocked_out
-        assert not curve.points[-1].knocked_out
-        assert all(p.knocked_out for p in curve.points[1:-1])
+        assert all(p.knocked_out for p in curve.points[1:])
+        assert curve.total_string_runs == len(pts) + 3
+        assert curve.revivals == 0
         assert all(v == 5.0 for v in curve.values())
 
     def test_stepped_curve_values(self, env):
@@ -124,6 +128,33 @@ class TestRevival:
             EarlyNoise(), window=6)
         assert all(v == 5.0 for v in curve.values())
         assert all(p.min_cycles == 5.0 for p in curve.points)
+
+    def test_top_point_revived_by_its_neighbor(self, env):
+        # In the first pass the top two points read 1 cycle high: the top
+        # point matches its neighbor and is knocked out at 6, and the
+        # neighbor, a step above the point below it, stays active.  Its
+        # minimum of 5 in the second pass must revive the top point.
+        inner = flat_backend(latency=5)
+        pts = sample_points(KB, 16 * KB)
+        top_two = set(pts[-2:])
+
+        class EarlyNoiseAtTop:
+            def __init__(self):
+                self.runs = 0
+
+            def run(self, rs, loads):
+                self.runs += 1
+                cycles = inner.run(rs, loads)
+                if self.runs <= len(pts) and rs.footprint in top_two:
+                    return cycles + 1.0
+                return cycles
+
+        backend = EarlyNoiseAtTop()
+        curve = run_sweep(pts, lambda fp, _c=[0]: _build(fp, env, _c),
+                          backend, window=3)
+        assert curve.revivals == 1
+        assert curve.points[-1].min_cycles == 5.0
+        assert all(v == 5.0 for v in curve.values())
 
 
 def _build(fp, env, counter):

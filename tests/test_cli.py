@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memhier import (ConfigError, CurveFormatError, SimulatedBackend,
+from memhier import (ConfigError, CurveFormatError, SimulatedBackend, cli,
                      curve_from_csv, load_config)
 from memhier.cacheprobe import load_curve
 from memhier.cli import _build_parser, main
 
-from conftest import NoRunBackend
+from conftest import JitterBackend, NoRunBackend
 
 KB = 1024
 
@@ -235,13 +235,28 @@ class TestCacheCommand:
                           "tlb_suspects", "costs", "probes", "parameters",
                           "warnings"}
         assert d["l1"] is None
-        assert list(d["probes"]) == ["cache"]
-        assert d["probes"]["cache"]["string_runs"] > 0
+        # On an exact backend each of the 40 points runs once; the bottom
+        # one and the two on either side of each rise (L1, TLB, L2) stay
+        # active for 3 more runs, and the other 33 are knocked out.
+        assert d["probes"] == {"cache": {"string_runs": 40 + 7 * 3,
+                                         "knocked_out": 33, "revivals": 0}}
         assert d["tlb_suspects"] == []
         assert d["parameters"]["max_assoc"] is None
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3},
             {"level": 2, "effective_capacity": 512 * KB, "latency": 15}]
+
+    def test_revivals_under_jitter(self, capsys, cfg_path, monkeypatch):
+        make_backend = cli._make_backend
+
+        def jittered(spec):
+            backend, config = make_backend(spec)
+            return JitterBackend(backend, seed=1), config
+
+        monkeypatch.setattr(cli, "_make_backend", jittered)
+        d = run_json(capsys, ["cache", "--backend", "sim:" + cfg_path,
+                              "--window", "3", "--ub", str(2048 * KB)])
+        assert d["probes"]["cache"]["revivals"] > 0
 
     def test_csv_format_is_curve(self, capsys, cfg_path):
         rc = main(["cache", "--backend", "sim:" + cfg_path, "--window", "3",
@@ -258,9 +273,11 @@ class TestTlbCommand:
                               "--window", "3", "--ub", str(2048 * KB)])
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
-        assert list(d["probes"]) == ["tlb"]
         assert d["parameters"]["max_assoc"] is None
-        assert d["probes"]["tlb"]["string_runs"] > 0
+        # The sweep's 29 points run once, its bottom one and the two either
+        # side of the rise 3 more; the suspect's confirmation runs 28.
+        assert d["probes"] == {"tlb": {"string_runs": 29 + 3 * 3 + 28,
+                                       "knocked_out": 26, "revivals": 0}}
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")
         assert suspect == {"footprint": 80 * 4096, "boundary": 64 * 4096,

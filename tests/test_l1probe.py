@@ -192,6 +192,9 @@ class TestCheckGeometry:
         (64 * KB, 16, 64),     # G(16, 4K, 0) already misses
         (32 * KB, 16, 64),     # G(17, 2K, 0) misses in one of two sets
         (32 * KB, 8, 128),     # G(9, 4K, 64) hits: twice the line size
+        (32 * KB, 8, 8),       # G(9, 4K, L) misses below the line size
+        (32 * KB, 8, 16),
+        (32 * KB, 8, 32),
     ])
     def test_contradicted_geometry_is_an_error(self, env, cap, assoc, ls):
         # The true L1 is 32K/8/64 (48K/12/64 for the 11-way claim).
