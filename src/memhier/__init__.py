@@ -10,8 +10,8 @@ hierarchy simulator doubles as the correctness oracle.
 from .analysis import (HierarchyReport, LevelReport, assemble_report,
                        detect_transitions)
 from .backend import RealMemoryBackend, acquire_region
-from .cacheprobe import (ResponseCurve, SamplePoint, curve_from_csv,
-                         curve_to_csv, run_cache_sweep, sample_points)
+from .cacheprobe import (curve_from_csv, curve_to_csv, run_cache_sweep,
+                         sample_points)
 from .errors import (AllocationFailureError, BudgetExceededError, ConfigError,
                      CurveFormatError, DegenerateCurveError,
                      InvalidGeometryError, MemhierError, ProbeError,
@@ -21,7 +21,8 @@ from .refstring import (MachineEnv, ReferenceString, build_cache_string,
                         build_gap_string, build_tlb_string)
 from .simoracle import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
                         load_config, parse_config, simulate)
-from .timing import Measurement, measure_stable, run_once
+from .timing import (Measurement, ResponseCurve, SamplePoint, measure_stable,
+                     run_once)
 from .tlbprobe import TlbLevelResult, TlbSuspect, run_tlb_probe
 
 __version__ = "0.1.0"

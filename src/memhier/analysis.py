@@ -13,12 +13,11 @@ import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from .cacheprobe import ResponseCurve
 from .errors import DegenerateCurveError
 from .l1probe import L1Report
 from .refstring import MachineEnv
+from .timing import RISE, STEP_TOL, ResponseCurve, is_step
 from .tlbprobe import TlbLevelResult, TlbSuspect
-from .timing import RISE, STEP_TOL, is_step
 
 #: Deeper detections than this are flagged for human review.
 MAX_LEVELS = 4

@@ -1,69 +1,21 @@
-"""Multi-level cache response sweep with the knockout-revival optimization.
+"""Multi-level cache response sweep: the sample schedule, the C(k) sweep and
+its CSV form.
 
-The sweep repeatedly measures every still-active sample footprint, ascending,
-until each point's minimum has been stable for a full window.  After every
-pass, each point above the bottom one whose value agrees with every neighbor
-it has (the top point has one, below it) is knocked out of the range; a point
-that later reaches a new minimum revives any knocked-out immediate neighbor.
-The bottom point is never knocked out: its strings are the cheapest, and its
-new minima start the revival cascade.  Sweeping ascending each pass
-distributes outside interference across sizes instead of concentrating it.
+The sweep itself, with its knockout-revival pass, is ``timing.run_sweep``.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
-from .errors import (BudgetExceededError, CurveFormatError,
-                     InvalidGeometryError)
+from .errors import CurveFormatError, InvalidGeometryError
 from .refstring import MAX_FOOTPRINT, MachineEnv, build_cache_string
-from .timing import (DEFAULT_RUN_CAP, DEFAULT_WINDOW, STEP_TOL, is_step,
-                     run_once)
+from .timing import DEFAULT_WINDOW, ResponseCurve, SamplePoint, run_sweep
 
 DEFAULT_LB = 1024
 DEFAULT_UB = 32 * 1024 * 1024
-
-
-@dataclass
-class SamplePoint:
-    footprint: int
-    min_cycles: float = math.inf
-    runs_since_min: int = 0
-    knocked_out: bool = False
-
-    @property
-    def measured(self) -> bool:
-        return self.min_cycles < math.inf
-
-
-@dataclass
-class ResponseCurve:
-    points: List[SamplePoint]
-    total_string_runs: int = 0
-    revivals: int = 0
-    cost: float = 0.0
-
-    def footprints(self) -> List[int]:
-        return [p.footprint for p in self.points]
-
-    def values(self) -> List[float]:
-        """Per-point values, where a knocked-out point takes the value of
-        the nearest point below it that is not knocked out (the form the
-        analysis consumes)."""
-        out: List[float] = []
-        last = math.nan
-        for p in self.points:
-            if p.knocked_out and not math.isinf(p.min_cycles) and out:
-                out.append(last)
-            elif p.measured:
-                out.append(p.min_cycles)
-                last = p.min_cycles
-            else:
-                out.append(last)
-        return out
 
 
 def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
@@ -102,75 +54,14 @@ def octave_points(lb: int, ub: int) -> List[int]:
     return sorted(pts)
 
 
-def run_sweep(footprints: List[int],
-              string_factory: Callable[[int], object], backend,
-              window: int = DEFAULT_WINDOW,
-              knockout: bool = True) -> ResponseCurve:
-    """Stability-disciplined sweep over ``footprints``.
-
-    ``string_factory(footprint)`` must return a freshly seeded reference
-    string on every call.  With ``knockout`` disabled this degenerates to the
-    exhaustive discipline (every point measured until stable on its own).
-    """
-    points = [SamplePoint(fp) for fp in sorted(footprints)]
-    curve = ResponseCurve(points=points)
-    cap = DEFAULT_RUN_CAP * len(points)
-    started = time.perf_counter()
-    while True:
-        active = [p for p in points
-                  if not p.knocked_out and p.runs_since_min < window]
-        if not active:
-            break
-        for idx, p in enumerate(points):
-            if p.knocked_out or p.runs_since_min >= window:
-                continue
-            rs = string_factory(p.footprint)
-            t = run_once(rs, backend)
-            curve.total_string_runs += 1
-            if t < p.min_cycles:
-                p.min_cycles = t
-                p.runs_since_min = 0
-                for j in (idx - 1, idx + 1):
-                    if 0 <= j < len(points) and points[j].knocked_out:
-                        points[j].knocked_out = False
-                        points[j].runs_since_min = 0
-                        curve.revivals += 1
-            else:
-                p.runs_since_min += 1
-        if knockout:
-            # The bottom point stays active; the top one has one neighbor.
-            for idx in range(1, len(points)):
-                p = points[idx]
-                neighbors = points[idx - 1:idx + 2:2]
-                # Equal: neither point is a step above the other.
-                if (not p.knocked_out and p.measured
-                        and all(q.measured for q in neighbors)
-                        and all(not is_step(min(p.min_cycles, q.min_cycles),
-                                            max(p.min_cycles, q.min_cycles),
-                                            STEP_TOL)
-                                for q in neighbors)):
-                    p.knocked_out = True
-                    # Treated as stable unless a neighbor revives it.
-                    p.runs_since_min = window
-        if curve.total_string_runs > cap:
-            raise BudgetExceededError(
-                "cache sweep exceeded %d total string runs" % cap)
-    curve.cost = time.perf_counter() - started
-    return curve
-
-
 def run_cache_sweep(points: List[int], env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0,
                     knockout: bool = True) -> ResponseCurve:
     """Sweep C(k) over the given footprints and return the response curve."""
-    counter = [seed]
-
-    def factory(footprint: int):
-        counter[0] += 1
-        return build_cache_string(footprint, env, counter[0])
-
-    return run_sweep(points, factory, backend, window=window,
-                     knockout=knockout)
+    seeds = itertools.count(seed + 1)
+    return run_sweep(points,
+                     lambda fp: build_cache_string(fp, env, next(seeds)),
+                     backend, window=window, knockout=knockout)
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,7 @@ from .cacheprobe import curve_to_csv, load_curve
 from .errors import MemhierError
 from .refstring import MachineEnv
 from .simoracle import SimulatedBackend, load_config
-from .timing import DEFAULT_WINDOW
+from .timing import DEFAULT_WINDOW, ResponseCurve
 
 
 def _positive_int(text: str) -> int:
@@ -115,7 +115,7 @@ def _bound(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
-def _sweep_probe(curve: cacheprobe.ResponseCurve, string_runs: int) -> dict:
+def _sweep_probe(curve: ResponseCurve, string_runs: int) -> dict:
     """A sweeping probe's counts: the string runs it took, the sweep's points
     knocked out at its end, and its revivals."""
     return {"string_runs": string_runs,

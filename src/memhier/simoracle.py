@@ -517,7 +517,7 @@ class SimulatedBackend:
     results, so it is freely shareable across threads and measurements.
     """
 
-    #: Runs repeat exactly: ``timing.measure_stable`` measures a repeated
+    #: Runs repeat exactly: ``timing.run_sweep`` measures a point's repeated
     #: string once.
     exact = True
 
@@ -586,15 +586,3 @@ def load_config(path: str) -> SimConfig:
                               % (path, exc)) from exc
     return parse_config(text)
 
-
-def format_config(config: SimConfig) -> str:
-    lines = ["pagesize %d" % config.pagesize]
-    for lvl in config.cache_levels:
-        lines.append("cache %d %d %d %d" % (lvl.capacity, lvl.associativity,
-                                            lvl.linesize, lvl.latency))
-    for tl in config.tlb_levels:
-        lines.append("tlb %d %d" % (tl.entries, tl.latency))
-    lines.append("memory %d" % config.memory_latency)
-    if config.mapping_seed is not None:
-        lines.append("mapping random %d" % config.mapping_seed)
-    return "\n".join(lines) + "\n"

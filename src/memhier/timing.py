@@ -1,4 +1,6 @@
-"""The step predicate and the minimum-of-trials stability discipline.
+"""The step predicate and the minimum-of-trials stability discipline: the
+one re-measure-until-stable loop, ``run_sweep``, with its knockout-revival
+pass, and ``measure_stable``, its one-string case.
 
 Every measurement is a backend run in cycles per access (see ``backend``):
 the real backend converts its timings with the cycle it measured when it was
@@ -8,8 +10,10 @@ code unchanged and never see seconds.
 
 from __future__ import annotations
 
+import math
+import time
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, List
 
 from .errors import BudgetExceededError
 from .refstring import ReferenceString
@@ -48,41 +52,130 @@ def run_once(rs: ReferenceString, backend) -> float:
     return backend.run(rs, 2 * rs.chain_length)
 
 
-def measure_stable(rs_factory: Callable[[], ReferenceString],
-                   backend, window: int = DEFAULT_WINDOW) -> Measurement:
-    """Re-measure fresh strings until the minimum is unchanged for ``window``
-    consecutive runs.
+@dataclass
+class SamplePoint:
+    footprint: int
+    min_cycles: float = math.inf
+    runs_since_min: int = 0
+    knocked_out: bool = False
 
-    Each run rebuilds the string from the factory.  The rebuilt string, and
-    on the simulator its page mapping, differ only when the factory varies
-    the seed, as the cache and TLB probes' factories do; gap strings are
-    built with one fixed seed.  A backend whose runs repeat exactly says so
-    with a true ``exact`` attribute (the simulator does).  On such a backend
-    a string equal to the one just measured cannot move the minimum, so the
-    measurement stops there: a gap string takes one run, a seed-varying
+    @property
+    def measured(self) -> bool:
+        return self.min_cycles < math.inf
+
+
+@dataclass
+class ResponseCurve:
+    points: List[SamplePoint]
+    total_string_runs: int = 0
+    revivals: int = 0
+    cost: float = 0.0
+
+    def footprints(self) -> List[int]:
+        return [p.footprint for p in self.points]
+
+    def values(self) -> List[float]:
+        """Per-point values, where a knocked-out point takes the value of
+        the nearest point below it that is not knocked out (the form the
+        analysis consumes)."""
+        out: List[float] = []
+        last = math.nan
+        for p in self.points:
+            if p.knocked_out and not math.isinf(p.min_cycles) and out:
+                out.append(last)
+            elif p.measured:
+                out.append(p.min_cycles)
+                last = p.min_cycles
+            else:
+                out.append(last)
+        return out
+
+
+def run_sweep(footprints: List[int],
+              string_factory: Callable[[int], ReferenceString], backend,
+              window: int = DEFAULT_WINDOW,
+              knockout: bool = True) -> ResponseCurve:
+    """Re-measure every point of ``footprints``, ascending, one run per
+    active point per pass, until each point's minimum is unchanged for
+    ``window`` consecutive runs of it.
+
+    ``string_factory(footprint)`` builds the string of each run.  The cache
+    and TLB probes' factories vary the seed on every call; gap strings have
+    one fixed seed.  A backend whose runs repeat exactly says so with a true
+    ``exact`` attribute (the simulator does).  On such a backend a string
+    equal to the one a point last measured cannot move its minimum, so the
+    point is stable there: a gap string takes one run, a seed-varying
     factory the full window.  Other backends, real memory included, repeat
     every string for the full window to filter noise.
+
+    With ``knockout``, after every pass each point above the bottom one whose
+    value agrees with every neighbor it has (the top point has one, below
+    it) is knocked out of the range; a point that later reaches a new
+    minimum revives any knocked-out immediate neighbor.  The bottom point is
+    never knocked out: its strings are the cheapest, and its new minima
+    start the revival cascade.  Without it every point is measured until
+    stable on its own.
     """
     if window < 1:
         raise ValueError("window must be >= 1")
     exact = getattr(backend, "exact", False)
-    best = float("inf")
-    since_min = 0
-    runs = 0
-    last = None
-    while since_min < window:
-        rs = rs_factory()
-        if exact and rs == last:
-            break
-        last = rs
-        t = run_once(rs, backend)
-        runs += 1
-        if t < best:
-            best = t
-            since_min = 0
-        else:
-            since_min += 1
-        if runs > DEFAULT_RUN_CAP:
+    points = [SamplePoint(fp) for fp in sorted(footprints)]
+    curve = ResponseCurve(points=points)
+    cap = DEFAULT_RUN_CAP * len(points)
+    # (kind, seed) of the string each point last measured: the key, not the
+    # string, so that a sweep keeps no chain alive.
+    last = {}
+    started = time.perf_counter()
+    while any(not p.knocked_out and p.runs_since_min < window
+              for p in points):
+        for idx, p in enumerate(points):
+            if p.knocked_out or p.runs_since_min >= window:
+                continue
+            rs = string_factory(p.footprint)
+            if exact:
+                key = (rs.kind, rs.seed)
+                if last.get(idx) == key:
+                    p.runs_since_min = window
+                    continue
+                last[idx] = key
+            t = run_once(rs, backend)
+            curve.total_string_runs += 1
+            if t < p.min_cycles:
+                p.min_cycles = t
+                p.runs_since_min = 0
+                for j in (idx - 1, idx + 1):
+                    if 0 <= j < len(points) and points[j].knocked_out:
+                        points[j].knocked_out = False
+                        points[j].runs_since_min = 0
+                        curve.revivals += 1
+            else:
+                p.runs_since_min += 1
+        if knockout:
+            # The bottom point stays active; the top one has one neighbor.
+            for idx in range(1, len(points)):
+                p = points[idx]
+                neighbors = points[idx - 1:idx + 2:2]
+                # Equal: neither point is a step above the other.
+                if (not p.knocked_out and p.measured
+                        and all(q.measured for q in neighbors)
+                        and all(not is_step(min(p.min_cycles, q.min_cycles),
+                                            max(p.min_cycles, q.min_cycles),
+                                            STEP_TOL)
+                                for q in neighbors)):
+                    p.knocked_out = True
+                    # Treated as stable unless a neighbor revives it.
+                    p.runs_since_min = window
+        if curve.total_string_runs > cap:
             raise BudgetExceededError(
-                "minimum did not stabilize within %d runs" % DEFAULT_RUN_CAP)
-    return Measurement(min_cycles_per_access=best, runs_taken=runs)
+                "minimum did not stabilize within %d string runs" % cap)
+    curve.cost = time.perf_counter() - started
+    return curve
+
+
+def measure_stable(rs_factory: Callable[[], ReferenceString],
+                   backend, window: int = DEFAULT_WINDOW) -> Measurement:
+    """Re-measure fresh strings from ``rs_factory`` until the minimum is
+    unchanged for ``window`` consecutive runs: a one-point ``run_sweep``."""
+    curve = run_sweep([0], lambda _: rs_factory(), backend, window)
+    return Measurement(min_cycles_per_access=curve.points[0].min_cycles,
+                       runs_taken=curve.total_string_runs)

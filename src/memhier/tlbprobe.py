@@ -11,14 +11,16 @@ n alone rejects the suspect.
 
 from __future__ import annotations
 
+import itertools
 import time
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
-from .cacheprobe import ResponseCurve, octave_points, run_sweep
+from .cacheprobe import octave_points
 from .errors import InvalidGeometryError
 from .refstring import MAX_FOOTPRINT, MachineEnv, build_tlb_string
-from .timing import DEFAULT_WINDOW, JUMP, is_step, measure_stable
+from .timing import (DEFAULT_WINDOW, JUMP, ResponseCurve, is_step,
+                     measure_stable, run_sweep)
 
 DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
@@ -64,13 +66,10 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
         raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
     footprints = [p * env.pagesize for p in pages]
-    counter = [seed]
-
-    def factory(footprint: int):
-        counter[0] += 1
-        return build_tlb_string(1, footprint, env, counter[0])
-
-    return run_sweep(footprints, factory, backend, window=window)
+    seeds = itertools.count(seed + 1)
+    return run_sweep(footprints,
+                     lambda fp: build_tlb_string(1, fp, env, next(seeds)),
+                     backend, window=window)
 
 
 def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
@@ -88,13 +87,12 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
     """Measure T(n, boundary) and T(n, footprint) for n = 2, 3, 4 in that
     order, stopping after the first n that does not reproduce the jump; the
     suspect is confirmed only if every n reproduces it."""
-    counter = [seed]
+    seeds = itertools.count(seed + 1)
 
     def measure(n: int, footprint: int) -> float:
-        def factory():
-            counter[0] += 1
-            return build_tlb_string(n, footprint, env, counter[0])
-        m = measure_stable(factory, backend, window=window)
+        m = measure_stable(
+            lambda: build_tlb_string(n, footprint, env, next(seeds)),
+            backend, window=window)
         suspect.string_runs += m.runs_taken
         return m.min_cycles_per_access
 

@@ -22,7 +22,7 @@ import pytest
 import memhier
 from conftest import JitterBackend
 from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
-                     build_cache_string, cacheprobe, measure_stable, tlbprobe)
+                     build_cache_string, measure_stable, timing, tlbprobe)
 from memhier.analysis import detect_transitions
 from memhier.cacheprobe import run_cache_sweep, sample_points
 from memhier.l1probe import L1Params, run_l1_probe
@@ -203,7 +203,7 @@ def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
             got = []
             for knockout in (True, False):
                 monkeypatch.setattr(tlbprobe, "run_sweep", functools.partial(
-                    cacheprobe.run_sweep, knockout=knockout))
+                    timing.run_sweep, knockout=knockout))
                 levels, _, _, _ = run_tlb_probe(
                     env, SimulatedBackend(cfg), ub=4 * entries[-1] * PAGE,
                     window=3, seed=seed)

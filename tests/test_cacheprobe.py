@@ -4,8 +4,8 @@ import pytest
 
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, curve_from_csv, curve_to_csv)
-from memhier.cacheprobe import (ResponseCurve, SamplePoint, octave_points,
-                                run_cache_sweep, run_sweep, sample_points)
+from memhier.cacheprobe import octave_points, run_cache_sweep, sample_points
+from memhier.timing import ResponseCurve, SamplePoint, run_sweep
 from memhier.refstring import MAX_FOOTPRINT
 
 from conftest import NoRunBackend
@@ -103,10 +103,11 @@ class TestSweep:
 
 class TestRevival:
     def test_early_noise_everywhere_is_healed_by_revival(self, env):
-        # Every point reads 1 cycle high during the first pass, so the whole
-        # interior is knocked out at the wrong value.  When the endpoints
-        # improve on the second pass they must revive their neighbors, and
-        # the revivals cascade until the entire curve has converged.
+        # Every point reads 1 cycle high during the first pass, so every
+        # point above the bottom one, the top included, is knocked out at
+        # the wrong value.  Only the bottom point is measured again: its new
+        # minimum in the second pass revives its neighbor, and the revivals
+        # cascade upwards until the entire curve has converged.
         inner = flat_backend(latency=5)
         npts = len(sample_points(KB, 16 * KB))
 

@@ -11,7 +11,6 @@ from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
                      simulate)
 from memhier import simoracle
 from memhier.refstring import CacheKind, ReferenceString
-from memhier.simoracle import format_config
 
 from conftest import naive_cycles, naive_single_level_cycles
 
@@ -143,12 +142,18 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             parse_config("pagesize 4096\ntlb 64 30\nmemory %d\n" % memory)
 
-    def test_parse_roundtrip(self):
-        cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
-                                      CacheLevel(256 * KB, 8, 64, 13)],
-                        tlb_levels=[TlbLevel(64, 30)],
-                        memory_latency=120, pagesize=4096, mapping_seed=3)
-        assert parse_config(format_config(cfg)) == cfg
+    def test_parse_reads_every_directive(self):
+        text = ("pagesize 4096\n"
+                "cache 32768 8 64 3   # L1\n"
+                "cache 262144 8 64 13\n"
+                "tlb 64 30\n"
+                "memory 120\n"
+                "mapping random 3\n")
+        assert parse_config(text) == SimConfig(
+            cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                          CacheLevel(256 * KB, 8, 64, 13)],
+            tlb_levels=[TlbLevel(64, 30)],
+            memory_latency=120, pagesize=4096, mapping_seed=3)
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):

@@ -7,7 +7,8 @@ from memhier import (BudgetExceededError, CacheLevel, RealMemoryBackend,
                      SimConfig, SimulatedBackend, TlbLevel,
                      build_cache_string, build_gap_string, build_tlb_string,
                      measure_stable, run_once, simulate)
-from memhier.timing import DEFAULT_RUN_CAP, JUMP, RISE, STEP_TOL, is_step
+from memhier.timing import (DEFAULT_RUN_CAP, JUMP, RISE, STEP_TOL, is_step,
+                            run_sweep)
 
 KB = 1024
 
@@ -17,6 +18,27 @@ def sim_backend(l1_latency=3):
                                   CacheLevel(4096 * KB, 16, 64, 15)],
                     memory_latency=100)
     return SimulatedBackend(cfg)
+
+
+class Inexact:
+    """The simulator's runs, without its claim to repeat exactly."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def run(self, rs, loads):
+        return self.inner.run(rs, loads)
+
+
+class EverImproving:
+    """A backend whose every run sets a new minimum."""
+
+    def __init__(self):
+        self.runs = 0
+
+    def run(self, rs, loads):
+        self.runs += 1
+        return 1e9 - self.runs
 
 
 class TestCalibration:
@@ -148,15 +170,6 @@ class TestMeasureStable:
         def gap():
             return build_gap_string(33, 1024, 0, env)
 
-        class Inexact:
-            """The simulator's runs, without its claim to repeat exactly."""
-
-            def __init__(self, inner):
-                self.inner = inner
-
-            def run(self, rs, loads):
-                return self.inner.run(rs, loads)
-
         be = sim_backend()
         once = measure_stable(gap, be, window=25)
         full = measure_stable(gap, Inexact(be), window=25)
@@ -175,14 +188,6 @@ class TestMeasureStable:
             assert m.min_cycles_per_access >= 3.0
 
     def test_budget_exceeded(self, env):
-        class EverImproving:
-            def __init__(self):
-                self.runs = 0
-
-            def run(self, rs, loads):
-                self.runs += 1
-                return 1e9 - self.runs
-
         be = EverImproving()
         with pytest.raises(BudgetExceededError):
             measure_stable(self.factory(env, [0]), be, window=5)
@@ -201,3 +206,45 @@ class TestMeasureStable:
         noisy = measure_stable(self.factory(env, [100]), noisy_be, window=10)
         assert noisy.runs_taken <= 500
         assert noisy.min_cycles_per_access >= clean.min_cycles_per_access
+
+
+class TestRunSweep:
+    def test_exact_backend_measures_each_repeated_string_once(self, env):
+        # Each point's gap string repeats, so on the simulator one run per
+        # point is the whole sweep.  G(9, 4K, 0) and G(17, 4K, 0) overflow
+        # the one set they use and read memory's latency, so the top point
+        # is knocked out against its neighbor.
+        be = SimulatedBackend(SimConfig(
+            cache_levels=[CacheLevel(32 * KB, 8, 64, 3)], memory_latency=100))
+
+        def sweep(be):
+            return run_sweep([2, 9, 17],
+                             lambda n: build_gap_string(n, 4 * KB, 0, env),
+                             be, window=5)
+
+        once = sweep(be)
+        assert once.total_string_runs == 3
+        assert once.values() == [3.0, 100.0, 100.0]
+        # Without the claim to repeat exactly, the bottom two points each
+        # run their full window and the knocked-out top point stops.
+        full = sweep(Inexact(be))
+        assert full.total_string_runs == 3 + 2 * 5
+        assert full.values() == once.values()
+
+    def test_window_below_one_is_rejected(self, env):
+        with pytest.raises(ValueError):
+            run_sweep([KB], lambda fp: build_cache_string(fp, env, 1),
+                      sim_backend(), window=0)
+
+    def test_budget_exceeded(self, env):
+        # Every run is a new minimum and neighbors differ by a whole cycle,
+        # so no point is stable or knocked out: the sweep stops at the end
+        # of the first pass past its budget of DEFAULT_RUN_CAP per point.
+        seeds = iter(range(1, 10 ** 6))
+        be = EverImproving()
+        with pytest.raises(BudgetExceededError) as exc:
+            run_sweep([KB, 2 * KB, 4 * KB],
+                      lambda fp: build_cache_string(fp, env, next(seeds)),
+                      be, window=5)
+        assert be.runs == 3 * DEFAULT_RUN_CAP + 3
+        assert "cache" not in str(exc.value)
