@@ -30,16 +30,27 @@ from .simoracle import SimulatedBackend, load_config
 from .timing import DEFAULT_WINDOW, ResponseCurve
 
 
-def _positive_int(text: str) -> int:
-    """The ``--window``, ``--lb``, ``--ub`` and ``--max-assoc`` type: an
-    integer of at least 1."""
+def _int_at_least(text: str, low: int, what: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError("%r is not a positive integer" % text)
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError("%r is not a %s integer"
+                                         % (text, what))
     return value
+
+
+def _positive_int(text: str) -> int:
+    """The ``--window``, ``--lb``, ``--ub`` and ``--max-assoc`` type: an
+    integer of at least 1."""
+    return _int_at_least(text, 1, "positive")
+
+
+def _non_negative_int(text: str) -> int:
+    """The ``--seed`` type: an integer of at least 0, since a string built
+    from seed -s equals the one built from s."""
+    return _int_at_least(text, 0, "non-negative")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,7 +76,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.set_defaults(max_assoc=None)
         p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
                        help="stability window (runs without a new minimum)")
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_non_negative_int, default=0)
         if curve:
             p.add_argument("--format", choices=("json", "csv"),
                            default="json")
@@ -97,11 +108,14 @@ def _make_backend(spec: str):
 
 
 def _emit(args, text: str) -> None:
+    """Write ``text``, ending in one newline, to ``--out`` or stdout."""
+    if not text.endswith("\n"):
+        text += "\n"
     if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text if text.endswith("\n") else text + "\n")
+        sys.stdout.write(text)
 
 
 def _probe_env(config) -> MachineEnv:

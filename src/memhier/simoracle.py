@@ -156,6 +156,10 @@ class SimConfig:
             if tl.latency < 0:
                 raise ConfigError("TLB miss penalty must be non-negative")
             prev_ent = tl.entries
+        # random.Random(-s) is random.Random(s): a negative seed would alias
+        # a positive one.
+        if self.mapping_seed is not None and self.mapping_seed < 0:
+            raise ConfigError("mapping seed must be non-negative")
 
 
 class _Level:
@@ -518,12 +522,16 @@ class SimulatedBackend:
     """
 
     #: Runs repeat exactly: ``timing.run_sweep`` measures a point's repeated
-    #: string once.
+    #: string once.  Every access pays at least the first level's latency
+    #: (memory's when there is no cache level), so no run reads below
+    #: ``floor``, and a point that reads it is stable at once.
     exact = True
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
+        self.floor = (config.cache_levels[0].latency if config.cache_levels
+                      else config.memory_latency)
 
     def run(self, rs: ReferenceString, loads: int) -> float:
         """Cycles per access over ``loads`` accesses, a whole number of

@@ -105,8 +105,12 @@ def run_sweep(footprints: List[int],
     ``exact`` attribute (the simulator does).  On such a backend a string
     equal to the one a point last measured cannot move its minimum, so the
     point is stable there: a gap string takes one run, a seed-varying
-    factory the full window.  Other backends, real memory included, repeat
-    every string for the full window to filter noise.
+    factory the full window.  A backend may also declare ``floor``, the
+    fewest cycles per access any run on it can read (the simulator's is its
+    first level's latency).  A point whose minimum reaches the floor cannot
+    fall further, so it is stable at once, and it stays stable when a
+    neighbor revives it.  Other backends, real memory included, repeat every
+    string for the full window to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below
@@ -119,6 +123,7 @@ def run_sweep(footprints: List[int],
     if window < 1:
         raise ValueError("window must be >= 1")
     exact = getattr(backend, "exact", False)
+    floor = getattr(backend, "floor", -math.inf)
     points = [SamplePoint(fp) for fp in sorted(footprints)]
     curve = ResponseCurve(points=points)
     cap = DEFAULT_RUN_CAP * len(points)
@@ -142,11 +147,13 @@ def run_sweep(footprints: List[int],
             curve.total_string_runs += 1
             if t < p.min_cycles:
                 p.min_cycles = t
-                p.runs_since_min = 0
+                p.runs_since_min = window if t <= floor else 0
                 for j in (idx - 1, idx + 1):
                     if 0 <= j < len(points) and points[j].knocked_out:
-                        points[j].knocked_out = False
-                        points[j].runs_since_min = 0
+                        q = points[j]
+                        q.knocked_out = False
+                        q.runs_since_min = (window if q.min_cycles <= floor
+                                            else 0)
                         curve.revivals += 1
             else:
                 p.runs_since_min += 1
@@ -175,7 +182,8 @@ def run_sweep(footprints: List[int],
 def measure_stable(rs_factory: Callable[[], ReferenceString],
                    backend, window: int = DEFAULT_WINDOW) -> Measurement:
     """Re-measure fresh strings from ``rs_factory`` until the minimum is
-    unchanged for ``window`` consecutive runs: a one-point ``run_sweep``."""
+    unchanged for ``window`` consecutive runs: a one-point ``run_sweep``.
+    The L1 probe measures its gap strings with it."""
     curve = run_sweep([0], lambda _: rs_factory(), backend, window)
     return Measurement(min_cycles_per_access=curve.points[0].min_cycles,
                        runs_taken=curve.total_string_runs)

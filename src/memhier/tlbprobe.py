@@ -6,7 +6,9 @@ only rises that T(2,k), T(3,k) and T(4,k) all reproduce at the same footprint
 are reported, because a cache-edge artifact moves to a smaller footprint when
 the lines-per-page count grows.  Confirmation measures n = 2, 3, 4 in that
 order and stops at the first n that does not reproduce the rise, since that
-n alone rejects the suspect.
+n alone rejects the suspect.  For each n, T(n, boundary) and T(n, footprint)
+are one two-point ``run_sweep``, so both minima come from the same span of
+runs and a slow drift in the machine's speed moves both alike.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ from typing import List, Tuple
 from .cacheprobe import octave_points
 from .errors import InvalidGeometryError
 from .refstring import MAX_FOOTPRINT, MachineEnv, build_tlb_string
-from .timing import (DEFAULT_WINDOW, JUMP, ResponseCurve, is_step,
-                     measure_stable, run_sweep)
+from .timing import DEFAULT_WINDOW, JUMP, ResponseCurve, is_step, run_sweep
 
 DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
@@ -86,19 +87,22 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0) -> TlbSuspect:
     """Measure T(n, boundary) and T(n, footprint) for n = 2, 3, 4 in that
     order, stopping after the first n that does not reproduce the jump; the
-    suspect is confirmed only if every n reproduces it."""
+    suspect is confirmed only if every n reproduces it.
+
+    Each n is one ``run_sweep([boundary, footprint])`` with knockout, its
+    seeds drawn in pass order from one counter, so the two strings alternate
+    while both are active.  A footprint within ``STEP_TOL`` of its boundary,
+    which can never be a jump, is knocked out instead of running its own
+    window; it still reports its own minimum.
+    """
     seeds = itertools.count(seed + 1)
-
-    def measure(n: int, footprint: int) -> float:
-        m = measure_stable(
-            lambda: build_tlb_string(n, footprint, env, next(seeds)),
-            backend, window=window)
-        suspect.string_runs += m.runs_taken
-        return m.min_cycles_per_access
-
     for n in (2, 3, 4):
-        before = measure(n, suspect.boundary)
-        after = measure(n, suspect.footprint)
+        curve = run_sweep(
+            [suspect.boundary, suspect.footprint],
+            lambda fp: build_tlb_string(n, fp, env, next(seeds)),
+            backend, window=window)
+        suspect.string_runs += curve.total_string_runs
+        before, after = (p.min_cycles for p in curve.points)
         suspect.measured.append((n, before, after))
         if not is_step(before, after, *JUMP):
             break

@@ -178,11 +178,13 @@ def _check_tlb_placement(rs, kind):
 
 class CountingBackend:
     """Wraps a backend, counts its string runs and records the kind of each;
-    exact when the inner backend is."""
+    exact when the inner backend is, and with its floor if it has one."""
 
     def __init__(self, inner):
         self.inner = inner
         self.exact = getattr(inner, "exact", False)
+        if hasattr(inner, "floor"):
+            self.floor = inner.floor
         self.runs = 0
         self.kinds = []
 
@@ -190,3 +192,30 @@ class CountingBackend:
         self.runs += 1
         self.kinds.append(rs.kind)
         return self.inner.run(rs, loads)
+
+
+class Inexact:
+    """The simulator's runs, without its claim to repeat exactly and without
+    its floor."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def run(self, rs, loads):
+        return self.inner.run(rs, loads)
+
+
+class DriftingBackend:
+    """Wraps a backend and scales each run's cycles by 1 + ``rate`` times the
+    runs before it: a machine whose speed drifts steadily during a probe.
+    Neither exact nor with a floor."""
+
+    def __init__(self, inner, rate):
+        self.inner = inner
+        self.rate = rate
+        self.runs = 0
+
+    def run(self, rs, loads):
+        cycles = self.inner.run(rs, loads) * (1 + self.rate * self.runs)
+        self.runs += 1
+        return cycles

@@ -8,7 +8,7 @@ from memhier.cacheprobe import octave_points, run_cache_sweep, sample_points
 from memhier.timing import ResponseCurve, SamplePoint, run_sweep
 from memhier.refstring import MAX_FOOTPRINT
 
-from conftest import NoRunBackend
+from conftest import Inexact, NoRunBackend
 
 KB = 1024
 MB = 1024 * 1024
@@ -62,13 +62,25 @@ class TestSweep:
     def test_flat_hierarchy_knocks_out_all_but_bottom(self, env):
         # The first pass measures every point once and knocks out all but
         # the bottom one, the top point included; only the bottom point then
-        # runs its stability window.
+        # runs its stability window.  Every point reads the simulator's
+        # floor, so the backend runs without it.
         pts = sample_points(KB, 64 * KB)
-        curve = run_cache_sweep(pts, env, flat_backend(), window=3, seed=1)
+        curve = run_cache_sweep(pts, env, Inexact(flat_backend()), window=3,
+                                seed=1)
         assert not curve.points[0].knocked_out
         assert all(p.knocked_out for p in curve.points[1:])
         assert curve.total_string_runs == len(pts) + 3
         assert curve.revivals == 0
+        assert all(v == 5.0 for v in curve.values())
+
+    def test_flat_hierarchy_at_the_floor_runs_each_point_once(self, env):
+        # The bottom point reads the floor on its first run, so it is stable
+        # at once and the first pass is the whole sweep.
+        pts = sample_points(KB, 64 * KB)
+        curve = run_cache_sweep(pts, env, flat_backend(), window=3, seed=1)
+        assert not curve.points[0].knocked_out
+        assert all(p.knocked_out for p in curve.points[1:])
+        assert curve.total_string_runs == len(pts)
         assert all(v == 5.0 for v in curve.values())
 
     def test_stepped_curve_values(self, env):

@@ -1,6 +1,7 @@
 import json
 import os
 import tempfile
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -130,6 +131,22 @@ class TestExitCodes:
             assert main(argv) == 2, argv
             assert "is not a positive integer" in capsys.readouterr().err
 
+    def test_seed_must_be_non_negative(self, capsys, cfg_path):
+        # random.Random(-s) is random.Random(s), so a negative seed would
+        # reuse the strings of a positive one.
+        for argv in (["l1", "--backend", "sim:" + cfg_path],
+                     ["cache", "--backend", "sim:" + cfg_path],
+                     ["tlb", "--backend", "sim:" + cfg_path],
+                     ["simulate", cfg_path]):
+            for value in ("-1", "-3", "x"):
+                assert main(argv + ["--seed", value]) == 2, argv
+                assert "is not a non-negative integer" in \
+                    capsys.readouterr().err
+
+    def test_seed_zero_is_accepted(self):
+        args = _build_parser().parse_args(["tlb", "--seed", "0"])
+        assert args.seed == 0
+
     @pytest.mark.parametrize("value", ["0", "-8"])
     def test_max_assoc_must_be_positive(self, capsys, cfg_path, value):
         # A usage error, before the L1 probe sees the value.
@@ -156,7 +173,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("text", [
         "pagesize 4096\ntlb 64 30\nmemory -5\n",
         CONFIG + "mapping identity x\n",
-    ], ids=["memory-only-negative", "identity-trailing-word"])
+        CONFIG + "mapping random -1\n",
+    ], ids=["memory-only-negative", "identity-trailing-word",
+            "negative-mapping-seed"])
     def test_rejected_config_is_1(self, capsys, tmp_path, text):
         path = tmp_path / "machine.cfg"
         path.write_text(text)
@@ -227,6 +246,24 @@ class TestL1Command:
         assert json.loads(out.read_text())["l1"]["capacity"] == 32768
 
 
+@pytest.mark.parametrize("argv", [
+    ["l1", "--window", "3"],
+    ["cache", "--window", "3", "--ub", str(256 * KB), "--format", "csv"],
+], ids=["json", "csv"])
+def test_out_file_holds_what_stdout_prints(capsys, monkeypatch, tmp_path,
+                                           cfg_path, argv):
+    # A fixed clock makes every cost 0, so two runs print the same text.
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    argv = argv + ["--backend", "sim:" + cfg_path]
+    assert main(argv) == 0
+    printed = capsys.readouterr().out
+    out = tmp_path / "report"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == printed
+    assert printed.endswith("\n") and not printed.endswith("\n\n")
+
+
 class TestCacheCommand:
     def test_levels_and_schema(self, capsys, cfg_path):
         d = run_json(capsys, ["cache", "--backend", "sim:" + cfg_path,
@@ -237,8 +274,10 @@ class TestCacheCommand:
         assert d["l1"] is None
         # On an exact backend each of the 40 points runs once; the bottom
         # one and the two on either side of each rise (L1, TLB, L2) stay
-        # active for 3 more runs, and the other 33 are knocked out.
-        assert d["probes"] == {"cache": {"string_runs": 40 + 7 * 3,
+        # active, and the other 33 are knocked out.  The bottom point and
+        # the one below the L1 rise read the floor, so only the other five
+        # run 3 more times.
+        assert d["probes"] == {"cache": {"string_runs": 40 + 5 * 3,
                                          "knocked_out": 33, "revivals": 0}}
         assert d["tlb_suspects"] == []
         assert d["parameters"]["max_assoc"] is None
@@ -274,15 +313,17 @@ class TestTlbCommand:
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
         assert d["parameters"]["max_assoc"] is None
-        # The sweep's 29 points run once, its bottom one and the two either
-        # side of the rise 3 more; the suspect's confirmation runs 28.
-        assert d["probes"] == {"tlb": {"string_runs": 29 + 3 * 3 + 28,
+        # The sweep's 29 points run once.  Of its bottom one and the two
+        # either side of the rise, only the one above the rise is off the
+        # floor and runs 3 more times.  The suspect's confirmation runs 17:
+        # each T(n, boundary) reads the floor and runs once.
+        assert d["probes"] == {"tlb": {"string_runs": 29 + 3 + 17,
                                        "knocked_out": 26, "revivals": 0}}
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")
         assert suspect == {"footprint": 80 * 4096, "boundary": 64 * 4096,
                            "confirming_n": [2, 3, 4], "confirmed": True,
-                           "string_runs": 28}
+                           "string_runs": 17}
         assert [set(m) for m in measured] == [{"n", "before", "after"}] * 3
         assert [m["n"] for m in measured] == [2, 3, 4]
         assert all(m["before"] == 3.0 < m["after"] - 0.5 for m in measured)

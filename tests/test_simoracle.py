@@ -155,6 +155,17 @@ class TestConfigValidation:
             tlb_levels=[TlbLevel(64, 30)],
             memory_latency=120, pagesize=4096, mapping_seed=3)
 
+    def test_negative_mapping_seed_rejected(self):
+        # random.Random(-s) is random.Random(s): (-1 << 32) ^ 0 and
+        # (1 << 32) ^ 0 would seed the same page permutation.
+        with pytest.raises(ConfigError):
+            parse_config("cache 32768 8 64 3\nmapping random -1\n")
+        with pytest.raises(ConfigError):
+            SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3)],
+                      mapping_seed=-1).validate()
+        assert parse_config("cache 32768 8 64 3\nmapping random 0\n"
+                            ).mapping_seed == 0
+
     def test_parse_rejects_garbage(self):
         with pytest.raises(ConfigError):
             parse_config("cache 32768 eight 64 3\n")

@@ -2,7 +2,7 @@ import shutil
 
 import pytest
 
-from conftest import JitterBackend
+from conftest import Inexact, JitterBackend
 from memhier import (BudgetExceededError, CacheLevel, RealMemoryBackend,
                      SimConfig, SimulatedBackend, TlbLevel,
                      build_cache_string, build_gap_string, build_tlb_string,
@@ -18,16 +18,6 @@ def sim_backend(l1_latency=3):
                                   CacheLevel(4096 * KB, 16, 64, 15)],
                     memory_latency=100)
     return SimulatedBackend(cfg)
-
-
-class Inexact:
-    """The simulator's runs, without its claim to repeat exactly."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def run(self, rs, loads):
-        return self.inner.run(rs, loads)
 
 
 class EverImproving:
@@ -158,10 +148,21 @@ class TestMeasureStable:
         return build
 
     def test_deterministic_backend_stops_after_window_plus_one(self, env):
+        # 16 KB cache strings fit the L1 and read its latency, the
+        # simulator's floor; without the floor each seed-varying string
+        # runs its full window.
         for window in (1, 5, 25):
-            m = measure_stable(self.factory(env, [0]), sim_backend(),
+            m = measure_stable(self.factory(env, [0]), Inexact(sim_backend()),
                                window=window)
             assert m.runs_taken == window + 1
+            assert m.min_cycles_per_access == 3.0
+
+    def test_string_at_the_floor_takes_one_run(self, env):
+        be = sim_backend()
+        assert be.floor == 3
+        for window in (1, 5, 25):
+            m = measure_stable(self.factory(env, [0]), be, window=window)
+            assert m.runs_taken == 1
             assert m.min_cycles_per_access == 3.0
 
     def test_exact_backend_measures_repeated_string_once(self, env):
@@ -230,6 +231,57 @@ class TestRunSweep:
         full = sweep(Inexact(be))
         assert full.total_string_runs == 3 + 2 * 5
         assert full.values() == once.values()
+
+    def test_points_at_the_floor_take_one_run(self, env):
+        # Seed-varying cache strings: the two that fit the L1 read the
+        # floor after one run, the 64 KB point above it runs its window.
+        seeds = iter(range(1, 10 ** 6))
+
+        def sweep(be):
+            return run_sweep([8 * KB, 16 * KB, 64 * KB],
+                             lambda fp: build_cache_string(fp, env,
+                                                           next(seeds)),
+                             be, window=5)
+
+        at_floor = sweep(sim_backend())
+        assert at_floor.values()[:2] == [3.0, 3.0]
+        assert at_floor.values()[2] > 3.0
+        assert at_floor.total_string_runs == 3 + 5
+        # Without the floor every point runs its window: the 16 KB point
+        # is a step below its upper neighbor, so it is not knocked out.
+        full = sweep(Inexact(sim_backend()))
+        assert full.total_string_runs == 3 + 3 * 5
+        assert full.values() == at_floor.values()
+
+    def test_revived_point_at_the_floor_does_not_run_again(self):
+        # Footprints 1, 2, 3 on a backend with floor 3.  The bottom point
+        # reads 3.2 on its first run and 3 after that; the others always
+        # read 3.  The first pass knocks out 2 and 3; the bottom point's
+        # new minimum revives 2, which is already at the floor, so it stays
+        # stable: only the bottom point runs a second time, and the pass's
+        # knockout takes 2 out again.
+        class Floored:
+            floor = 3.0
+
+            def __init__(self):
+                self.runs = []
+
+            def run(self, rs, loads):
+                self.runs.append(rs.footprint)
+                first = rs.footprint == 1 and len(self.runs) == 1
+                return 3.2 if first else 3.0
+
+        class Stub:
+            chain_length = 2
+
+            def __init__(self, fp):
+                self.footprint = fp
+
+        be = Floored()
+        curve = run_sweep([1, 2, 3], Stub, be, window=25)
+        assert be.runs == [1, 2, 3, 1]
+        assert curve.revivals == 1
+        assert curve.values() == [3.0, 3.0, 3.0]
 
     def test_window_below_one_is_rejected(self, env):
         with pytest.raises(ValueError):

@@ -1,15 +1,18 @@
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from memhier import (CacheLevel, InvalidGeometryError, MachineEnv, SimConfig,
-                     SimulatedBackend, TlbLevel)
+                     SimulatedBackend, TlbLevel, build_tlb_string,
+                     measure_stable)
 from memhier.refstring import MAX_FOOTPRINT
 from memhier.timing import JUMP, is_step
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
 
-from conftest import CountingBackend, NoRunBackend
+from conftest import CountingBackend, DriftingBackend, NoRunBackend
 
 KB = 1024
 MB = 1024 * 1024
@@ -18,16 +21,10 @@ PAGE = 4096
 WINDOW = 3
 
 
-class RecordingBackend(CountingBackend):
-    """A ``CountingBackend`` that also keeps the kind of every string run."""
-
-    def __init__(self, inner):
-        super().__init__(inner)
-        self.kinds = []
-
-    def run(self, rs, loads):
-        self.kinds.append(rs.kind)
-        return super().run(rs, loads)
+#: The README config's two cache levels, without its TLB.
+TWO_LEVELS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                     CacheLevel(512 * KB, 8, 64, 15)],
+                       memory_latency=100)
 
 
 def tlb_backend(levels, cache_cap=16 * MB):
@@ -111,29 +108,30 @@ class TestConfirmation:
         # The L1 edge of the README config: T(1,k) leaves a 32 KB L1 past
         # 512 pages, but T(2,k) already misses it at 512, so n = 2 shows no
         # rise and rejects the suspect on its own.
-        cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
-                                      CacheLevel(512 * KB, 8, 64, 15)],
-                        memory_latency=100)
-        be = RecordingBackend(SimulatedBackend(cfg))
+        be = CountingBackend(SimulatedBackend(TWO_LEVELS))
         s = confirm_suspect(TlbSuspect(footprint=640 * PAGE,
                                        boundary=512 * PAGE),
                             env, be, window=WINDOW, seed=1)
         assert (s.confirmed, s.confirming_n) == (False, [])
         assert [n for n, _, _ in s.measured] == [2]
-        # Every run is a T(2, boundary) string until the first
-        # T(2, footprint) string, and nothing else ran.
+        # Only T(2, boundary) and T(2, footprint) strings ran, alternating
+        # while both were active.  The footprint reads what its boundary
+        # reads, so it is knocked out after one run, and the boundary runs
+        # its window.
         kinds = [(k.lines_per_page, k.footprint) for k in be.kinds]
-        split = kinds.index((2, 640 * PAGE))
-        assert kinds == ([(2, 512 * PAGE)] * split
-                         + [(2, 640 * PAGE)] * (len(kinds) - split))
-        assert s.string_runs == be.runs < 6 * (WINDOW + 1)
+        assert kinds == ([(2, 512 * PAGE), (2, 640 * PAGE)]
+                         + [(2, 512 * PAGE)] * WINDOW)
+        assert s.string_runs == be.runs == WINDOW + 2
 
     def test_confirmation_counts_its_string_runs(self, env):
         be = CountingBackend(tlb_backend([TlbLevel(64, 30)]))
         s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
                             env, be, window=WINDOW, seed=1)
-        # Six measurements, each of at least WINDOW + 1 runs.
-        assert s.string_runs == be.runs >= 6 * (WINDOW + 1)
+        # For each n, T(n, boundary) reads the L1 latency, the simulator's
+        # floor, so it is stable after one run; T(n, footprint) runs at
+        # least its window after its first run.
+        assert s.string_runs == be.runs >= 3 * (WINDOW + 2)
+        assert sum(k.footprint == 64 * PAGE for k in be.kinds) == 3
 
     def test_confirmation_deterministic(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
@@ -143,6 +141,45 @@ class TestConfirmation:
                             env, be, window=WINDOW, seed=5)
         assert (a.confirmed, a.confirming_n, a.measured) == \
             (b.confirmed, b.confirming_n, b.measured)
+
+
+class TestDrift:
+    """Confirmation under a machine that slows by 0.5% per run."""
+
+    RATE = 0.005
+
+    def test_sequential_minima_let_drift_decide(self, env):
+        # Today's comparison without pairing: T(2, boundary) measured until
+        # stable, then T(2, footprint).  The footprint starts 26 runs later
+        # and reads 13% high, a jump where the hierarchy has none.
+        be = DriftingBackend(SimulatedBackend(TWO_LEVELS), self.RATE)
+        seeds = itertools.count(2)
+        before, after = (
+            measure_stable(lambda: build_tlb_string(2, fp, env, next(seeds)),
+                           be).min_cycles_per_access
+            for fp in (512 * PAGE, 640 * PAGE))
+        assert before == 100.0
+        assert after == pytest.approx(113.0)
+        assert is_step(before, after, *JUMP)
+
+    def test_paired_confirmation_rejects_the_cache_edge(self, env):
+        be = DriftingBackend(SimulatedBackend(TWO_LEVELS), self.RATE)
+        s = confirm_suspect(TlbSuspect(footprint=640 * PAGE,
+                                       boundary=512 * PAGE),
+                            env, be, seed=1)
+        [(n, before, after)] = s.measured
+        assert (n, before) == (2, 100.0)
+        assert after == pytest.approx(100.5)
+        assert (s.confirmed, s.confirming_n) == (False, [])
+
+    def test_paired_confirmation_keeps_a_true_tlb_edge(self, env):
+        cfg = SimConfig(cache_levels=TWO_LEVELS.cache_levels,
+                        tlb_levels=[TlbLevel(64, 30)], memory_latency=100)
+        be = DriftingBackend(SimulatedBackend(cfg), self.RATE)
+        s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
+                            env, be, seed=1)
+        assert s.confirmed
+        assert s.confirming_n == [2, 3, 4]
 
 
 class StepBackend:
@@ -175,7 +212,12 @@ def test_confirmation_stops_at_first_n_without_a_step(steps, seed):
                           else list(range(2, failing[0] + 1)))
     assert s.confirming_n == (measured_n if not failing
                               else measured_n[:-1])
-    assert s.string_runs == be.runs == len(measured_n) * 2 * (WINDOW + 1)
+    # Each n that reproduces the rise runs both strings for their windows;
+    # at the failing n the footprint reads what its boundary reads, so it is
+    # knocked out after one run and only the boundary runs its window.
+    rising = len(measured_n) - (1 if failing else 0)
+    assert s.string_runs == be.runs == (rising * 2 * (WINDOW + 1)
+                                        + (WINDOW + 2 if failing else 0))
 
 
 class TestFullProbe:
