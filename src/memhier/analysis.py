@@ -92,7 +92,6 @@ class HierarchyReport:
                 "linesize": self.l1.linesize,
                 "associativity": self.l1.associativity,
                 "latency": self.l1.latency,
-                "cost": self.l1.cost,
                 "flags": self.l1.flags,
             },
             "cache_levels": [lv.to_json_dict() for lv in self.cache_levels],

@@ -97,15 +97,13 @@ def link_chain(slots, rs: ReferenceString) -> None:
     chain that does not fit ``slots`` raises MemhierError."""
     from array import array
 
-    n = rs.chain_length
-    if not 1 <= n == len(rs.chain):
-        raise MemhierError("chain_length %d does not match %d chain slots"
-                           % (n, len(rs.chain)))
+    if not rs.chain:  # the kernel links the last slot to the first
+        raise MemhierError("empty chain")
     if min(rs.chain) < 0 or max(rs.chain) // 8 >= len(slots):
         raise MemhierError("chain offsets outside the %d byte region"
                            % (8 * len(slots)))
     offsets = array("q", rs.chain)
-    _kernels().link(slots, offsets.buffer_info()[0], n)
+    _kernels().link(slots, offsets.buffer_info()[0], len(offsets))
 
 
 def acquire_region(footprint: int):
@@ -189,7 +187,7 @@ class RealMemoryBackend:
         slots = (ctypes.c_int64 * (len(region) // word)).from_buffer(region)
         try:
             link_chain(slots, rs)
-            entry = rs.entry // word
+            entry = rs.chain[0] // word
             self._chase(slots, entry, n)  # warm-up, untimed
             t0 = time.perf_counter()
             self._chase(slots, entry, loads)

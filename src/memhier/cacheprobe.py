@@ -1,12 +1,12 @@
 """Multi-level cache response sweep: the sample schedule, the C(k) sweep and
 its CSV form.
 
-The sweep itself, with its knockout-revival pass, is ``timing.run_sweep``.
+The sweep itself, with its knockout-revival pass and its string seeds, is
+``timing.run_sweep``.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import List
 
@@ -57,11 +57,10 @@ def octave_points(lb: int, ub: int) -> List[int]:
 def run_cache_sweep(points: List[int], env: MachineEnv, backend,
                     window: int = DEFAULT_WINDOW, seed: int = 0,
                     knockout: bool = True) -> ResponseCurve:
-    """Sweep C(k) over the given footprints and return the response curve."""
-    seeds = itertools.count(seed + 1)
-    return run_sweep(points,
-                     lambda fp: build_cache_string(fp, env, next(seeds)),
-                     backend, window=window, knockout=knockout)
+    """Sweep C(k) over the given footprints and return the response curve.
+    ``run_sweep`` draws the string seeds ``seed + 1``, ``seed + 2``, ..."""
+    return run_sweep(points, lambda fp, s: build_cache_string(fp, env, s),
+                     backend, window=window, knockout=knockout, seed=seed)
 
 
 # ---------------------------------------------------------------------------

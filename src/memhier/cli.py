@@ -19,7 +19,7 @@ import argparse
 import json
 import sys
 import time
-from typing import Optional
+from typing import Optional, Tuple
 
 from . import analysis, cacheprobe, l1probe, tlbprobe
 from .backend import RealMemoryBackend
@@ -48,8 +48,7 @@ def _positive_int(text: str) -> int:
 
 
 def _non_negative_int(text: str) -> int:
-    """The ``--seed`` type: an integer of at least 0, since a string built
-    from seed -s equals the one built from s."""
+    """The ``--seed`` type: an integer of at least 0."""
     return _int_at_least(text, 0, "non-negative")
 
 
@@ -137,7 +136,10 @@ def _sweep_probe(curve: ResponseCurve, string_runs: int) -> dict:
             "revivals": curve.revivals}
 
 
-def _run_probes(args, which: str) -> dict:
+def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
+    """Run the probes of ``which``; return the JSON report and the cache
+    curve, if the cache was swept.  ``costs`` holds the wall time of each
+    probe call, timed here and nowhere else, and their ``total``."""
     backend, config = _make_backend(args.backend)
     env = _probe_env(config)
     started = time.perf_counter()
@@ -147,35 +149,37 @@ def _run_probes(args, which: str) -> dict:
     cache_curve = None
     tlb_levels = tlb_suspects = None
 
+    def timed(name, probe, *probe_args, **kwargs):
+        t0 = time.perf_counter()
+        result = probe(*probe_args, **kwargs)
+        costs[name] = time.perf_counter() - t0
+        return result
+
     if which in ("l1", "all"):
         params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
                                   ub=_bound(args.ub, l1probe.DEFAULT_UB),
                                   max_assoc=args.max_assoc)
-        l1_report = l1probe.run_l1_probe(params, env, backend,
-                                         window=args.window)
+        l1_report = timed("l1", l1probe.run_l1_probe, params, env, backend,
+                          window=args.window)
         env.l1_linesize = l1_report.linesize
-        costs["l1"] = l1_report.cost
         probes["l1"] = {"string_runs": l1_report.string_runs}
 
     if which in ("cache", "all"):
         points = cacheprobe.sample_points(
             _bound(args.lb, cacheprobe.DEFAULT_LB),
             _bound(args.ub, cacheprobe.DEFAULT_UB))
-        cache_curve = cacheprobe.run_cache_sweep(points, env, backend,
-                                                 window=args.window,
-                                                 seed=args.seed)
-        costs["cache"] = cache_curve.cost
+        cache_curve = timed("cache", cacheprobe.run_cache_sweep, points, env,
+                            backend, window=args.window, seed=args.seed)
         probes["cache"] = _sweep_probe(cache_curve,
                                        cache_curve.total_string_runs)
 
     if which in ("tlb", "all"):
-        tlb_levels, tlb_suspects, tlb_curve, tlb_cost = tlbprobe.run_tlb_probe(
-            env, backend,
+        tlb_levels, tlb_suspects, tlb_curve = timed(
+            "tlb", tlbprobe.run_tlb_probe, env, backend,
             lb=_bound(args.lb, 0) if which == "tlb" else 0,
             ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
                 else tlbprobe.DEFAULT_UB),
             window=args.window, seed=args.seed)
-        costs["tlb"] = tlb_cost
         probes["tlb"] = _sweep_probe(tlb_curve, tlb_curve.total_string_runs
                                      + sum(s.string_runs for s in tlb_suspects))
 
@@ -186,10 +190,7 @@ def _run_probes(args, which: str) -> dict:
                     "backend": args.backend, "max_assoc": args.max_assoc,
                     "lb": args.lb, "ub": args.ub},
         tlb_suspects=tlb_suspects)
-    out = report.to_json_dict()
-    if cache_curve is not None:
-        out["cache_curve_csv"] = curve_to_csv(cache_curve)
-    return out
+    return report.to_json_dict(), cache_curve
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -209,15 +210,14 @@ def main(argv: Optional[list] = None) -> int:
 
         if args.command == "simulate":
             args.backend = "sim:" + args.config
-            result = _run_probes(args, "all")
+            report, curve = _run_probes(args, "all")
         else:
-            result = _run_probes(args, args.command)
+            report, curve = _run_probes(args, args.command)
 
-        if args.format == "csv" and "cache_curve_csv" in result:
-            _emit(args, result["cache_curve_csv"])
+        if args.format == "csv" and curve is not None:
+            _emit(args, curve_to_csv(curve))
         else:
-            result.pop("cache_curve_csv", None)
-            _emit(args, json.dumps(result, indent=2))
+            _emit(args, json.dumps(report, indent=2))
         return 0
     except MemhierError as exc:
         print("memhier: %s" % exc, file=sys.stderr)

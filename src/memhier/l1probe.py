@@ -32,9 +32,8 @@ mapped; the multi-level sweep handles everything above it.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import Callable, List, Tuple
 
 from .errors import ProbeError
 from .refstring import MachineEnv, build_gap_string
@@ -64,7 +63,6 @@ class L1Report:
     associativity: int
     linesize: int
     latency: int
-    cost: float
     flags: List[str] = field(default_factory=list)
     string_runs: int = 0
 
@@ -92,6 +90,19 @@ class GapTimer:
         return is_step(base, self.cycles(n, k, o), STEP_TOL)
 
 
+def _bisect(lo: int, hi: int, pred: Callable[[int], bool]) -> int:
+    """The smallest value in (lo, hi] where ``pred`` holds, for a ``pred``
+    that is false at ``lo``, true at ``hi`` and monotone between; neither
+    end is evaluated."""
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if pred(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
 def baseline(params: L1Params, timer: GapTimer) -> float:
     """Stable time of G(2, LB/2, 0): the all-hit L1 reference in cycles."""
     return timer.cycles(2, params.lb // 2)
@@ -103,16 +114,11 @@ def find_stride(params: L1Params, base: float, timer: GapTimer) -> int:
     rounded down to a power of two, to the largest k with k * MaxAssoc
     within UB."""
     ma = params.max_assoc
-    # G(MaxAssoc+1, 2^lo, 0) hits and G(MaxAssoc+1, 2^hi, 0) misses; both
-    # ends start one step outside the range, where nothing is measured.
-    lo = max(params.lb // ma, timer.env.word).bit_length() - 2
-    hi = (params.ub // ma).bit_length()
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if timer.misses(base, ma + 1, 1 << mid):
-            hi = mid
-        else:
-            lo = mid
+    # Both ends of the exponent's range start one step outside it, where
+    # nothing is measured: the low end counts as a hit, the high one a miss.
+    hi = _bisect(max(params.lb // ma, timer.env.word).bit_length() - 2,
+                 (params.ub // ma).bit_length(),
+                 lambda j: timer.misses(base, ma + 1, 1 << j))
     if (1 << hi) * ma > params.ub:
         raise ProbeError("no gap produced misses: capacity above UB=%d"
                          % params.ub)
@@ -125,15 +131,9 @@ def find_capacity(params: L1Params, base: float,
     smallest n in [1, MaxAssoc] whose G(n+1, k, 0) misses.  Returns
     (capacity n * k, k)."""
     k = find_stride(params, base, timer)
-    # G(lo+1, k, 0) hits (lo = 0 is the empty case); G(hi+1, k, 0) misses.
-    lo, hi = 0, params.max_assoc
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if timer.misses(base, mid + 1, k):
-            hi = mid
-        else:
-            lo = mid
-    return hi * k, k
+    # G(1, k, 0) is the empty case; G(MaxAssoc+1, k, 0) misses.
+    n = _bisect(0, params.max_assoc, lambda m: timer.misses(base, m + 1, k))
+    return n * k, k
 
 
 def find_associativity(capacity: int, stride: int, base: float,
@@ -143,17 +143,13 @@ def find_associativity(capacity: int, stride: int, base: float,
     (capacity/W ways, flags)."""
     n = capacity // stride
     # W = stride * 2^j divides the capacity for j up to n's factors of two.
-    # G(n+1, stride, 0), at j = lo = 0, is the miss search 2 ended on;
-    # j = hi never misses.
-    lo, hi = 0, (n & -n).bit_length()
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        way = stride << mid
-        if timer.misses(base, capacity // way + 1, way):
-            lo = mid
-        else:
-            hi = mid
-    ways = capacity // (stride << lo)
+    # G(n+1, stride, 0), at j = 0, is the miss search 2 ended on; the j past
+    # n's factors of two never misses.  The largest j that misses is one
+    # below the smallest that hits.
+    j = _bisect(0, (n & -n).bit_length(),
+                lambda j: not timer.misses(base, capacity // (stride << j) + 1,
+                                           stride << j)) - 1
+    ways = capacity // (stride << j)
     return ways, ["direct-mapped"] if ways == 1 else []
 
 
@@ -214,7 +210,6 @@ def run_l1_probe(params: L1Params, env: MachineEnv, backend,
                  window: int = DEFAULT_WINDOW) -> L1Report:
     """Measure the L1 geometry.  On a backend whose runs do not repeat
     exactly, the result must pass ``check_geometry``."""
-    started = time.perf_counter()
     timer = GapTimer(env, backend, window)
     base = baseline(params, timer)
     capacity, stride = find_capacity(params, base, timer)
@@ -223,5 +218,5 @@ def run_l1_probe(params: L1Params, env: MachineEnv, backend,
     if not getattr(backend, "exact", False):
         check_geometry(capacity, assoc, linesize, base, timer)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
-                    latency=max(1, round(base)), cost=time.perf_counter() - started,
-                    flags=flags, string_runs=timer.string_runs)
+                    latency=max(1, round(base)), flags=flags,
+                    string_runs=timer.string_runs)

@@ -101,26 +101,27 @@ Kind = Union[GapKind, CacheKind, TlbKind]
 class ReferenceString:
     """A circular chain of pointer-sized slots over a contiguous footprint.
 
-    ``chain`` lists the slot byte offsets in traversal order, starting at
-    ``entry``; following it wraps back to ``entry`` after ``chain_length``
-    steps.  Immutable by convention after construction.
+    ``chain`` lists the slot byte offsets in traversal order; following it
+    wraps from the last slot back to the first.  Immutable by convention
+    after construction.
     """
 
     footprint: int
-    entry: int
     kind: Kind
-    chain_length: int
     seed: int
     chain: list = field(repr=False)
-    pagesize: int = 4096
+
+    @property
+    def chain_length(self) -> int:
+        return len(self.chain)
 
 
 def build_gap_string(n: int, k: int, o: int,
                      env: MachineEnv) -> ReferenceString:
     """Build G(n, k, o): slots at (n-1)k + o, (n-2)k, ..., k and 0.
 
-    The chain is walked in descending address order from ``entry``, the
-    highest slot; no shuffling, so the string deterministically stresses one
+    The chain is walked in descending address order from its first slot, the
+    highest; no shuffling, so the string deterministically stresses one
     associativity set.  Under LRU a cyclic chain costs the same in either
     order, but on a real 48K/12-way L1 an ascending walk of 12 lines in one
     set partly missed where a descending one hit.
@@ -138,10 +139,8 @@ def build_gap_string(n: int, k: int, o: int,
             % (n, k, MAX_FOOTPRINT))
     offsets = [(n - 1) * k + o]
     offsets.extend(i * k for i in range(n - 2, -1, -1))
-    return ReferenceString(footprint=footprint, entry=offsets[0],
-                           kind=GapKind(n, k, o),
-                           chain_length=n, seed=0, chain=offsets,
-                           pagesize=env.pagesize)
+    return ReferenceString(footprint=footprint, kind=GapKind(n, k, o),
+                           seed=0, chain=offsets)
 
 
 def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceString:
@@ -157,6 +156,8 @@ def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceS
         raise InvalidGeometryError("cache string footprint must be a multiple of 1KB")
     if footprint > MAX_FOOTPRINT:
         raise InvalidGeometryError("footprint exceeds allocation limit")
+    if seed < 0:  # random.Random(-s) is random.Random(s)
+        raise InvalidGeometryError("string seed must be non-negative")
     ls = env.l1_linesize
     rng = random.Random(seed)
     full_pages, tail = divmod(footprint, env.pagesize)
@@ -176,9 +177,8 @@ def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceS
         chain.extend(base + c * ls for c in cols)
     if len(chain) < 2:
         raise InvalidGeometryError("cache string needs at least 2 slots")
-    return ReferenceString(footprint=footprint, entry=chain[0],
-                           kind=CacheKind(footprint), chain_length=len(chain),
-                           seed=seed, chain=chain, pagesize=env.pagesize)
+    return ReferenceString(footprint=footprint, kind=CacheKind(footprint),
+                           seed=seed, chain=chain)
 
 
 def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> ReferenceString:
@@ -200,6 +200,8 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
     npages = footprint // env.pagesize
     if n * npages < 2:
         raise InvalidGeometryError("TLB string needs at least 2 slots")
+    if seed < 0:  # random.Random(-s) is random.Random(s)
+        raise InvalidGeometryError("string seed must be non-negative")
     rng = random.Random(seed)
     rows = list(range(npages))
     _shuffle(rng, rows)
@@ -216,6 +218,5 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
                 line = (base + i) % lines_per_page
                 chain.append(page * env.pagesize + line * ls)
         _shuffle(rng, chain)
-    return ReferenceString(footprint=footprint, entry=chain[0],
-                           kind=TlbKind(n, footprint), chain_length=len(chain),
-                           seed=seed, chain=chain, pagesize=env.pagesize)
+    return ReferenceString(footprint=footprint, kind=TlbKind(n, footprint),
+                           seed=seed, chain=chain)

@@ -1,17 +1,19 @@
 """The step predicate and the minimum-of-trials stability discipline: the
 one re-measure-until-stable loop, ``run_sweep``, with its knockout-revival
-pass, and ``measure_stable``, its one-string case.
+pass, and ``measure_stable``, its one-string case.  ``run_sweep`` also draws
+every string seed the probes use.
 
 Every measurement is a backend run in cycles per access (see ``backend``):
 the real backend converts its timings with the cycle it measured when it was
 constructed, the simulator counts cycles natively, so the probes share this
-code unchanged and never see seconds.
+code unchanged and never see seconds.  A probe's wall time is measured only
+by the CLI, around the probe call.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-import time
 from dataclasses import dataclass
 from typing import Callable, List
 
@@ -69,7 +71,6 @@ class ResponseCurve:
     points: List[SamplePoint]
     total_string_runs: int = 0
     revivals: int = 0
-    cost: float = 0.0
 
     def footprints(self) -> List[int]:
         return [p.footprint for p in self.points]
@@ -92,25 +93,27 @@ class ResponseCurve:
 
 
 def run_sweep(footprints: List[int],
-              string_factory: Callable[[int], ReferenceString], backend,
-              window: int = DEFAULT_WINDOW,
-              knockout: bool = True) -> ResponseCurve:
+              build: Callable[[int, int], ReferenceString], backend,
+              window: int = DEFAULT_WINDOW, knockout: bool = True,
+              seed: int = 0) -> ResponseCurve:
     """Re-measure every point of ``footprints``, ascending, one run per
     active point per pass, until each point's minimum is unchanged for
     ``window`` consecutive runs of it.
 
-    ``string_factory(footprint)`` builds the string of each run.  The cache
-    and TLB probes' factories vary the seed on every call; gap strings have
-    one fixed seed.  A backend whose runs repeat exactly says so with a true
-    ``exact`` attribute (the simulator does).  On such a backend a string
-    equal to the one a point last measured cannot move its minimum, so the
-    point is stable there: a gap string takes one run, a seed-varying
-    factory the full window.  A backend may also declare ``floor``, the
-    fewest cycles per access any run on it can read (the simulator's is its
-    first level's latency).  A point whose minimum reaches the floor cannot
-    fall further, so it is stable at once, and it stays stable when a
-    neighbor revives it.  Other backends, real memory included, repeat every
-    string for the full window to filter noise.
+    ``build(footprint, s)`` builds the string of each run, where ``s`` is
+    the sweep's next string seed: ``seed + 1``, ``seed + 2``, ... in run
+    order, one per call.  This is the one place the probes draw string
+    seeds.  Cache and TLB strings vary with it; gap strings ignore it.  A
+    backend whose runs repeat exactly says so with a true ``exact``
+    attribute (the simulator does).  On such a backend a string equal to
+    the one a point last measured cannot move its minimum, so the point is
+    stable there: a gap string takes one run, a seed-varying string the
+    full window.  A backend may also declare ``floor``, the fewest cycles
+    per access any run on it can read (the simulator's is its first level's
+    latency).  A point whose minimum reaches the floor cannot fall further,
+    so it is stable at once, and it stays stable when a neighbor revives
+    it.  Other backends, real memory included, repeat every string for the
+    full window to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below
@@ -127,16 +130,16 @@ def run_sweep(footprints: List[int],
     points = [SamplePoint(fp) for fp in sorted(footprints)]
     curve = ResponseCurve(points=points)
     cap = DEFAULT_RUN_CAP * len(points)
+    seeds = itertools.count(seed + 1)
     # (kind, seed) of the string each point last measured: the key, not the
     # string, so that a sweep keeps no chain alive.
     last = {}
-    started = time.perf_counter()
     while any(not p.knocked_out and p.runs_since_min < window
               for p in points):
         for idx, p in enumerate(points):
             if p.knocked_out or p.runs_since_min >= window:
                 continue
-            rs = string_factory(p.footprint)
+            rs = build(p.footprint, next(seeds))
             if exact:
                 key = (rs.kind, rs.seed)
                 if last.get(idx) == key:
@@ -175,7 +178,6 @@ def run_sweep(footprints: List[int],
         if curve.total_string_runs > cap:
             raise BudgetExceededError(
                 "minimum did not stabilize within %d string runs" % cap)
-    curve.cost = time.perf_counter() - started
     return curve
 
 
@@ -184,6 +186,6 @@ def measure_stable(rs_factory: Callable[[], ReferenceString],
     """Re-measure fresh strings from ``rs_factory`` until the minimum is
     unchanged for ``window`` consecutive runs: a one-point ``run_sweep``.
     The L1 probe measures its gap strings with it."""
-    curve = run_sweep([0], lambda _: rs_factory(), backend, window)
+    curve = run_sweep([0], lambda _fp, _seed: rs_factory(), backend, window)
     return Measurement(min_cycles_per_access=curve.points[0].min_cycles,
                        runs_taken=curve.total_string_runs)

@@ -8,13 +8,12 @@ the lines-per-page count grows.  Confirmation measures n = 2, 3, 4 in that
 order and stops at the first n that does not reproduce the rise, since that
 n alone rejects the suspect.  For each n, T(n, boundary) and T(n, footprint)
 are one two-point ``run_sweep``, so both minima come from the same span of
-runs and a slow drift in the machine's speed moves both alike.
+runs and a slow drift in the machine's speed moves both alike.  Every string
+seed is drawn by ``run_sweep``, from the seed each sweep is given.
 """
 
 from __future__ import annotations
 
-import itertools
-import time
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
@@ -67,10 +66,8 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
         raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
     footprints = [p * env.pagesize for p in pages]
-    seeds = itertools.count(seed + 1)
-    return run_sweep(footprints,
-                     lambda fp: build_tlb_string(1, fp, env, next(seeds)),
-                     backend, window=window)
+    return run_sweep(footprints, lambda fp, s: build_tlb_string(1, fp, env, s),
+                     backend, window=window, seed=seed)
 
 
 def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
@@ -89,18 +86,18 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
     order, stopping after the first n that does not reproduce the jump; the
     suspect is confirmed only if every n reproduces it.
 
-    Each n is one ``run_sweep([boundary, footprint])`` with knockout, its
-    seeds drawn in pass order from one counter, so the two strings alternate
-    while both are active.  A footprint within ``STEP_TOL`` of its boundary,
-    which can never be a jump, is knocked out instead of running its own
-    window; it still reports its own minimum.
+    Each n is one ``run_sweep([boundary, footprint])`` with knockout, so the
+    two strings alternate while both are active.  A footprint within
+    ``STEP_TOL`` of its boundary, which can never be a jump, is knocked out
+    instead of running its own window; it still reports its own minimum.
+    The string seeds run on from ``seed + 1`` across the sweeps: each n's
+    sweep starts at the seed after the last one of the n before it.
     """
-    seeds = itertools.count(seed + 1)
     for n in (2, 3, 4):
         curve = run_sweep(
             [suspect.boundary, suspect.footprint],
-            lambda fp: build_tlb_string(n, fp, env, next(seeds)),
-            backend, window=window)
+            lambda fp, s: build_tlb_string(n, fp, env, s),
+            backend, window=window, seed=seed + suspect.string_runs)
         suspect.string_runs += curve.total_string_runs
         before, after = (p.min_cycles for p in curve.points)
         suspect.measured.append((n, before, after))
@@ -114,12 +111,12 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
 def run_tlb_probe(env: MachineEnv, backend, lb: int = 0, ub: int = DEFAULT_UB,
                   window: int = DEFAULT_WINDOW, seed: int = 0
                   ) -> Tuple[List[TlbLevelResult], List[TlbSuspect],
-                             ResponseCurve, float]:
+                             ResponseCurve]:
     """Full TLB test: sweep, suspects, confirmation, level report.
 
-    Returns (levels, suspects, T(1,k) curve, cost_seconds).
+    The sweep's string seeds start at ``seed + 1``, suspect i's at
+    ``seed + 7919 * i + 1``.  Returns (levels, suspects, T(1,k) curve).
     """
-    started = time.perf_counter()
     lb = lb or DEFAULT_LB_PAGES * env.pagesize
     curve = run_tlb_sweep(lb, ub, env, backend, window=window, seed=seed)
     suspects = [confirm_suspect(s, env, backend, window=window,
@@ -131,4 +128,4 @@ def run_tlb_probe(env: MachineEnv, backend, lb: int = 0, ub: int = DEFAULT_UB,
             levels.append(TlbLevelResult(level=len(levels) + 1,
                                          capacity=s.boundary,
                                          entries=s.boundary // env.pagesize))
-    return levels, suspects, curve, time.perf_counter() - started
+    return levels, suspects, curve

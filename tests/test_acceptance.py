@@ -130,7 +130,7 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
     with criterion(3, "TLB oracle equivalence and false-positive rejection"):
         for seed in range(25):
             cfg, entries = random_tlb_hierarchy(seed)
-            levels, _, _, _ = run_tlb_probe(
+            levels, _, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg),
                 ub=4 * entries[-1] * PAGE, window=3, seed=seed)
             assert [lv.entries for lv in levels] == entries, \
@@ -143,7 +143,7 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
             cfg = SimConfig(cache_levels=[CacheLevel(pages * 64, 16, 64, 3)],
                             tlb_levels=[TlbLevel(4096, 30)],
                             memory_latency=250)
-            levels, suspects, _, _ = run_tlb_probe(
+            levels, suspects, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg), ub=8 * MB, window=3,
                 seed=pages)
             assert levels == [], "cache edge at %d pages reported as TLB %r" \
@@ -204,7 +204,7 @@ def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
             for knockout in (True, False):
                 monkeypatch.setattr(tlbprobe, "run_sweep", functools.partial(
                     timing.run_sweep, knockout=knockout))
-                levels, _, _, _ = run_tlb_probe(
+                levels, _, _ = run_tlb_probe(
                     env, SimulatedBackend(cfg), ub=4 * entries[-1] * PAGE,
                     window=3, seed=seed)
                 got.append([lv.entries for lv in levels])

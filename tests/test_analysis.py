@@ -94,7 +94,7 @@ class TestDetectTransitions:
 class TestAssembleReport:
     def l1(self):
         return L1Report(capacity=32 * KB, associativity=8, linesize=64,
-                        latency=3, cost=0.1, flags=[])
+                        latency=3, flags=[])
 
     def test_json_shape(self, env):
         fps = sample_points(KB, MB)
@@ -121,7 +121,8 @@ class TestAssembleReport:
                           {"n": 4, "before": 3.0, "after": 11.25}],
              "string_runs": 28}]
         assert d["machine"]["pagesize"] == env.pagesize
-        assert d["l1"]["capacity"] == 32 * KB
+        assert d["l1"] == {"capacity": 32 * KB, "linesize": 64,
+                           "associativity": 8, "latency": 3, "flags": []}
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
         assert d["tlb_levels"] == [

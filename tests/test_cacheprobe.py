@@ -3,7 +3,8 @@ import math
 import pytest
 
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
-                     SimulatedBackend, curve_from_csv, curve_to_csv)
+                     SimulatedBackend, build_cache_string, curve_from_csv,
+                     curve_to_csv)
 from memhier.cacheprobe import octave_points, run_cache_sweep, sample_points
 from memhier.timing import ResponseCurve, SamplePoint, run_sweep
 from memhier.refstring import MAX_FOOTPRINT
@@ -137,7 +138,7 @@ class TestRevival:
         pts = sample_points(KB, 16 * KB)
         curve = run_sweep(
             pts,
-            lambda fp, _c=[0]: _build(fp, env, _c),
+            lambda fp, s: build_cache_string(fp, env, s),
             EarlyNoise(), window=6)
         assert all(v == 5.0 for v in curve.values())
         assert all(p.min_cycles == 5.0 for p in curve.points)
@@ -163,18 +164,11 @@ class TestRevival:
                 return cycles
 
         backend = EarlyNoiseAtTop()
-        curve = run_sweep(pts, lambda fp, _c=[0]: _build(fp, env, _c),
+        curve = run_sweep(pts, lambda fp, s: build_cache_string(fp, env, s),
                           backend, window=3)
         assert curve.revivals == 1
         assert curve.points[-1].min_cycles == 5.0
         assert all(v == 5.0 for v in curve.values())
-
-
-def _build(fp, env, counter):
-    from memhier import build_cache_string
-
-    counter[0] += 1
-    return build_cache_string(fp, env, counter[0])
 
 
 class TestCurveCsv:

@@ -223,8 +223,7 @@ class TestL1Command:
         d = run_json(capsys, ["l1", "--backend", "sim:" + cfg_path,
                               "--window", "3"])
         assert d["l1"] == {"capacity": 32768, "linesize": 64,
-                           "associativity": 8, "latency": 3,
-                           "cost": d["l1"]["cost"], "flags": []}
+                           "associativity": 8, "latency": 3, "flags": []}
         assert d["cache_levels"] == []
         assert d["costs"]["l1"] > 0
         assert d["probes"] == {"l1": {"string_runs": 15}}
@@ -327,6 +326,17 @@ class TestTlbCommand:
         assert [set(m) for m in measured] == [{"n", "before", "after"}] * 3
         assert [m["n"] for m in measured] == [2, 3, 4]
         assert all(m["before"] == 3.0 < m["after"] - 0.5 for m in measured)
+
+
+@pytest.mark.parametrize("command, ran", [
+    ("l1", {"l1"}), ("cache", {"cache"}), ("tlb", {"tlb"}),
+    ("all", {"l1", "cache", "tlb"}),
+], ids=["l1", "cache", "tlb", "all"])
+def test_costs_time_each_probe_that_ran(capsys, cfg_path, command, ran):
+    d = run_json(capsys, [command, "--backend", "sim:" + cfg_path,
+                          "--window", "2", "--ub", str(1024 * KB)])
+    assert set(d["costs"]) == ran | {"total"}
+    assert all(seconds > 0 for seconds in d["costs"].values())
 
 
 class TestSimulateCommand:

@@ -16,14 +16,12 @@ class TestGapString:
     def test_fig4_geometry(self, env):
         rs = build_gap_string(33, 1024, 0, env)
         assert rs.chain == [i * 1024 for i in range(32, -1, -1)]
-        assert rs.entry == 32 * 1024
         assert rs.chain_length == 33
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_minimal_string(self, env):
         rs = build_gap_string(2, 512, 0, env)
         assert rs.chain == [512, 0]
-        assert rs.entry == 512
 
     def test_fig5_geometry(self, env):
         rs = build_gap_string(5, 8192, 0, env)
@@ -31,9 +29,9 @@ class TestGapString:
 
     def test_offset_moves_last_slot(self, env):
         rs = build_gap_string(9, 4096, 64, env)
-        assert rs.chain[0] == rs.entry == 8 * 4096 + 64
+        assert rs.chain[0] == 8 * 4096 + 64
         assert rs.chain[1:] == [i * 4096 for i in range(7, -1, -1)]
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_deterministic(self, env):
         assert build_gap_string(9, 2048, 8, env).chain == \
@@ -55,7 +53,7 @@ class TestCacheString:
         assert rs.chain_length == 128
         pages = {off // 4096 for off in rs.chain}
         assert pages == {0, 1}
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_page_contiguous_chain(self, env):
         rs = build_cache_string(8 * 4096, env, seed=3)
@@ -78,16 +76,21 @@ class TestCacheString:
         rs = build_cache_string(2 * KB, env, seed=1)
         assert rs.chain_length == 2 * KB // 64
         assert max(rs.chain) < 2 * KB
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_partial_tail_page(self, env):
         rs = build_cache_string(5 * KB, env, seed=1)
         assert rs.chain_length == 4096 // 64 + KB // 64
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_rejects_tiny_footprint(self, env):
         with pytest.raises(InvalidGeometryError):
             build_cache_string(8, env, seed=0)
+
+    def test_rejects_negative_seed(self, env):
+        # random.Random(-2) is random.Random(2): the seed would alias.
+        with pytest.raises(InvalidGeometryError):
+            build_cache_string(64 * KB, env, seed=-2)
 
 
 class TestTlbString:
@@ -95,7 +98,7 @@ class TestTlbString:
         rs = build_tlb_string(1, 16 * 4096, env, seed=5)
         assert rs.chain_length == 16
         assert {off // 4096 for off in rs.chain} == set(range(16))
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_pages_equal_chain_length(self, env):
         # n = 1 maximizes page footprint per slot.
@@ -110,7 +113,7 @@ class TestTlbString:
         for off in rs.chain:
             counts[off // 4096] = counts.get(off // 4096, 0) + 1
         assert all(c == 3 for c in counts.values())
-        assert verify_cycle(rs)
+        assert verify_cycle(rs, env.pagesize)
 
     def test_invalid_geometry(self, env):
         with pytest.raises(InvalidGeometryError):
@@ -119,6 +122,10 @@ class TestTlbString:
             build_tlb_string(1, 4096 + 512, env, seed=0)
         with pytest.raises(InvalidGeometryError):
             build_tlb_string(65, 4 * 4096, env, seed=0)
+
+    def test_rejects_negative_seed(self, env):
+        with pytest.raises(InvalidGeometryError):
+            build_tlb_string(2, 16 * 4096, env, seed=-3)
 
 
 @pytest.mark.parametrize("length", [*range(71), 5120])
@@ -138,18 +145,18 @@ def test_shuffle_matches_stdlib(length):
 class TestVerifyCycle:
     def test_broken_cycle_detected(self, env):
         rs = build_gap_string(33, 1024, 0, env)
-        rs.chain[10] = rs.entry  # short-circuit back to the entry
-        assert not verify_cycle(rs)
+        rs.chain[10] = rs.chain[0]  # short-circuit back to the entry
+        assert not verify_cycle(rs, env.pagesize)
 
     def test_wrong_gap_placement_detected(self, env):
         rs = build_gap_string(9, 1024, 0, env)
         rs.chain[3] += 64
-        assert not verify_cycle(rs)
+        assert not verify_cycle(rs, env.pagesize)
 
     def test_out_of_range_slot_detected(self, env):
         rs = build_cache_string(4 * KB, env, seed=1)
         rs.chain[0] = rs.footprint + 64
-        assert not verify_cycle(rs)
+        assert not verify_cycle(rs, env.pagesize)
 
 
 @settings(max_examples=40, deadline=None)
@@ -157,8 +164,8 @@ class TestVerifyCycle:
 def test_gap_strings_always_cycle(n, kexp, o):
     env = MachineEnv(pagesize=4096)
     rs = build_gap_string(n, 1 << kexp, o * env.word, env)
-    assert verify_cycle(rs)
-    assert rs.entry == max(rs.chain)
+    assert verify_cycle(rs, env.pagesize)
+    assert rs.chain[0] == max(rs.chain)
     assert rs.chain == sorted(rs.chain, reverse=True)
 
 
@@ -167,7 +174,7 @@ def test_gap_strings_always_cycle(n, kexp, o):
 def test_cache_strings_always_cycle(kb, seed):
     env = MachineEnv(pagesize=4096)
     rs = build_cache_string(kb * KB, env, seed)
-    assert verify_cycle(rs)
+    assert verify_cycle(rs, env.pagesize)
     if kb * KB >= env.pagesize:
         full_pages = kb * KB // env.pagesize
         assert len({off // 4096 for off in rs.chain}) == \
@@ -179,5 +186,5 @@ def test_cache_strings_always_cycle(kb, seed):
 def test_tlb_strings_always_cycle(n, pages, seed):
     env = MachineEnv(pagesize=4096)
     rs = build_tlb_string(n, pages * 4096, env, seed)
-    assert verify_cycle(rs)
+    assert verify_cycle(rs, env.pagesize)
     assert rs.chain_length == n * pages

@@ -254,8 +254,8 @@ def strings(draw):
             chain.extend(block * 128 + slot * 32 for slot in slots)
         start = draw(st.integers(0, len(chain) - 1))
         chain = chain[start:] + chain[:start]
-        return ReferenceString(footprint, chain[0], CacheKind(footprint),
-                               len(chain), draw(st.integers(0, 2**16)), chain)
+        return ReferenceString(footprint, CacheKind(footprint),
+                               draw(st.integers(0, 2**16)), chain)
     seed = draw(st.integers(0, 2**32))
     if kind == "cache":
         return build_cache_string(draw(st.integers(1, 16)) * KB, env, seed)
@@ -466,8 +466,8 @@ DECLINED = [
                                          CacheLevel(192, 1, 64, 5),
                                          CacheLevel(352, 1, 32, 15)],
                            memory_latency=62),
-                 ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
-                                 [3816, 1664, 1696]), {"cache": 1},
+                 ReferenceString(4096, CacheKind(4096), 0, [3816, 1664, 1696]),
+                 {"cache": 1},
                  id="steady-miss-warm-up-hit"),
     # The L2 line of the chain's first slot comes back at its end, in the
     # warm-up only; so after the warm-up it is the most recent line of its
@@ -476,7 +476,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(192, 3, 32, 10),
                                          CacheLevel(512, 1, 128, 11)],
                            memory_latency=69, mapping_seed=56432),
-                 ReferenceString(8192, 5096, CacheKind(8192), 6, 0,
+                 ReferenceString(8192, CacheKind(8192), 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
                  {"cache": 1}, id="split-first-run"),
     # Pages 0 and 1 alternate, so the TLB declines.  The L1 takes the
@@ -489,7 +489,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
-                 ReferenceString(8192, 0, CacheKind(8192), 6, 0,
+                 ReferenceString(8192, CacheKind(8192), 0,
                                  [0, 32, 4128, 96, 4256, 8]),
                  {"tlb": 0, "cache": 1}, id="wrapped-run-in-fitting-set"),
 ]
@@ -556,8 +556,7 @@ def test_fitting_level_below_a_wider_line_is_simulated():
                                   CacheLevel(192, 1, 64, 5),
                                   CacheLevel(1024, 1, 32, 15)],
                     memory_latency=62)
-    rs = ReferenceString(4096, 3816, CacheKind(4096), 3, 0,
-                         [3816, 1664, 1696])
+    rs = ReferenceString(4096, CacheKind(4096), 0, [3816, 1664, 1696])
     for traversals in (1, 2, 3):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)

@@ -210,6 +210,25 @@ class TestMeasureStable:
 
 
 class TestRunSweep:
+    @pytest.mark.parametrize("seed", [0, 40])
+    def test_build_takes_seed_plus_one_onward_in_run_order(self, env, seed):
+        built, ran = [], []
+        sim = sim_backend()
+
+        def build(fp, s):
+            built.append(s)
+            return build_cache_string(fp, env, s)
+
+        class Recording:
+            def run(self, rs, loads):
+                ran.append(rs.seed)
+                return sim.run(rs, loads)
+
+        curve = run_sweep([4 * KB, 64 * KB, 1024 * KB], build, Recording(),
+                          window=3, seed=seed)
+        assert ran == built == list(range(seed + 1, seed + 1
+                                          + curve.total_string_runs))
+
     def test_exact_backend_measures_each_repeated_string_once(self, env):
         # Each point's gap string repeats, so on the simulator one run per
         # point is the whole sweep.  G(9, 4K, 0) and G(17, 4K, 0) overflow
@@ -220,7 +239,7 @@ class TestRunSweep:
 
         def sweep(be):
             return run_sweep([2, 9, 17],
-                             lambda n: build_gap_string(n, 4 * KB, 0, env),
+                             lambda n, _: build_gap_string(n, 4 * KB, 0, env),
                              be, window=5)
 
         once = sweep(be)
@@ -235,12 +254,9 @@ class TestRunSweep:
     def test_points_at_the_floor_take_one_run(self, env):
         # Seed-varying cache strings: the two that fit the L1 read the
         # floor after one run, the 64 KB point above it runs its window.
-        seeds = iter(range(1, 10 ** 6))
-
         def sweep(be):
             return run_sweep([8 * KB, 16 * KB, 64 * KB],
-                             lambda fp: build_cache_string(fp, env,
-                                                           next(seeds)),
+                             lambda fp, s: build_cache_string(fp, env, s),
                              be, window=5)
 
         at_floor = sweep(sim_backend())
@@ -278,25 +294,24 @@ class TestRunSweep:
                 self.footprint = fp
 
         be = Floored()
-        curve = run_sweep([1, 2, 3], Stub, be, window=25)
+        curve = run_sweep([1, 2, 3], lambda fp, _: Stub(fp), be, window=25)
         assert be.runs == [1, 2, 3, 1]
         assert curve.revivals == 1
         assert curve.values() == [3.0, 3.0, 3.0]
 
     def test_window_below_one_is_rejected(self, env):
         with pytest.raises(ValueError):
-            run_sweep([KB], lambda fp: build_cache_string(fp, env, 1),
+            run_sweep([KB], lambda fp, _: build_cache_string(fp, env, 1),
                       sim_backend(), window=0)
 
     def test_budget_exceeded(self, env):
         # Every run is a new minimum and neighbors differ by a whole cycle,
         # so no point is stable or knocked out: the sweep stops at the end
         # of the first pass past its budget of DEFAULT_RUN_CAP per point.
-        seeds = iter(range(1, 10 ** 6))
         be = EverImproving()
         with pytest.raises(BudgetExceededError) as exc:
             run_sweep([KB, 2 * KB, 4 * KB],
-                      lambda fp: build_cache_string(fp, env, next(seeds)),
+                      lambda fp, s: build_cache_string(fp, env, s),
                       be, window=5)
         assert be.runs == 3 * DEFAULT_RUN_CAP + 3
         assert "cache" not in str(exc.value)

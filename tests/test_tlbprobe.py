@@ -77,6 +77,23 @@ class TestSuspects:
 
 
 class TestConfirmation:
+    def test_each_n_runs_on_from_the_seeds_of_the_n_before(self, env):
+        inner = tlb_backend([TlbLevel(64, 30)])
+        runs = []
+
+        class Recording:
+            def run(self, rs, loads):
+                runs.append((rs.kind.lines_per_page, rs.seed))
+                return inner.run(rs, loads)
+
+        s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
+                            env, Recording(), window=WINDOW, seed=5)
+        assert s.confirming_n == [2, 3, 4]
+        assert [seed for _, seed in runs] == list(range(6, 6 + s.string_runs))
+        first_n3 = [n for n, _ in runs].index(3)
+        assert runs[first_n3 - 1][0] == 2
+        assert runs[first_n3][1] == runs[first_n3 - 1][1] + 1
+
     def test_true_tlb_boundary_confirmed_by_all_n(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
         s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
@@ -223,15 +240,14 @@ def test_confirmation_stops_at_first_n_without_a_step(steps, seed):
 class TestFullProbe:
     def test_single_level_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
-        levels, suspects, curve, cost = run_tlb_probe(
+        levels, suspects, curve = run_tlb_probe(
             env, be, ub=2 * MB, window=WINDOW, seed=1)
         assert len(levels) == 1
         assert (levels[0].entries, levels[0].capacity) == (64, 64 * PAGE)
-        assert cost > 0
 
     def test_two_levels_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30), TlbLevel(1024, 120)])
-        levels, suspects, curve, cost = run_tlb_probe(
+        levels, suspects, curve = run_tlb_probe(
             env, be, ub=8 * MB, window=WINDOW, seed=1)
         assert [(l.level, l.entries) for l in levels] == [(1, 64), (2, 1024)]
         assert all(s.confirmed for s in suspects)
@@ -242,13 +258,13 @@ class TestFullProbe:
         # at 64 entries.  Only the TLB level may be reported.
         cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 16, 64, 3)],
                         tlb_levels=[TlbLevel(64, 30)], memory_latency=200)
-        levels, suspects, curve, cost = run_tlb_probe(
+        levels, suspects, curve = run_tlb_probe(
             env, SimulatedBackend(cfg), ub=8 * MB, window=WINDOW, seed=1)
         assert [l.entries for l in levels] == [64]
         assert any(not s.confirmed for s in suspects)
 
     def test_no_tlb_reports_nothing(self, env):
         be = tlb_backend([], cache_cap=64 * MB)
-        levels, suspects, curve, cost = run_tlb_probe(
+        levels, suspects, curve = run_tlb_probe(
             env, be, ub=2 * MB, window=WINDOW, seed=1)
         assert levels == []
