@@ -9,7 +9,6 @@ back to the plateau is treated as noise and absorbed.
 
 from __future__ import annotations
 
-import statistics
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -41,7 +40,7 @@ def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
     plateau_end = fps[0]
     for i in range(1, len(values)):
         v = values[i]
-        med = statistics.median(plateau)
+        med = _median(plateau)
         if is_step(med, v, *RISE) and _persists(values, i, med):
             transitions.append((plateau_end, round(med)))
             plateau = [v]
@@ -49,6 +48,16 @@ def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
             plateau.append(v)
         plateau_end = fps[i]
     return transitions
+
+
+def _median(values: List[float]) -> float:
+    """The median of the non-empty ``values``, as ``statistics.median``
+    gives it, without that module's import cost."""
+    ordered = sorted(values)
+    mid = len(ordered) // 2
+    if len(ordered) % 2:
+        return ordered[mid]
+    return (ordered[mid - 1] + ordered[mid]) / 2
 
 
 def _persists(values: List[float], start: int, median: float) -> bool:

@@ -41,6 +41,21 @@ loop, while its caches, which see each line once per chain, usually take the
 closed form.  The loop stays the reference, as does the naive model in the
 tests.
 
+A cache string's run can show that every string of its kind costs the
+same, at every string seed and every mapping seed.  Its kind is a
+``CacheKind`` (a) whose footprint is a whole number of pages or at most one
+page (b): every string seed touches the same slots, and every page
+permutation maps them onto the same physical addresses (one page maps to
+itself).  If no cache level's line holds two of its slots (c), each cache
+key is touched once per traversal, and each page in one stretch of the
+chain, so in any order every key forms one run.  A closed-form level then
+misses on the keys of the sets that overflow and hands on the accesses to
+them, and the first level that fits is found from the keys alone: the
+cost, and whether the LRU loop takes any level, depend only on which
+addresses are touched.  So if this run took no LRU loop (d), no string of
+the kind does, and all cost what this one did.  ``SimulatedBackend``
+records such a kind in ``seed_free``.
+
 Builtins price a closed-form level.  The run analysis of its stream finds
 the keys and the runs, which start where the key changes, and flags the run
 keys in a bytearray indexed by key, the one loop in Python: each key forms
@@ -98,12 +113,12 @@ import random
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import floordiv, gt, itemgetter, mod, ne
+from itertools import compress, islice, repeat
+from operator import floordiv, gt, itemgetter, mod, ne, sub
 from typing import List, Optional
 
 from .errors import ConfigError
-from .refstring import ReferenceString, _shuffle
+from .refstring import CacheKind, ReferenceString, _shuffle
 
 
 @dataclass(frozen=True)
@@ -214,14 +229,15 @@ def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
     if traversals < 1:
         raise ConfigError("traversals must be positive")
     config.validate()
-    total = _simulate_loads(config, rs, traversals * rs.chain_length)
+    total, _ = _simulate_loads(config, rs, traversals * rs.chain_length)
     return total / (traversals * rs.chain_length)
 
 
-def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
+def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
     """Total latency of ``loads`` accesses after one warm-up traversal: the
     base latency of every access, plus the TLBs' miss penalties on the
-    virtual chain and the caches' on the physical addresses.
+    virtual chain and the caches' on the physical addresses.  Returns it
+    with whether the LRU loop simulated any level of either family.
 
     Under a random mapping the physical addresses are an ``array('q')``,
     eight bytes a slot with no int objects; iterating it creates each int
@@ -252,28 +268,30 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int) -> int:
     tlbs, caches = _levels(config)
     base = (config.cache_levels[0].latency if config.cache_levels
             else config.memory_latency)
-    return (base * loads + _family_cost(chain, tlbs, traversals)
-            + _family_cost(paddrs, caches, traversals))
+    tlb_cost, tlb_looped = _family_cost(chain, tlbs, traversals)
+    cache_cost, cache_looped = _family_cost(paddrs, caches, traversals)
+    return base * loads + tlb_cost + cache_cost, tlb_looped or cache_looped
 
 
-def _family_cost(addrs, levels, traversals: int) -> int:
+def _family_cost(addrs, levels, traversals: int):
     """The miss penalties of ``traversals`` timed traversals of ``addrs``
     through ``levels`` after one warm-up: in closed form as far as it goes,
-    then by the LRU loop on the levels left."""
+    then by the LRU loop on the levels left.  Returns them with whether the
+    loop simulated any level."""
     steady, i, addrs, reach = _steady_cost(addrs, levels)
-    return steady * traversals + _loop_cost(addrs, reach, levels[i:],
-                                            traversals)
+    loop, looped = _loop_cost(addrs, reach, levels[i:], traversals)
+    return steady * traversals + loop, looped
 
 
-def _loop_cost(addrs, reach, levels, traversals: int) -> int:
+def _loop_cost(addrs, reach, levels, traversals: int):
     """The miss penalties of ``traversals`` timed traversals through
     ``levels`` after one warm-up, by the LRU loop over the levels above the
-    first that fits (see the module docstring).  ``addrs`` reach the first
-    level in the warm-up, and those whose ``reach`` is 3 in every timed
-    traversal too."""
+    first that fits (see the module docstring), and whether there were
+    any.  ``addrs`` reach the first level in the warm-up, and those whose
+    ``reach`` is 3 in every timed traversal too."""
     levels = levels[:_first_fit(addrs, levels)]
     if not levels:
-        return 0
+        return 0, False
     total = 0
     if 1 not in reach:
         first = levels[0]
@@ -282,7 +300,7 @@ def _loop_cost(addrs, reach, levels, traversals: int) -> int:
         total = first.penalty * len(steady) * traversals
         levels = levels[1:]
         if not levels:
-            return total
+            return total, True
         # The levels below see the first level's warm-up misses, then its
         # steady misses in every timed traversal.
         warm = list(map(addrs.__getitem__,
@@ -303,9 +321,9 @@ def _loop_cost(addrs, reach, levels, traversals: int) -> int:
         if snapshot is not None and _unchanged(snapshot, levels):
             # The state after a traversal depends only on the state before
             # it, so every later traversal repeats this one exactly.
-            return total + left * cost
+            return total + left * cost, True
         snapshot = None  # drop it before the next one is built
-    return total
+    return total, True
 
 
 def _warm_up_misses(addrs, linesize: int, steady) -> list:
@@ -517,14 +535,18 @@ def _unchanged(snapshot, levels) -> bool:
 class SimulatedBackend:
     """Backend that measures reference strings on a simulated hierarchy.
 
-    Pure and deterministic: equal (config, string) pairs give bit-equal
-    results, so it is freely shareable across threads and measurements.
+    Deterministic: equal (config, string) pairs give bit-equal results.  Its
+    one piece of state, ``seed_free``, only grows and never changes a
+    result, so it is shareable across measurements.
     """
 
     #: Runs repeat exactly: ``timing.run_sweep`` measures a point's repeated
     #: string once.  Every access pays at least the first level's latency
     #: (memory's when there is no cache level), so no run reads below
-    #: ``floor``, and a point that reads it is stable at once.
+    #: ``floor``, and a point that reads it is stable at once.  A string
+    #: whose run shows that every string of its kind reads the same, at any
+    #: string or mapping seed, adds its kind to ``seed_free`` (see the
+    #: module docstring), and a point of such a kind is stable at once too.
     exact = True
 
     def __init__(self, config: SimConfig):
@@ -532,11 +554,29 @@ class SimulatedBackend:
         self.config = config
         self.floor = (config.cache_levels[0].latency if config.cache_levels
                       else config.memory_latency)
+        self.seed_free = set()
 
     def run(self, rs: ReferenceString, loads: int) -> float:
         """Cycles per access over ``loads`` accesses, a whole number of
         traversals, after one warm-up traversal."""
-        return _simulate_loads(self.config, rs, loads) / loads
+        total, looped = _simulate_loads(self.config, rs, loads)
+        if not looped and _seed_free(self.config, rs):
+            self.seed_free.add(rs.kind)
+        return total / loads
+
+
+def _seed_free(config: SimConfig, rs: ReferenceString) -> bool:
+    """(a) to (c) of the module docstring.  Whole pages touch the same
+    addresses under every page permutation, so (c) can be read off the
+    chain: its slots, in address order, lie at least the widest line apart.
+    """
+    pagesize = config.pagesize
+    if not (isinstance(rs.kind, CacheKind)
+            and (rs.footprint % pagesize == 0 or rs.footprint <= pagesize)):
+        return False
+    ordered = sorted(rs.chain)
+    return max((lvl.linesize for lvl in config.cache_levels), default=0) \
+        <= min(map(sub, islice(ordered, 1, None), ordered))
 
 
 # ---------------------------------------------------------------------------

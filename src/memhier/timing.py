@@ -110,10 +110,13 @@ def run_sweep(footprints: List[int],
     stable there: a gap string takes one run, a seed-varying string the
     full window.  A backend may also declare ``floor``, the fewest cycles
     per access any run on it can read (the simulator's is its first level's
-    latency).  A point whose minimum reaches the floor cannot fall further,
-    so it is stable at once, and it stays stable when a neighbor revives
-    it.  Other backends, real memory included, repeat every string for the
-    full window to filter noise.
+    latency), and ``seed_free``, the kinds whose strings all read the same
+    at every seed (the simulator adds a cache string's kind when its run
+    proves it).  A point whose minimum reaches the floor cannot fall
+    further, nor can one whose run was of a seed-free kind, so either is
+    stable at once, and stays stable when a neighbor revives it.  Other
+    backends, real memory included, repeat every string for the full window
+    to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below
@@ -127,6 +130,7 @@ def run_sweep(footprints: List[int],
         raise ValueError("window must be >= 1")
     exact = getattr(backend, "exact", False)
     floor = getattr(backend, "floor", -math.inf)
+    seed_free = getattr(backend, "seed_free", ())
     points = [SamplePoint(fp) for fp in sorted(footprints)]
     curve = ResponseCurve(points=points)
     cap = DEFAULT_RUN_CAP * len(points)
@@ -134,6 +138,7 @@ def run_sweep(footprints: List[int],
     # (kind, seed) of the string each point last measured: the key, not the
     # string, so that a sweep keeps no chain alive.
     last = {}
+    settled = set()  # indices of points whose minimum no run can move
     while any(not p.knocked_out and p.runs_since_min < window
               for p in points):
         for idx, p in enumerate(points):
@@ -148,15 +153,16 @@ def run_sweep(footprints: List[int],
                 last[idx] = key
             t = run_once(rs, backend)
             curve.total_string_runs += 1
+            if t <= floor or rs.kind in seed_free:
+                settled.add(idx)
             if t < p.min_cycles:
                 p.min_cycles = t
-                p.runs_since_min = window if t <= floor else 0
+                p.runs_since_min = window if idx in settled else 0
                 for j in (idx - 1, idx + 1):
                     if 0 <= j < len(points) and points[j].knocked_out:
                         q = points[j]
                         q.knocked_out = False
-                        q.runs_since_min = (window if q.min_cycles <= floor
-                                            else 0)
+                        q.runs_since_min = window if j in settled else 0
                         curve.revivals += 1
             else:
                 p.runs_since_min += 1

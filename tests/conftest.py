@@ -175,13 +175,15 @@ def _check_tlb_placement(rs, kind, pagesize):
 
 class CountingBackend:
     """Wraps a backend, counts its string runs and records the kind of each;
-    exact when the inner backend is, and with its floor if it has one."""
+    exact when the inner backend is, and with its floor and its seed-free
+    kinds if it has them."""
 
     def __init__(self, inner):
         self.inner = inner
         self.exact = getattr(inner, "exact", False)
-        if hasattr(inner, "floor"):
-            self.floor = inner.floor
+        for name in ("floor", "seed_free"):
+            if hasattr(inner, name):
+                setattr(self, name, getattr(inner, name))
         self.runs = 0
         self.kinds = []
 
@@ -192,8 +194,8 @@ class CountingBackend:
 
 
 class Inexact:
-    """The simulator's runs, without its claim to repeat exactly and without
-    its floor."""
+    """The simulator's runs, without its claim to repeat exactly, its floor
+    or its seed-free kinds."""
 
     def __init__(self, inner):
         self.inner = inner

@@ -1,9 +1,17 @@
-import pytest
+import os
+import statistics
+import subprocess
+import sys
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import memhier
 from memhier import (CacheLevel, DegenerateCurveError, MachineEnv, SimConfig,
                      SimulatedBackend)
-from memhier.analysis import (LevelReport, assemble_report, detect_transitions,
-                              levels_from_curve)
+from memhier.analysis import (LevelReport, _median, assemble_report,
+                              detect_transitions, levels_from_curve)
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
@@ -89,6 +97,22 @@ class TestDetectTransitions:
         curve = run_cache_sweep(sample_points(KB, 2 * MB), env,
                                 SimulatedBackend(cfg), window=3, seed=4)
         assert detect_transitions(curve) == [(32 * KB, 3), (512 * KB, 15)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                | st.integers(-10**6, 10**6), min_size=1, max_size=40))
+def test_median_is_statistics_median(values):
+    assert _median(values) == statistics.median(values)
+
+
+def test_cli_does_not_import_statistics():
+    code = "import sys, memhier.cli; print('statistics' in sys.modules)"
+    src = os.path.dirname(os.path.dirname(memhier.__file__))
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         capture_output=True, text=True,
+                         env=dict(os.environ, PYTHONPATH=src)).stdout
+    assert out.strip() == "False"
 
 
 class TestAssembleReport:

@@ -1,4 +1,5 @@
 from array import array
+from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
                      SimulatedBackend, TlbLevel, build_cache_string,
                      build_gap_string, build_tlb_string, parse_config,
-                     simulate)
+                     run_once, simulate)
 from memhier import simoracle
 from memhier.refstring import CacheKind, ReferenceString
 
@@ -568,7 +569,7 @@ def family_streams(cfg, rs):
 
     def recorded(addrs, levels, traversals):
         streams.append((addrs, levels))
-        return 0
+        return 0, False
 
     with mock.patch.object(simoracle, "_family_cost", recorded):
         simulate(cfg, rs, 1)
@@ -687,3 +688,110 @@ def test_first_level_warm_up_misses(case):
     steady = simoracle._misses(addrs, lvl)
     assert simoracle._warm_up_misses(addrs, lvl.linesize, steady) == warm
     assert simoracle._misses(addrs, lvl) == steady
+
+
+@st.composite
+def seed_free_cases(draw):
+    """A hierarchy of 1-3 cache levels with 16- to 256-byte lines and any
+    way count, 0-2 TLB levels and 1K or 4K pages, with a cache string of
+    64-byte lines for it."""
+    pagesize = draw(st.sampled_from([1024, 4096]))
+    levels = []
+    capacity = latency = 0
+    for _ in range(draw(st.integers(1, 3))):
+        ways = draw(st.integers(1, 16) | st.integers(1, 2))
+        linesize = draw(st.sampled_from([16, 32, 64, 128, 256]))
+        min_sets = capacity // (ways * linesize) + 1
+        nsets = draw(st.integers(min_sets, min_sets + 12))
+        capacity = nsets * ways * linesize
+        latency += draw(st.integers(1, 10))
+        levels.append(CacheLevel(capacity, ways, linesize, latency))
+    tlbs = []
+    entries = 0
+    for _ in range(draw(st.integers(0, 2))):
+        entries += draw(st.integers(1, 16))
+        tlbs.append(TlbLevel(entries, draw(st.integers(0, 40))))
+    cfg = SimConfig(cache_levels=levels, tlb_levels=tlbs,
+                    memory_latency=latency + draw(st.integers(1, 60)),
+                    pagesize=pagesize,
+                    mapping_seed=draw(st.none() | st.integers(0, 2**16)))
+    env = MachineEnv(pagesize=pagesize)
+    return cfg, env, draw(st.integers(1, 24)) * KB
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=seed_free_cases(),
+       seeds=st.lists(st.integers(0, 2**32), min_size=5, max_size=5,
+                      unique=True),
+       mappings=st.lists(st.integers(0, 2**16), min_size=2, max_size=2))
+def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
+    """A kind the backend declares seed-free reads bit-equal at other
+    string seeds, under its own mapping, identity and two random ones."""
+    cfg, env, footprint = case
+    be = SimulatedBackend(cfg)
+    rs = build_cache_string(footprint, env, seeds[0])
+    cycles = run_once(rs, be)
+    if rs.kind not in be.seed_free:
+        return
+    for mapping in [cfg.mapping_seed, None] + mappings:
+        other = SimulatedBackend(replace(cfg, mapping_seed=mapping))
+        for seed in seeds[1:]:
+            assert run_once(build_cache_string(footprint, env, seed),
+                            other) == cycles
+
+
+def test_whole_pages_and_sub_page_footprints_are_seed_free():
+    be = SimulatedBackend(README_LIKE)
+    for kb in (1, 3, 4, 64, 600):
+        run_once(build_cache_string(kb * KB, ENV, kb), be)
+    assert be.seed_free == {CacheKind(kb * KB) for kb in (1, 3, 4, 64, 600)}
+
+
+def looped(cfg, rs):
+    """Whether the LRU loop simulated a level of either family."""
+    return simoracle._simulate_loads(cfg, rs, rs.chain_length)[1]
+
+
+#: Cache strings that meet every condition of the seed-free rule but one.
+NOT_SEED_FREE = [
+    # 5 KiB on 4 KiB pages: the part page's lines land at different
+    # physical addresses under different page permutations.
+    pytest.param(README_LIKE, build_cache_string(5 * KB, ENV, 1), False,
+                 id="part-page"),
+    # The string fits the L1, but a 128-byte L2 line holds two of its
+    # 64-byte slots.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                         CacheLevel(512 * KB, 8, 128, 15)],
+                           memory_latency=100, mapping_seed=1),
+                 build_cache_string(16 * KB, ENV, 2), False,
+                 id="line-holds-two-slots"),
+    # Three L1 sets share the two pages' 128 lines 43, 43 and 42: two
+    # overflow their 42 ways and the third fits, so the L2's stream has
+    # warm-up-only accesses and the loop takes it.  Its 254 one-way sets
+    # of 32-byte lines do not fit the string (lines 0 and 127 share set
+    # 0), so it is simulated.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(3 * 42 * 64, 42, 64, 3),
+                                         CacheLevel(254 * 32, 1, 32, 10)],
+                           memory_latency=100),
+                 build_cache_string(8 * KB, ENV, 3), True, id="lru-loop"),
+]
+
+
+@pytest.mark.parametrize("cfg, rs, loops", NOT_SEED_FREE)
+def test_not_seed_free(cfg, rs, loops):
+    be = SimulatedBackend(cfg)
+    run_once(rs, be)
+    assert looped(cfg, rs) == loops
+    assert not be.seed_free
+
+
+@pytest.mark.parametrize("rs", [
+    build_tlb_string(1, 40 * 4096, ENV, 7),
+    build_tlb_string(2, 40 * 4096, ENV, 8),
+    build_gap_string(9, 4 * KB, 0, ENV),
+    build_gap_string(2, 512, 0, ENV),
+], ids=repr)
+def test_only_cache_strings_are_seed_free(rs):
+    be = SimulatedBackend(README_LIKE)
+    run_once(rs, be)
+    assert not be.seed_free

@@ -253,9 +253,10 @@ class TestRunSweep:
 
     def test_points_at_the_floor_take_one_run(self, env):
         # Seed-varying cache strings: the two that fit the L1 read the
-        # floor after one run, the 64 KB point above it runs its window.
+        # floor after one run.  The 66 KB point above it ends in a part
+        # page, so its kind is not seed-free, and it runs its window.
         def sweep(be):
-            return run_sweep([8 * KB, 16 * KB, 64 * KB],
+            return run_sweep([8 * KB, 16 * KB, 66 * KB],
                              lambda fp, s: build_cache_string(fp, env, s),
                              be, window=5)
 
@@ -289,6 +290,7 @@ class TestRunSweep:
 
         class Stub:
             chain_length = 2
+            kind = None
 
             def __init__(self, fp):
                 self.footprint = fp
@@ -298,6 +300,40 @@ class TestRunSweep:
         assert be.runs == [1, 2, 3, 1]
         assert curve.revivals == 1
         assert curve.values() == [3.0, 3.0, 3.0]
+
+    @pytest.mark.parametrize("seed_free, runs", [
+        ({2, 3}, [1, 2, 3, 1, 1, 1, 1]),
+        (set(), [1, 2, 3, 1, 2, 1, 1, 1]),
+    ], ids=["seed-free", "seed-varying"])
+    def test_seed_free_point_takes_one_run(self, seed_free, runs):
+        # Footprints 1, 2, 3, whose strings are of kinds 1, 2, 3.  The
+        # bottom point reads 5.2 on its first run and 5 after that; the
+        # others always read 5.  The first pass knocks out 2 and 3; the
+        # bottom point's new minimum revives 2.  Where kinds 2 and 3 are
+        # seed-free, each is stable after its first run, so 2 does not run
+        # after its revival: only the bottom point runs again.  Otherwise
+        # 2 runs once more before the pass's knockout takes it out again.
+        class SeedFree:
+            def __init__(self):
+                self.seed_free = seed_free
+                self.runs = []
+
+            def run(self, rs, loads):
+                self.runs.append(rs.footprint)
+                first = rs.footprint == 1 and len(self.runs) == 1
+                return 5.2 if first else 5.0
+
+        class Stub:
+            chain_length = 2
+
+            def __init__(self, fp):
+                self.footprint = self.kind = fp
+
+        be = SeedFree()
+        curve = run_sweep([1, 2, 3], lambda fp, _: Stub(fp), be, window=3)
+        assert be.runs == runs
+        assert curve.revivals == 1
+        assert curve.values() == [5.0, 5.0, 5.0]
 
     def test_window_below_one_is_rejected(self, env):
         with pytest.raises(ValueError):
