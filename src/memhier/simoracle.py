@@ -41,20 +41,31 @@ loop, while its caches, which see each line once per chain, usually take the
 closed form.  The loop stays the reference, as does the naive model in the
 tests.
 
-A cache string's run can show that every string of its kind costs the
-same, at every string seed and every mapping seed.  Its kind is a
-``CacheKind`` (a) whose footprint is a whole number of pages or at most one
-page (b): every string seed touches the same slots, and every page
-permutation maps them onto the same physical addresses (one page maps to
-itself).  If no cache level's line holds two of its slots (c), each cache
-key is touched once per traversal, and each page in one stretch of the
-chain, so in any order every key forms one run.  A closed-form level then
-misses on the keys of the sets that overflow and hands on the accesses to
-them, and the first level that fits is found from the keys alone: the
-cost, and whether the LRU loop takes any level, depend only on which
-addresses are touched.  So if this run took no LRU loop (d), no string of
-the kind does, and all cost what this one did.  ``SimulatedBackend``
-records such a kind in ``seed_free``.
+A run can show the least that any run of a string of its kind reads, in
+cycles per access, and ``SimulatedBackend.least`` reports it.  Every access
+pays the first cache level's latency (memory's if there is none), a floor
+for every kind.  A run that took no LRU loop costs the closed form's one
+traversal per timed traversal, so it reads the same at any number of
+traversals; a looped run may read less at more, where a level below takes
+several traversals to settle.  Some kinds' strings all read what such a run
+did.  A gap kind has one string at a given word size: seed 0, one layout.
+A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
+number of pages or at most one page (b): every string seed touches the same
+slots, and every page permutation maps them onto the same physical
+addresses (one page maps to itself).  If no cache level's line holds two of
+its slots (c), each cache key is touched once per traversal, and each page
+in one stretch of the chain, so in any order every key forms one run.  A
+closed-form level then misses on the keys of the sets that overflow and
+hands on the accesses to them, and the first level that fits is found from
+the keys alone: the cost, and whether the LRU loop takes any level, depend
+only on which addresses are touched.  So if this run took no LRU loop (d),
+no string of the kind does, and all cost what this one did.  A T(1,k)
+string with one slot in each of the config's pages it spans touches a new
+page at every access, so an LRU TLB with fewer entries than its pages
+misses on every access and hands the whole stream to the level below (the
+stack property of Mattson et al.): every run of the kind pays the penalties
+of those levels on top of the floor.  A TLB whose replacement is not LRU
+could hit on such a stream.
 
 Builtins price a closed-form level.  The run analysis of its stream finds
 the keys and the runs, which start where the key changes, and flags the run
@@ -118,7 +129,8 @@ from operator import floordiv, gt, itemgetter, mod, ne, sub
 from typing import List, Optional
 
 from .errors import ConfigError
-from .refstring import CacheKind, ReferenceString, _shuffle
+from .refstring import (CacheKind, GapKind, ReferenceString, TlbKind,
+                        _shuffle)
 
 
 @dataclass(frozen=True)
@@ -535,41 +547,60 @@ def _unchanged(snapshot, levels) -> bool:
 class SimulatedBackend:
     """Backend that measures reference strings on a simulated hierarchy.
 
-    Deterministic: equal (config, string) pairs give bit-equal results.  Its
-    one piece of state, ``seed_free``, only grows and never changes a
-    result, so it is shareable across measurements.
+    Deterministic: equal (config, string) pairs give bit-equal results.
+    ``least(kind)`` is the fewest cycles per access that any run of a string
+    of ``kind`` reads on it, so a sweep point whose minimum reaches it is
+    stable at once (``timing.run_sweep``).  It is the floor, the first
+    level's latency, until a run shows more (see the module docstring): a
+    gap or seed-free cache string's run records its read, and a T(1,k)
+    string's run the floor plus the penalties of the TLB levels with fewer
+    entries than its pages.  That state only grows and never changes a
+    result, so the backend is shareable across measurements.
     """
 
-    #: Runs repeat exactly: ``timing.run_sweep`` measures a point's repeated
-    #: string once.  Every access pays at least the first level's latency
-    #: (memory's when there is no cache level), so no run reads below
-    #: ``floor``, and a point that reads it is stable at once.  A string
-    #: whose run shows that every string of its kind reads the same, at any
-    #: string or mapping seed, adds its kind to ``seed_free`` (see the
-    #: module docstring), and a point of such a kind is stable at once too.
+    #: Runs repeat exactly, so ``l1probe`` trusts a result without checking
+    #: it against fresh strings.
     exact = True
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self.floor = (config.cache_levels[0].latency if config.cache_levels
-                      else config.memory_latency)
-        self.seed_free = set()
+        self._floor = (config.cache_levels[0].latency if config.cache_levels
+                       else config.memory_latency)
+        self._least = {}  # kind -> the least a run showed
+
+    def least(self, kind) -> float:
+        """The fewest cycles per access any run of a string of ``kind``
+        reads: what a run of the kind showed, or else the floor."""
+        return self._least.get(kind, self._floor)
 
     def run(self, rs: ReferenceString, loads: int) -> float:
         """Cycles per access over ``loads`` accesses, a whole number of
         traversals, after one warm-up traversal."""
-        total, looped = _simulate_loads(self.config, rs, loads)
-        if not looped and _seed_free(self.config, rs):
-            self.seed_free.add(rs.kind)
-        return total / loads
+        config = self.config
+        total, looped = _simulate_loads(config, rs, loads)
+        cycles = total / loads
+        kind = rs.kind
+        if not looped and _seed_free(config, rs):
+            self._least[kind] = cycles
+        elif (isinstance(kind, TlbKind) and kind.lines_per_page == 1
+              and len(rs.chain) * config.pagesize == rs.footprint):
+            # One slot in each page: a smaller TLB misses on every access.
+            pages = len(rs.chain)
+            self._least[kind] = self._floor + sum(
+                tl.latency for tl in config.tlb_levels if tl.entries < pages)
+        return cycles
 
 
 def _seed_free(config: SimConfig, rs: ReferenceString) -> bool:
-    """(a) to (c) of the module docstring.  Whole pages touch the same
+    """Whether every string of ``rs``'s kind costs what ``rs`` does when its
+    run takes no LRU loop: a gap kind has one string, and a cache kind must
+    meet (a) to (c) of the module docstring.  Whole pages touch the same
     addresses under every page permutation, so (c) can be read off the
     chain: its slots, in address order, lie at least the widest line apart.
     """
+    if isinstance(rs.kind, GapKind):
+        return True
     pagesize = config.pagesize
     if not (isinstance(rs.kind, CacheKind)
             and (rs.footprint % pagesize == 0 or rs.footprint <= pagesize)):

@@ -104,19 +104,16 @@ def run_sweep(footprints: List[int],
     the sweep's next string seed: ``seed + 1``, ``seed + 2``, ... in run
     order, one per call.  This is the one place the probes draw string
     seeds.  Cache and TLB strings vary with it; gap strings ignore it.  A
-    backend whose runs repeat exactly says so with a true ``exact``
-    attribute (the simulator does).  On such a backend a string equal to
-    the one a point last measured cannot move its minimum, so the point is
-    stable there: a gap string takes one run, a seed-varying string the
-    full window.  A backend may also declare ``floor``, the fewest cycles
-    per access any run on it can read (the simulator's is its first level's
-    latency), and ``seed_free``, the kinds whose strings all read the same
-    at every seed (the simulator adds a cache string's kind when its run
-    proves it).  A point whose minimum reaches the floor cannot fall
-    further, nor can one whose run was of a seed-free kind, so either is
-    stable at once, and stays stable when a neighbor revives it.  Other
-    backends, real memory included, repeat every string for the full window
-    to filter noise.
+    backend may declare ``least(kind)``, the fewest cycles per access that
+    any string of ``kind`` can read on it.  A point whose minimum reaches
+    the least of the kind it just ran cannot fall further, so it is stable
+    at once, and stays stable when a neighbor revives it.  On the
+    simulator a gap string and a cache string that proves its kind
+    seed-free, each priced in closed form, read their kind's least, so each
+    takes one run, as does a point at the first level's latency or a T(1,k)
+    point that misses every TLB smaller than its pages.  Other backends,
+    real memory included, declare no least and repeat every string for the
+    full window to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below
@@ -128,16 +125,11 @@ def run_sweep(footprints: List[int],
     """
     if window < 1:
         raise ValueError("window must be >= 1")
-    exact = getattr(backend, "exact", False)
-    floor = getattr(backend, "floor", -math.inf)
-    seed_free = getattr(backend, "seed_free", ())
+    least = getattr(backend, "least", lambda kind: -math.inf)
     points = [SamplePoint(fp) for fp in sorted(footprints)]
     curve = ResponseCurve(points=points)
     cap = DEFAULT_RUN_CAP * len(points)
     seeds = itertools.count(seed + 1)
-    # (kind, seed) of the string each point last measured: the key, not the
-    # string, so that a sweep keeps no chain alive.
-    last = {}
     settled = set()  # indices of points whose minimum no run can move
     while any(not p.knocked_out and p.runs_since_min < window
               for p in points):
@@ -145,15 +137,9 @@ def run_sweep(footprints: List[int],
             if p.knocked_out or p.runs_since_min >= window:
                 continue
             rs = build(p.footprint, next(seeds))
-            if exact:
-                key = (rs.kind, rs.seed)
-                if last.get(idx) == key:
-                    p.runs_since_min = window
-                    continue
-                last[idx] = key
             t = run_once(rs, backend)
             curve.total_string_runs += 1
-            if t <= floor or rs.kind in seed_free:
+            if t <= least(rs.kind):
                 settled.add(idx)
             if t < p.min_cycles:
                 p.min_cycles = t

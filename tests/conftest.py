@@ -175,15 +175,13 @@ def _check_tlb_placement(rs, kind, pagesize):
 
 class CountingBackend:
     """Wraps a backend, counts its string runs and records the kind of each;
-    exact when the inner backend is, and with its floor and its seed-free
-    kinds if it has them."""
+    exact when the inner backend is, and with its ``least`` if it has one."""
 
     def __init__(self, inner):
         self.inner = inner
         self.exact = getattr(inner, "exact", False)
-        for name in ("floor", "seed_free"):
-            if hasattr(inner, name):
-                setattr(self, name, getattr(inner, name))
+        if hasattr(inner, "least"):
+            self.least = inner.least
         self.runs = 0
         self.kinds = []
 
@@ -194,8 +192,8 @@ class CountingBackend:
 
 
 class Inexact:
-    """The simulator's runs, without its claim to repeat exactly, its floor
-    or its seed-free kinds."""
+    """The simulator's runs, without its claim to repeat exactly or its
+    ``least``."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -207,7 +205,7 @@ class Inexact:
 class DriftingBackend:
     """Wraps a backend and scales each run's cycles by 1 + ``rate`` times the
     runs before it: a machine whose speed drifts steadily during a probe.
-    Neither exact nor with a floor."""
+    Neither exact nor with a ``least``."""
 
     def __init__(self, inner, rate):
         self.inner = inner

@@ -313,11 +313,13 @@ class TestTlbCommand:
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
         assert d["parameters"]["max_assoc"] is None
-        # The sweep's 29 points run once.  Of its bottom one and the two
-        # either side of the rise, only the one above the rise is off the
-        # floor and runs 3 more times.  The suspect's confirmation runs 17:
-        # each T(n, boundary) reads the floor and runs once.
-        assert d["probes"] == {"tlb": {"string_runs": 29 + 3 + 17,
+        # The sweep's 29 points run once.  Its bottom one and the one below
+        # the rise read the floor, and the 80 pages of the one above it miss
+        # the 64-entry TLB on every access, the least a T(1,k) string of
+        # more pages than entries reads, so none runs again.  The suspect's
+        # confirmation runs 17: each T(n, boundary) reads the floor and
+        # runs once.
+        assert d["probes"] == {"tlb": {"string_runs": 29 + 17,
                                        "knocked_out": 26, "revivals": 0}}
         [suspect] = d["tlb_suspects"]
         measured = suspect.pop("measured")

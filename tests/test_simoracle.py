@@ -725,13 +725,14 @@ def seed_free_cases(draw):
                       unique=True),
        mappings=st.lists(st.integers(0, 2**16), min_size=2, max_size=2))
 def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
-    """A kind the backend declares seed-free reads bit-equal at other
-    string seeds, under its own mapping, identity and two random ones."""
+    """A kind whose least a run raises above the floor to its read reads
+    bit-equal at other string seeds, under its own mapping, identity and
+    two random ones."""
     cfg, env, footprint = case
     be = SimulatedBackend(cfg)
     rs = build_cache_string(footprint, env, seeds[0])
     cycles = run_once(rs, be)
-    if rs.kind not in be.seed_free:
+    if not cfg.cache_levels[0].latency < cycles == be.least(rs.kind):
         return
     for mapping in [cfg.mapping_seed, None] + mappings:
         other = SimulatedBackend(replace(cfg, mapping_seed=mapping))
@@ -741,10 +742,18 @@ def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
 
 
 def test_whole_pages_and_sub_page_footprints_are_seed_free():
+    # After one run the least of each kind is its read: 64 KiB and 600 KiB
+    # read above the 3-cycle floor.  66 KiB ends in a part page, so its
+    # kind keeps the floor.
     be = SimulatedBackend(README_LIKE)
     for kb in (1, 3, 4, 64, 600):
-        run_once(build_cache_string(kb * KB, ENV, kb), be)
-    assert be.seed_free == {CacheKind(kb * KB) for kb in (1, 3, 4, 64, 600)}
+        rs = build_cache_string(kb * KB, ENV, kb)
+        assert run_once(rs, be) == be.least(rs.kind)
+    assert be.least(CacheKind(64 * KB)) == 15
+    assert be.least(CacheKind(600 * KB)) > 15
+    rs = build_cache_string(66 * KB, ENV, 66)
+    assert run_once(rs, be) == 15
+    assert be.least(rs.kind) == 3
 
 
 def looped(cfg, rs):
@@ -779,19 +788,83 @@ NOT_SEED_FREE = [
 
 @pytest.mark.parametrize("cfg, rs, loops", NOT_SEED_FREE)
 def test_not_seed_free(cfg, rs, loops):
+    # Each kind keeps the floor, the L1's 3 cycles, after its run.
     be = SimulatedBackend(cfg)
     run_once(rs, be)
     assert looped(cfg, rs) == loops
-    assert not be.seed_free
+    assert be.least(rs.kind) == 3
 
 
-@pytest.mark.parametrize("rs", [
-    build_tlb_string(1, 40 * 4096, ENV, 7),
-    build_tlb_string(2, 40 * 4096, ENV, 8),
-    build_gap_string(9, 4 * KB, 0, ENV),
-    build_gap_string(2, 512, 0, ENV),
-], ids=repr)
-def test_only_cache_strings_are_seed_free(rs):
-    be = SimulatedBackend(README_LIKE)
-    run_once(rs, be)
-    assert not be.seed_free
+@pytest.mark.parametrize("cfg, rs, least", [
+    # 40 pages fit the 64-entry TLB, 80 miss it on every access, and 2,048
+    # miss both of TWO_TLBS's TLBs, at 8 and 30 cycles.
+    pytest.param(README_LIKE, build_tlb_string(1, 40 * 4096, ENV, 7), 3,
+                 id="T(1,40-pages)"),
+    pytest.param(README_LIKE, build_tlb_string(1, 80 * 4096, ENV, 7), 3 + 30,
+                 id="T(1,80-pages)"),
+    pytest.param(TWO_TLBS, build_tlb_string(1, 80 * 4096, ENV, 7), 3 + 8,
+                 id="T(1,80-pages)-two-tlbs"),
+    pytest.param(TWO_TLBS, build_tlb_string(1, 2048 * 4096, ENV, 7),
+                 3 + 8 + 30, id="T(1,2048-pages)-two-tlbs"),
+    # Two lines of a page share its TLB entry: the floor.
+    pytest.param(README_LIKE, build_tlb_string(2, 80 * 4096, ENV, 8), 3,
+                 id="T(2,80-pages)"),
+    # Built for 4 KiB pages, each of the 40 slots is in its own 1 KiB page
+    # of the 160 its footprint spans: 40 fit the TLB, so the floor.
+    pytest.param(replace(README_LIKE, pagesize=1024),
+                 build_tlb_string(1, 40 * 4096, ENV, 7), 3,
+                 id="T(1,40-pages)-on-1K-pages"),
+    # A gap kind's one string: its read.
+    pytest.param(README_LIKE, build_gap_string(9, 4 * KB, 0, ENV), 15,
+                 id="G(9,4K,0)"),
+    pytest.param(README_LIKE, build_gap_string(2, 512, 0, ENV), 3,
+                 id="G(2,512,0)"),
+])
+def test_least_of_each_kind(cfg, rs, least):
+    be = SimulatedBackend(cfg)
+    assert be.least(rs.kind) == 3
+    cycles = run_once(rs, be)
+    assert be.least(rs.kind) == least <= cycles
+
+
+@st.composite
+def least_cases(draw):
+    """A hierarchy of ``seed_free_cases`` and a builder of strings of one
+    kind, taking a seed: T(1,k), T(2,k), a whole-page or any cache string,
+    or a gap string."""
+    cfg, env, footprint = draw(seed_free_cases())
+    pagesize = env.pagesize
+    family = draw(st.sampled_from(["T(1,k)", "T(2,k)", "whole-page", "cache",
+                                   "gap"]))
+    if family == "gap":
+        n = draw(st.integers(2, 24))
+        k = draw(st.sampled_from([64, 128, 256, 512, 1024, 4096]))
+        o = draw(st.sampled_from([0, 8, 64, 128]))
+        return cfg, lambda seed: build_gap_string(n, k, o, env)
+    if family.startswith("T"):
+        n = int(family[2])
+        pages = draw(st.integers(3 - n, 40))
+        return cfg, lambda seed: build_tlb_string(n, pages * pagesize, env,
+                                                  seed)
+    if family == "whole-page":
+        footprint = draw(st.integers(1, 40)) * pagesize
+    return cfg, lambda seed: build_cache_string(footprint, env, seed)
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=least_cases(),
+       seeds=st.lists(st.integers(0, 2**32), min_size=3, max_size=3,
+                      unique=True),
+       traversals=st.integers(1, 4))
+def test_no_run_reads_below_its_kinds_least(case, seeds, traversals):
+    """Every run of a string reads at least its kind's least, before and
+    after the backend has learned the kind, and at any number of timed
+    traversals."""
+    cfg, build = case
+    be = SimulatedBackend(cfg)
+    for seed in seeds:
+        rs = build(seed)
+        before = be.least(rs.kind)
+        cycles = run_once(rs, be)
+        assert cycles >= max(before, be.least(rs.kind))
+        assert be.run(rs, traversals * rs.chain_length) >= be.least(rs.kind)

@@ -2,11 +2,12 @@ import shutil
 
 import pytest
 
-from conftest import Inexact, JitterBackend
+from conftest import CountingBackend, Inexact, JitterBackend
 from memhier import (BudgetExceededError, CacheLevel, RealMemoryBackend,
                      SimConfig, SimulatedBackend, TlbLevel,
                      build_cache_string, build_gap_string, build_tlb_string,
                      measure_stable, run_once, simulate)
+from memhier.refstring import CacheKind
 from memhier.timing import (DEFAULT_RUN_CAP, JUMP, RISE, STEP_TOL, is_step,
                             run_sweep)
 
@@ -159,7 +160,7 @@ class TestMeasureStable:
 
     def test_string_at_the_floor_takes_one_run(self, env):
         be = sim_backend()
-        assert be.floor == 3
+        assert be.least(CacheKind(16 * KB)) == 3
         for window in (1, 5, 25):
             m = measure_stable(self.factory(env, [0]), be, window=window)
             assert m.runs_taken == 1
@@ -167,7 +168,7 @@ class TestMeasureStable:
 
     def test_exact_backend_measures_repeated_string_once(self, env):
         # Gap strings have one fixed seed, so the factory repeats the string
-        # it just measured; on the simulator that cannot move the minimum.
+        # it just measured; on the simulator its run reads its kind's least.
         def gap():
             return build_gap_string(33, 1024, 0, env)
 
@@ -251,6 +252,21 @@ class TestRunSweep:
         assert full.total_string_runs == 3 + 2 * 5
         assert full.values() == once.values()
 
+    def test_gap_point_on_an_exact_backend_takes_one_run(self, env):
+        # G(9, 4K, 0) overflows its one set and reads the L2's 15 cycles,
+        # above the floor.  Its run records that read as the kind's least,
+        # so the point is stable after one run.
+        def build(n, _seed):
+            return build_gap_string(n, 4 * KB, 0, env)
+
+        be = CountingBackend(sim_backend())
+        once = run_sweep([9], build, be, window=25)
+        assert once.values() == [15.0]
+        assert once.total_string_runs == be.runs == 1
+        # Without the backend's least, the point runs its full window.
+        full = run_sweep([9], build, Inexact(sim_backend()), window=25)
+        assert full.total_string_runs == 26
+
     def test_points_at_the_floor_take_one_run(self, env):
         # Seed-varying cache strings: the two that fit the L1 read the
         # floor after one run.  The 66 KB point above it ends in a part
@@ -271,17 +287,18 @@ class TestRunSweep:
         assert full.values() == at_floor.values()
 
     def test_revived_point_at_the_floor_does_not_run_again(self):
-        # Footprints 1, 2, 3 on a backend with floor 3.  The bottom point
-        # reads 3.2 on its first run and 3 after that; the others always
-        # read 3.  The first pass knocks out 2 and 3; the bottom point's
-        # new minimum revives 2, which is already at the floor, so it stays
-        # stable: only the bottom point runs a second time, and the pass's
-        # knockout takes 2 out again.
+        # Footprints 1, 2, 3 on a backend where every kind's least is 3.
+        # The bottom point reads 3.2 on its first run and 3 after that; the
+        # others always read 3.  The first pass knocks out 2 and 3; the
+        # bottom point's new minimum revives 2, which is already at its
+        # least, so it stays stable: only the bottom point runs a second
+        # time, and the pass's knockout takes 2 out again.
         class Floored:
-            floor = 3.0
-
             def __init__(self):
                 self.runs = []
+
+            def least(self, kind):
+                return 3.0
 
             def run(self, rs, loads):
                 self.runs.append(rs.footprint)
@@ -310,13 +327,16 @@ class TestRunSweep:
         # bottom point reads 5.2 on its first run and 5 after that; the
         # others always read 5.  The first pass knocks out 2 and 3; the
         # bottom point's new minimum revives 2.  Where kinds 2 and 3 are
-        # seed-free, each is stable after its first run, so 2 does not run
-        # after its revival: only the bottom point runs again.  Otherwise
-        # 2 runs once more before the pass's knockout takes it out again.
+        # seed-free, their least is the 5 they read, so each is stable after
+        # its first run and 2 does not run after its revival: only the
+        # bottom point runs again.  Otherwise 2 runs once more before the
+        # pass's knockout takes it out again.
         class SeedFree:
             def __init__(self):
-                self.seed_free = seed_free
                 self.runs = []
+
+            def least(self, kind):
+                return 5.0 if kind in seed_free else 0.0
 
             def run(self, rs, loads):
                 self.runs.append(rs.footprint)
