@@ -7,8 +7,7 @@ stability discipline, and a knockout-revival sweep.  A deterministic
 hierarchy simulator doubles as the correctness oracle.
 """
 
-from .analysis import (HierarchyReport, LevelReport, assemble_report,
-                       detect_transitions)
+from .analysis import assemble_report, detect_transitions
 from .backend import RealMemoryBackend, acquire_region
 from .cacheprobe import (curve_from_csv, curve_to_csv, run_cache_sweep,
                          sample_points)
@@ -23,6 +22,6 @@ from .simoracle import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
                         load_config, parse_config, simulate)
 from .timing import (Measurement, ResponseCurve, SamplePoint, measure_stable,
                      run_once)
-from .tlbprobe import TlbLevelResult, TlbSuspect, run_tlb_probe
+from .tlbprobe import TlbSuspect, run_tlb_probe
 
 __version__ = "0.1.0"

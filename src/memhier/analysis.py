@@ -1,4 +1,6 @@
-"""Turn noisy response curves into hierarchy levels.
+"""Turn noisy response curves into hierarchy levels, and own the report
+format: ``assemble_report`` builds the JSON report from what the probes
+measured, and is the one place that spells its keys.
 
 A plateau is a maximal run of points with statistically equal latency; each
 level boundary is placed at the last footprint still at the plateau value,
@@ -9,14 +11,13 @@ back to the plateau is treated as noise and absorbed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
 from .errors import DegenerateCurveError
 from .l1probe import L1Report
 from .refstring import MachineEnv
 from .timing import RISE, STEP_TOL, ResponseCurve, is_step
-from .tlbprobe import TlbLevelResult, TlbSuspect
+from .tlbprobe import TlbSuspect
 
 #: Deeper detections than this are flagged for human review.
 MAX_LEVELS = 4
@@ -65,87 +66,87 @@ def _persists(values: List[float], start: int, median: float) -> bool:
     return all(is_step(median, v, STEP_TOL) for v in values[start:])
 
 
-@dataclass
-class LevelReport:
-    index: int
-    effective_capacity: int
-    latency: int
-
-    def to_json_dict(self) -> dict:
-        return {"level": self.index,
-                "effective_capacity": self.effective_capacity,
-                "latency": self.latency}
 
 
-@dataclass
-class HierarchyReport:
-    machine: MachineEnv
-    l1: Optional[L1Report]
-    cache_levels: List[LevelReport]
-    tlb_levels: List[TlbLevelResult]
-    costs: dict
-    parameters: dict
-    warnings: List[str] = field(default_factory=list)
-    tlb_suspects: List[TlbSuspect] = field(default_factory=list)
-    #: probe name -> {"string_runs": n, ...}, for each probe that ran; the
-    #: sweeping probes (cache, tlb) add "knocked_out" and "revivals".
-    probes: dict = field(default_factory=dict)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "machine": {"pagesize": self.machine.pagesize,
-                        "word": self.machine.word,
-                        "l1_linesize": self.machine.l1_linesize},
-            "l1": None if self.l1 is None else {
-                "capacity": self.l1.capacity,
-                "linesize": self.l1.linesize,
-                "associativity": self.l1.associativity,
-                "latency": self.l1.latency,
-                "flags": self.l1.flags,
-            },
-            "cache_levels": [lv.to_json_dict() for lv in self.cache_levels],
-            "tlb_levels": [{"level": lv.level,
-                            "capacity": lv.capacity,
-                            "entries": lv.entries}
-                           for lv in self.tlb_levels],
-            "tlb_suspects": [s.to_json_dict() for s in self.tlb_suspects],
-            "costs": self.costs,
-            "probes": self.probes,
-            "parameters": self.parameters,
-            "warnings": self.warnings,
-        }
+def level_dicts(curve: ResponseCurve) -> List[dict]:
+    """The levels of ``curve``, numbered from 1: one ``level``,
+    ``effective_capacity``, ``latency`` dict per transition."""
+    return [{"level": i + 1, "effective_capacity": cap, "latency": lat}
+            for i, (cap, lat) in enumerate(detect_transitions(curve))]
 
 
-def levels_from_curve(curve: ResponseCurve) -> List[LevelReport]:
-    transitions = detect_transitions(curve)
-    levels = [LevelReport(index=i + 1, effective_capacity=cap, latency=lat)
-              for i, (cap, lat) in enumerate(transitions)]
-    return levels
+def _sweep_counts(curve: ResponseCurve, other_runs: int = 0) -> dict:
+    """A sweeping probe's ``probes`` entry: the string runs of its sweep and
+    ``other_runs``, the sweep's points knocked out at its end, and its
+    revivals."""
+    return {"string_runs": curve.total_string_runs + other_runs,
+            "knocked_out": sum(p.knocked_out for p in curve.points),
+            "revivals": curve.revivals}
 
 
 def assemble_report(env: MachineEnv,
                     l1: Optional[L1Report],
                     cache_curve: Optional[ResponseCurve],
-                    tlb_levels: Optional[List[TlbLevelResult]],
+                    tlb: Optional[Tuple[List[int], List[TlbSuspect],
+                                        ResponseCurve]],
                     costs: Optional[dict] = None,
-                    parameters: Optional[dict] = None,
-                    tlb_suspects: Optional[List[TlbSuspect]] = None,
-                    probes: Optional[dict] = None) -> HierarchyReport:
+                    parameters: Optional[dict] = None) -> dict:
+    """The JSON report of the probes that ran.
+
+    ``l1`` is the L1 probe's report, ``cache_curve`` the cache sweep's curve
+    and ``tlb`` what ``run_tlb_probe`` returns; each is None if its probe
+    did not run.  ``costs`` and ``parameters`` are copied as given.
+    """
     warnings: List[str] = []
-    cache_levels: List[LevelReport] = []
+    cache_levels: List[dict] = []
+    probes: dict = {}
+    if l1 is not None:
+        probes["l1"] = {"string_runs": l1.string_runs}
     if cache_curve is not None:
-        cache_levels = levels_from_curve(cache_curve)
+        cache_levels = level_dicts(cache_curve)
         if len(cache_levels) > MAX_LEVELS:
             warnings.append("more than %d cache levels detected; review the "
                             "raw curve" % MAX_LEVELS)
             cache_levels = cache_levels[:MAX_LEVELS]
-    if l1 is not None and cache_levels:
-        if cache_levels[0].effective_capacity != l1.capacity:
-            warnings.append(
-                "L1 probe capacity %d disagrees with first cache level %d"
-                % (l1.capacity, cache_levels[0].effective_capacity))
-    return HierarchyReport(machine=env, l1=l1, cache_levels=cache_levels,
-                           tlb_levels=tlb_levels or [], costs=costs or {},
-                           parameters=parameters or {}, warnings=warnings,
-                           tlb_suspects=tlb_suspects or [],
-                           probes=probes or {})
+        if l1 is not None and cache_levels:
+            first = cache_levels[0]["effective_capacity"]
+            if first != l1.capacity:
+                warnings.append(
+                    "L1 probe capacity %d disagrees with first cache level %d"
+                    % (l1.capacity, first))
+        probes["cache"] = _sweep_counts(cache_curve)
+    entries, suspects = [], []
+    if tlb is not None:
+        entries, suspects, tlb_curve = tlb
+        probes["tlb"] = _sweep_counts(
+            tlb_curve, sum(s.string_runs for s in suspects))
+    return {
+        "machine": {"pagesize": env.pagesize,
+                    "word": env.word,
+                    "l1_linesize": env.l1_linesize},
+        "l1": None if l1 is None else {
+            "capacity": l1.capacity,
+            "linesize": l1.linesize,
+            "associativity": l1.associativity,
+            "latency": l1.latency,
+            "flags": ["direct-mapped"] if l1.associativity == 1 else [],
+        },
+        "cache_levels": cache_levels,
+        "tlb_levels": [{"level": i + 1,
+                        "capacity": n * env.pagesize,
+                        "entries": n}
+                       for i, n in enumerate(entries)],
+        "tlb_suspects": [{"footprint": s.footprint,
+                          "boundary": s.boundary,
+                          "confirming_n": s.confirming_n,
+                          "confirmed": s.confirmed,
+                          "measured": [{"n": n, "before": before,
+                                        "after": after}
+                                       for n, before, after in s.measured],
+                          "string_runs": s.string_runs}
+                         for s in suspects],
+        "costs": costs or {},
+        "probes": probes,
+        "parameters": parameters or {},
+        "warnings": warnings,
+    }

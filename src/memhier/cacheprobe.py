@@ -20,7 +20,8 @@ DEFAULT_UB = 32 * 1024 * 1024
 
 def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
     """The Range(LB, UB) schedule: 1-4KB uniformly, then the octave
-    schedule from 4KB to UB."""
+    schedule from 4KB to UB.  A range of fewer than 3 points, too few for
+    ``analysis.detect_transitions``, is an error before any string runs."""
     if lb <= 0 or lb > 4096 or ub < 4096 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB <= 4KB <= UB and LB < UB")
     if ub % 1024 or ub > MAX_FOOTPRINT:
@@ -29,6 +30,10 @@ def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
     pts = {kb * 1024 for kb in (1, 2, 3, 4) if lb <= kb * 1024 <= ub}
     if ub > 4096:
         pts.update(octave_points(4096, ub))
+    if len(pts) < 3:
+        raise InvalidGeometryError(
+            "LB %d to UB %d holds %d sample points; analysis needs at least 3"
+            % (lb, ub, len(pts)))
     return sorted(pts)
 
 

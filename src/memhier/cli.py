@@ -128,14 +128,6 @@ def _bound(value: Optional[int], default: int) -> int:
     return default if value is None else value
 
 
-def _sweep_probe(curve: ResponseCurve, string_runs: int) -> dict:
-    """A sweeping probe's counts: the string runs it took, the sweep's points
-    knocked out at its end, and its revivals."""
-    return {"string_runs": string_runs,
-            "knocked_out": sum(p.knocked_out for p in curve.points),
-            "revivals": curve.revivals}
-
-
 def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     """Run the probes of ``which``; return the JSON report and the cache
     curve, if the cache was swept.  ``costs`` holds the wall time of each
@@ -144,10 +136,7 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     env = _probe_env(config)
     started = time.perf_counter()
     costs: dict = {}
-    probes: dict = {}
-    l1_report = None
-    cache_curve = None
-    tlb_levels = tlb_suspects = None
+    l1_report = cache_curve = tlb = None
 
     def timed(name, probe, *probe_args, **kwargs):
         t0 = time.perf_counter()
@@ -162,7 +151,6 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
         l1_report = timed("l1", l1probe.run_l1_probe, params, env, backend,
                           window=args.window)
         env.l1_linesize = l1_report.linesize
-        probes["l1"] = {"string_runs": l1_report.string_runs}
 
     if which in ("cache", "all"):
         points = cacheprobe.sample_points(
@@ -170,27 +158,21 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
             _bound(args.ub, cacheprobe.DEFAULT_UB))
         cache_curve = timed("cache", cacheprobe.run_cache_sweep, points, env,
                             backend, window=args.window, seed=args.seed)
-        probes["cache"] = _sweep_probe(cache_curve,
-                                       cache_curve.total_string_runs)
 
     if which in ("tlb", "all"):
-        tlb_levels, tlb_suspects, tlb_curve = timed(
-            "tlb", tlbprobe.run_tlb_probe, env, backend,
-            lb=_bound(args.lb, 0) if which == "tlb" else 0,
-            ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
-                else tlbprobe.DEFAULT_UB),
-            window=args.window, seed=args.seed)
-        probes["tlb"] = _sweep_probe(tlb_curve, tlb_curve.total_string_runs
-                                     + sum(s.string_runs for s in tlb_suspects))
+        tlb = timed("tlb", tlbprobe.run_tlb_probe, env, backend,
+                    lb=_bound(args.lb, 0) if which == "tlb" else 0,
+                    ub=(_bound(args.ub, tlbprobe.DEFAULT_UB) if which == "tlb"
+                        else tlbprobe.DEFAULT_UB),
+                    window=args.window, seed=args.seed)
 
     costs["total"] = time.perf_counter() - started
     report = analysis.assemble_report(
-        env, l1_report, cache_curve, tlb_levels, costs=costs, probes=probes,
+        env, l1_report, cache_curve, tlb, costs=costs,
         parameters={"window": args.window, "seed": args.seed,
                     "backend": args.backend, "max_assoc": args.max_assoc,
-                    "lb": args.lb, "ub": args.ub},
-        tlb_suspects=tlb_suspects)
-    return report.to_json_dict(), cache_curve
+                    "lb": args.lb, "ub": args.ub})
+    return report, cache_curve
 
 
 def main(argv: Optional[list] = None) -> int:
@@ -203,8 +185,7 @@ def main(argv: Optional[list] = None) -> int:
     try:
         if args.command == "analyze":
             curve = load_curve(args.curve)
-            levels = analysis.levels_from_curve(curve)
-            payload = {"levels": [lv.to_json_dict() for lv in levels]}
+            payload = {"levels": analysis.level_dicts(curve)}
             _emit(args, json.dumps(payload, indent=2))
             return 0
 

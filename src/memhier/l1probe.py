@@ -32,8 +32,8 @@ mapped; the multi-level sweep handles everything above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, List, Tuple
+from dataclasses import dataclass
+from typing import Callable, Tuple
 
 from .errors import ProbeError
 from .refstring import MachineEnv, build_gap_string
@@ -63,7 +63,6 @@ class L1Report:
     associativity: int
     linesize: int
     latency: int
-    flags: List[str] = field(default_factory=list)
     string_runs: int = 0
 
 
@@ -137,10 +136,10 @@ def find_capacity(params: L1Params, base: float,
 
 
 def find_associativity(capacity: int, stride: int, base: float,
-                       timer: GapTimer) -> Tuple[int, List[str]]:
+                       timer: GapTimer) -> int:
     """Search 3: bisect j for the largest way size W = stride * 2^j that
     divides ``capacity`` and whose G(capacity/W+1, W, 0) misses.  Returns
-    (capacity/W ways, flags)."""
+    the number of ways, capacity/W."""
     n = capacity // stride
     # W = stride * 2^j divides the capacity for j up to n's factors of two.
     # G(n+1, stride, 0), at j = 0, is the miss search 2 ended on; the j past
@@ -149,8 +148,7 @@ def find_associativity(capacity: int, stride: int, base: float,
     j = _bisect(0, (n & -n).bit_length(),
                 lambda j: not timer.misses(base, capacity // (stride << j) + 1,
                                            stride << j)) - 1
-    ways = capacity // (stride << j)
-    return ways, ["direct-mapped"] if ways == 1 else []
+    return capacity // (stride << j)
 
 
 def find_linesize(l1_size: int, l1_assoc: int, base: float,
@@ -213,10 +211,9 @@ def run_l1_probe(params: L1Params, env: MachineEnv, backend,
     timer = GapTimer(env, backend, window)
     base = baseline(params, timer)
     capacity, stride = find_capacity(params, base, timer)
-    assoc, flags = find_associativity(capacity, stride, base, timer)
+    assoc = find_associativity(capacity, stride, base, timer)
     linesize = find_linesize(capacity, assoc, base, timer)
     if not getattr(backend, "exact", False):
         check_geometry(capacity, assoc, linesize, base, timer)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
-                    latency=max(1, round(base)), flags=flags,
-                    string_runs=timer.string_runs)
+                    latency=max(1, round(base)), string_runs=timer.string_runs)

@@ -39,22 +39,6 @@ class TlbSuspect:
     #: String runs its confirmation took.
     string_runs: int = 0
 
-    def to_json_dict(self) -> dict:
-        return {"footprint": self.footprint,
-                "boundary": self.boundary,
-                "confirming_n": self.confirming_n,
-                "confirmed": self.confirmed,
-                "measured": [{"n": n, "before": before, "after": after}
-                             for n, before, after in self.measured],
-                "string_runs": self.string_runs}
-
-
-@dataclass
-class TlbLevelResult:
-    level: int
-    capacity: int  # bytes = entries * pagesize
-    entries: int
-
 
 def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
                   window: int = DEFAULT_WINDOW,
@@ -62,6 +46,10 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
     """Stability-disciplined sweep of T(1,k) over the page-count schedule."""
     if lb % env.pagesize or ub % env.pagesize:
         raise InvalidGeometryError("TLB bounds must be multiples of pagesize")
+    if lb < 2 * env.pagesize:
+        raise InvalidGeometryError("TLB LB must be at least 2 pages (%d bytes): "
+                                   "a T(1,k) string needs 2 slots"
+                                   % (2 * env.pagesize))
     if ub > MAX_FOOTPRINT:
         raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
@@ -110,22 +98,17 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
 
 def run_tlb_probe(env: MachineEnv, backend, lb: int = 0, ub: int = DEFAULT_UB,
                   window: int = DEFAULT_WINDOW, seed: int = 0
-                  ) -> Tuple[List[TlbLevelResult], List[TlbSuspect],
-                             ResponseCurve]:
-    """Full TLB test: sweep, suspects, confirmation, level report.
+                  ) -> Tuple[List[int], List[TlbSuspect], ResponseCurve]:
+    """Full TLB test: sweep, suspects, confirmation.
 
     The sweep's string seeds start at ``seed + 1``, suspect i's at
-    ``seed + 7919 * i + 1``.  Returns (levels, suspects, T(1,k) curve).
+    ``seed + 7919 * i + 1``.  Returns (the entry count of each confirmed
+    suspect's boundary, smallest first; every suspect; the T(1,k) curve).
     """
     lb = lb or DEFAULT_LB_PAGES * env.pagesize
     curve = run_tlb_sweep(lb, ub, env, backend, window=window, seed=seed)
     suspects = [confirm_suspect(s, env, backend, window=window,
                                 seed=seed + 7919 * i)
                 for i, s in enumerate(find_suspects(curve))]
-    levels = []
-    for s in suspects:
-        if s.confirmed:
-            levels.append(TlbLevelResult(level=len(levels) + 1,
-                                         capacity=s.boundary,
-                                         entries=s.boundary // env.pagesize))
-    return levels, suspects, curve
+    entries = [s.boundary // env.pagesize for s in suspects if s.confirmed]
+    return entries, suspects, curve

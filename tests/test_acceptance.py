@@ -23,7 +23,7 @@ import memhier
 from conftest import JitterBackend
 from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
                      build_cache_string, measure_stable, timing, tlbprobe)
-from memhier.analysis import detect_transitions
+from memhier.analysis import assemble_report, detect_transitions
 from memhier.cacheprobe import run_cache_sweep, sample_points
 from memhier.l1probe import L1Params, run_l1_probe
 from memhier.tlbprobe import run_tlb_probe
@@ -66,7 +66,8 @@ def test_criterion_1_l1_oracle_equivalence(env):
             got = (rep.capacity, rep.associativity, rep.linesize)
             assert got == (cap, assoc, ls), "config %r -> %r" % (
                 (cap, assoc, ls), got)
-            assert rep.flags == (["direct-mapped"] if assoc == 1 else [])
+            flags = assemble_report(env, rep, None, None)["l1"]["flags"]
+            assert flags == (["direct-mapped"] if assoc == 1 else [])
             assert elapsed < 5.0, "config %r took %.1fs" % ((cap, assoc, ls),
                                                             elapsed)
 
@@ -133,9 +134,8 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
             levels, _, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg),
                 ub=4 * entries[-1] * PAGE, window=3, seed=seed)
-            assert [lv.entries for lv in levels] == entries, \
-                "seed %d: %r vs %r" % (seed, [lv.entries for lv in levels],
-                                       entries)
+            assert levels == entries, "seed %d: %r vs %r" % (seed, levels,
+                                                             entries)
         # Adversarial: a cache whose line capacity runs out at a footprint on
         # the sweep schedule produces a T(1,k) rise that looks like a TLB
         # boundary; confirmation via n = 2, 3, 4 must reject it.
@@ -207,7 +207,7 @@ def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
                 levels, _, _ = run_tlb_probe(
                     env, SimulatedBackend(cfg), ub=4 * entries[-1] * PAGE,
                     window=3, seed=seed)
-                got.append([lv.entries for lv in levels])
+                got.append(levels)
             assert got == [entries, entries], "TLB seed %d: %r" % (seed, got)
 
 

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 import memhier
 from memhier import (CacheLevel, DegenerateCurveError, MachineEnv, SimConfig,
                      SimulatedBackend)
-from memhier.analysis import (LevelReport, _median, assemble_report,
-                              detect_transitions, levels_from_curve)
+from memhier.analysis import (_median, assemble_report, detect_transitions,
+                              level_dicts)
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
-from memhier.tlbprobe import TlbLevelResult, TlbSuspect, find_suspects
+from memhier.tlbprobe import TlbSuspect, find_suspects
 
 KB = 1024
 MB = 1024 * 1024
@@ -116,27 +116,46 @@ def test_cli_does_not_import_statistics():
 
 
 class TestAssembleReport:
-    def l1(self):
-        return L1Report(capacity=32 * KB, associativity=8, linesize=64,
-                        latency=3, flags=[])
+    def l1(self, associativity=8, string_runs=0):
+        return L1Report(capacity=32 * KB, associativity=associativity,
+                        linesize=64, latency=3, string_runs=string_runs)
+
+    def tlb(self):
+        """A T(1,k) curve of 3 runs, 1 point knocked out and 1 revival, and
+        one suspect whose confirmation ran 28 strings."""
+        curve = ResponseCurve(points=[
+            SamplePoint(64 * 4096, 3.0), SamplePoint(72 * 4096, 3.0, 0, True),
+            SamplePoint(80 * 4096, 15.0)], total_string_runs=3, revivals=1)
+        suspect = TlbSuspect(80 * 4096, 64 * 4096, True, [2, 3, 4],
+                             [(2, 3.0, 15.5), (3, 3.0, 12.75),
+                              (4, 3.0, 11.25)], 28)
+        return [64], [suspect], curve
 
     def test_json_shape(self, env):
         fps = sample_points(KB, MB)
         curve = staircase([(32 * KB, 3), (None, 90)], fps)
-        suspect = TlbSuspect(80 * 4096, 64 * 4096, True, [2, 3, 4],
-                             [(2, 3.0, 15.5), (3, 3.0, 12.75),
-                              (4, 3.0, 11.25)], 28)
-        rep = assemble_report(env, self.l1(), curve,
-                              [TlbLevelResult(1, 64 * 4096, 64)],
-                              costs={"l1_seconds": 0.1},
-                              parameters={"window": 25},
-                              tlb_suspects=[suspect],
-                              probes={"l1": {"string_runs": 21}})
-        d = rep.to_json_dict()
-        assert d["probes"] == {"l1": {"string_runs": 21}}
-        assert set(d) == {"machine", "l1", "cache_levels", "tlb_levels",
-                          "tlb_suspects", "costs", "probes", "parameters",
-                          "warnings"}
+        d = assemble_report(env, self.l1(), curve, self.tlb(),
+                            costs={"l1_seconds": 0.1},
+                            parameters={"window": 25})
+        # Ordered key lists pin the order the report prints in.
+        assert list(d) == ["machine", "l1", "cache_levels", "tlb_levels",
+                           "tlb_suspects", "costs", "probes", "parameters",
+                           "warnings"]
+        assert list(d["machine"]) == ["pagesize", "word", "l1_linesize"]
+        assert list(d["l1"]) == ["capacity", "linesize", "associativity",
+                                 "latency", "flags"]
+        assert [list(lv) for lv in d["cache_levels"]] == \
+            [["level", "effective_capacity", "latency"]]
+        assert [list(lv) for lv in d["tlb_levels"]] == \
+            [["level", "capacity", "entries"]]
+        assert [list(s) for s in d["tlb_suspects"]] == \
+            [["footprint", "boundary", "confirming_n", "confirmed",
+              "measured", "string_runs"]]
+        assert [list(m) for m in d["tlb_suspects"][0]["measured"]] == \
+            [["n", "before", "after"]] * 3
+        assert list(d["probes"]) == ["l1", "cache", "tlb"]
+        assert [list(p) for p in d["probes"].values()] == \
+            [["string_runs"]] + [["string_runs", "knocked_out", "revivals"]] * 2
         assert d["tlb_suspects"] == [
             {"footprint": 80 * 4096, "boundary": 64 * 4096,
              "confirming_n": [2, 3, 4], "confirmed": True,
@@ -144,44 +163,76 @@ class TestAssembleReport:
                           {"n": 3, "before": 3.0, "after": 12.75},
                           {"n": 4, "before": 3.0, "after": 11.25}],
              "string_runs": 28}]
-        assert d["machine"]["pagesize"] == env.pagesize
+        assert d["machine"] == {"pagesize": env.pagesize, "word": env.word,
+                                "l1_linesize": env.l1_linesize}
         assert d["l1"] == {"capacity": 32 * KB, "linesize": 64,
                            "associativity": 8, "latency": 3, "flags": []}
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
         assert d["tlb_levels"] == [
             {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+        assert d["costs"] == {"l1_seconds": 0.1}
+        assert d["parameters"] == {"window": 25}
         assert d["warnings"] == []
+
+    def test_probes_are_derived_from_the_results(self, env):
+        curve = ResponseCurve(points=[
+            SamplePoint(KB, 3.0), SamplePoint(2 * KB, 3.0, 0, True),
+            SamplePoint(4 * KB, 3.0, 0, True), SamplePoint(8 * KB, 3.0)],
+            total_string_runs=11, revivals=2)
+        d = assemble_report(env, self.l1(string_runs=21), curve, self.tlb())
+        # TLB string runs are the T(1,k) sweep's 3 plus confirmation's 28;
+        # knocked_out and revivals are the sweep's alone.
+        assert d["probes"] == {
+            "l1": {"string_runs": 21},
+            "cache": {"string_runs": 11, "knocked_out": 2, "revivals": 2},
+            "tlb": {"string_runs": 3 + 28, "knocked_out": 1, "revivals": 1}}
+
+    def test_tlb_levels_number_entry_counts(self):
+        env = MachineEnv(pagesize=16 * KB)
+        _, suspects, curve = self.tlb()
+        d = assemble_report(env, None, None, ([16, 256], suspects, curve))
+        assert d["tlb_levels"] == [
+            {"level": 1, "capacity": 16 * 16 * KB, "entries": 16},
+            {"level": 2, "capacity": 256 * 16 * KB, "entries": 256}]
+
+    def test_direct_mapped_flagged(self, env):
+        d = assemble_report(env, self.l1(associativity=1), None, None)
+        assert d["l1"]["flags"] == ["direct-mapped"]
+        assert assemble_report(env, self.l1(), None, None)["l1"]["flags"] \
+            == []
 
     def test_l1_cache_level_disagreement_warns(self, env):
         fps = sample_points(KB, MB)
         curve = staircase([(16 * KB, 3), (None, 90)], fps)
-        rep = assemble_report(env, self.l1(), curve, [])
-        assert any("disagrees" in w for w in rep.warnings)
+        d = assemble_report(env, self.l1(), curve, None)
+        assert any("disagrees" in w for w in d["warnings"])
 
     def test_excess_levels_capped_and_flagged(self, env):
         fps = sample_points(KB, 8 * MB)
         curve = staircase([(4 * KB, 3), (16 * KB, 8), (64 * KB, 16),
                            (256 * KB, 32), (MB, 64), (None, 200)], fps)
-        rep = assemble_report(env, None, curve, [])
-        assert len(rep.cache_levels) == 4
-        assert any("review" in w for w in rep.warnings)
+        d = assemble_report(env, None, curve, None)
+        assert len(d["cache_levels"]) == 4
+        assert any("review" in w for w in d["warnings"])
 
     def test_report_without_optional_parts(self, env):
-        rep = assemble_report(env, None, None, None)
-        assert rep.cache_levels == []
-        assert rep.tlb_levels == []
-        assert rep.to_json_dict()["tlb_suspects"] == []
-        assert rep.to_json_dict()["l1"] is None
+        d = assemble_report(env, None, None, None)
+        assert d["cache_levels"] == []
+        assert d["tlb_levels"] == []
+        assert d["tlb_suspects"] == []
+        assert d["l1"] is None
+        assert d["probes"] == {}
+        assert d["costs"] == {} and d["parameters"] == {}
 
 
-class TestLevelsFromCurve:
+class TestLevelDicts:
     def test_indices_start_at_one(self):
         fps = sample_points(KB, 4 * MB)
         curve = staircase([(32 * KB, 3), (512 * KB, 15), (None, 100)], fps)
-        levels = levels_from_curve(curve)
-        assert [lv.index for lv in levels] == [1, 2]
-        assert levels[0] == LevelReport(1, 32 * KB, 3)
+        assert level_dicts(curve) == [
+            {"level": 1, "effective_capacity": 32 * KB, "latency": 3},
+            {"level": 2, "effective_capacity": 512 * KB, "latency": 15}]
 
 
 class TestFindSuspects:

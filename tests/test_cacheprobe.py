@@ -32,6 +32,12 @@ class TestSamplePoints:
         with pytest.raises(InvalidGeometryError):
             sample_points(8 * KB, 4 * KB)
 
+    def test_fewer_than_three_points_rejected(self):
+        for lb, ub in ((3 * KB, 4 * KB), (4 * KB, 5 * KB)):
+            with pytest.raises(InvalidGeometryError, match="holds 2 sample"):
+                sample_points(lb, ub)
+        assert sample_points(2 * KB, 4 * KB) == [2 * KB, 3 * KB, 4 * KB]
+
     @pytest.mark.parametrize("ub", [5000000, MAX_FOOTPRINT + KB],
                              ids=["not-1KB-multiple", "over-allocation-limit"])
     def test_bad_ub_rejected_before_any_run(self, env, ub):

@@ -183,16 +183,23 @@ class TestExitCodes:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("memhier: ")
 
-    @pytest.mark.parametrize("argv", [
-        ["cache", "--ub", "5000000", "--window", "5"],
-        ["tlb", "--ub", str(128 * KB * KB)],
-    ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit"])
+    @pytest.mark.parametrize("argv, message", [
+        (["cache", "--ub", "5000000", "--window", "5"], "multiple of 1KB"),
+        (["tlb", "--ub", str(128 * KB * KB)], "TLB UB must be at most"),
+        (["cache", "--lb", "3072", "--ub", "4096"], "holds 2 sample points"),
+        (["cache", "--lb", "4096", "--ub", "5120", "--format", "csv"],
+         "holds 2 sample points"),
+        (["tlb", "--lb", "4096"], "TLB LB must be at least 2 pages"),
+    ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit",
+            "cache-3K-to-4K", "cache-4K-to-5K-csv", "tlb-lb-one-page"])
     def test_bad_ub_is_1_before_any_run(self, capsys, monkeypatch, cfg_path,
-                                        argv):
+                                        argv, message):
+        # A range too small to sweep or analyse is refused up front too.
         monkeypatch.setattr(SimulatedBackend, "run", NoRunBackend.run)
         assert main(argv + ["--backend", "sim:" + cfg_path]) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("memhier: ")
+        assert message in err[0]
 
     def test_non_utf8_config_is_1(self, capsys, tmp_path):
         path = tmp_path / "machine.cfg"

@@ -96,17 +96,16 @@ class TestL1Loops:
     def test_associativity_is_capacity_over_way_size(self, env):
         # 32KB/8-way at a 2KB stride: G(9, 4KB, 0) misses, G(5, 8KB, 0)
         # hits, so the way size is 4KB.
-        assert find_associativity(32 * KB, 2 * KB, 3.0, timer(env)) == (8, [])
+        assert find_associativity(32 * KB, 2 * KB, 3.0, timer(env)) == 8
 
     def test_associativity_not_a_power_of_two(self, env):
         be = backend(cap=48 * KB, assoc=12)
-        assert find_associativity(48 * KB, 4 * KB, 3.0,
-                                  timer(env, be)) == (12, [])
+        assert find_associativity(48 * KB, 4 * KB, 3.0, timer(env, be)) == 12
 
-    def test_direct_mapped_flagged(self, env):
+    def test_direct_mapped(self, env):
+        # The report flags it: see test_analysis.py.
         be = backend(cap=16 * KB, assoc=1)
-        assert find_associativity(16 * KB, KB, 3.0,
-                                  timer(env, be)) == (1, ["direct-mapped"])
+        assert find_associativity(16 * KB, KB, 3.0, timer(env, be)) == 1
 
     def test_linesize_sweep(self, env):
         assert find_linesize(32 * KB, 8, 3.0,
@@ -152,7 +151,6 @@ class TestFullProbe:
                            backend(cap, assoc, ls, lat), window=WINDOW)
         assert (rep.capacity, rep.associativity, rep.linesize, rep.latency) \
             == (cap, assoc, ls, lat)
-        assert rep.flags == []
 
     def test_max_assoc_cache(self, env):
         rep = run_l1_probe(L1Params(), env, backend(16 * KB, 16, 64, 2),
