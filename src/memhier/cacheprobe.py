@@ -39,33 +39,30 @@ def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
 
 def octave_points(lb: int, ub: int) -> List[int]:
     """Each power of two with three uniformly spaced points in between (p,
-    1.25p, 1.5p, 1.75p), plus LB and UB themselves; used for the page-count
-    schedule of the TLB test and the cache schedule above 4KB."""
+    1.25p, 1.5p, 1.75p) from the power at or below LB, that lie within LB
+    and UB, plus LB and UB themselves; used for the page-count schedule of
+    the TLB test and the cache schedule above 4KB."""
     if lb <= 0 or lb >= ub:
         raise InvalidGeometryError("need 0 < LB < UB")
-    pts = set()
+    pts = {lb, ub}
     p = 1 << (lb.bit_length() - 1)
-    if p < lb:
-        p <<= 1
     while p < ub:
         for m in (4, 5, 6, 7):
             v = p * m // 4
             if lb <= v <= ub and v * 4 == p * m:
                 pts.add(v)
         p *= 2
-    pts.add(ub)
-    if lb not in pts:
-        pts.add(lb)
     return sorted(pts)
 
 
-def run_cache_sweep(points: List[int], env: MachineEnv, backend,
-                    window: int = DEFAULT_WINDOW, seed: int = 0,
-                    knockout: bool = True) -> ResponseCurve:
-    """Sweep C(k) over the given footprints and return the response curve.
-    ``run_sweep`` draws the string seeds ``seed + 1``, ``seed + 2``, ..."""
-    return run_sweep(points, lambda fp, s: build_cache_string(fp, env, s),
-                     backend, window=window, knockout=knockout, seed=seed)
+def run_cache_sweep(lb: int, ub: int, env: MachineEnv, backend,
+                    window: int = DEFAULT_WINDOW,
+                    seed: int = 0) -> ResponseCurve:
+    """Sweep C(k) over ``sample_points(lb, ub)``; ``run_sweep`` draws the
+    string seeds ``seed + 1``, ``seed + 2``, ..."""
+    return run_sweep(sample_points(lb, ub),
+                     lambda fp, s: build_cache_string(fp, env, s),
+                     backend, window=window, seed=seed)
 
 
 # ---------------------------------------------------------------------------

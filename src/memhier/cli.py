@@ -97,12 +97,13 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _make_backend(spec: str):
+def _make_backend(spec: str) -> Tuple[object, MachineEnv]:
+    """The backend ``spec`` names and the machine the probes build for."""
     if spec == "real":
-        return RealMemoryBackend(), None
+        return RealMemoryBackend(), MachineEnv.host()
     if spec.startswith("sim:"):
         config = load_config(spec[4:])
-        return SimulatedBackend(config), config
+        return SimulatedBackend(config), MachineEnv(pagesize=config.pagesize)
     raise MemhierError("unknown backend %r (use 'real' or 'sim:<file>')" % spec)
 
 
@@ -117,12 +118,6 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _probe_env(config) -> MachineEnv:
-    if config is not None:
-        return MachineEnv(pagesize=config.pagesize)
-    return MachineEnv.host()
-
-
 def _bound(value: Optional[int], default: int) -> int:
     """A sweep bound given on the command line, else the probe's default."""
     return default if value is None else value
@@ -132,8 +127,7 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     """Run the probes of ``which``; return the JSON report and the cache
     curve, if the cache was swept.  ``costs`` holds the wall time of each
     probe call, timed here and nowhere else, and their ``total``."""
-    backend, config = _make_backend(args.backend)
-    env = _probe_env(config)
+    backend, env = _make_backend(args.backend)
     started = time.perf_counter()
     costs: dict = {}
     l1_report = cache_curve = tlb = None
@@ -153,10 +147,9 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
         env.l1_linesize = l1_report.linesize
 
     if which in ("cache", "all"):
-        points = cacheprobe.sample_points(
-            _bound(args.lb, cacheprobe.DEFAULT_LB),
-            _bound(args.ub, cacheprobe.DEFAULT_UB))
-        cache_curve = timed("cache", cacheprobe.run_cache_sweep, points, env,
+        cache_curve = timed("cache", cacheprobe.run_cache_sweep,
+                            _bound(args.lb, cacheprobe.DEFAULT_LB),
+                            _bound(args.ub, cacheprobe.DEFAULT_UB), env,
                             backend, window=args.window, seed=args.seed)
 
     if which in ("tlb", "all"):

@@ -23,8 +23,8 @@ exactly when o reaches the line size.  The predicates are monotone where
 they are searched and nowhere else: 32K/8 misses at a 2 KB stride but hits
 at 2.5 KB, and 48K/12 hits at n = 16 with gap C/16.
 
-On a backend whose runs do not repeat exactly, a result that its own strings
-contradict is an error rather than a report (``check_geometry``).
+Unless each gap string settled on its first run (the simulator's do), a
+result its strings contradict is an error, not a report (``check_geometry``).
 
 Works on L1 only because L1 data caches are core-private and virtually
 mapped; the multi-level sweep handles everything above it.
@@ -67,8 +67,8 @@ class L1Report:
 
 
 class GapTimer:
-    """Stable times of gap strings on one backend, and the string runs they
-    took."""
+    """Stable times of gap strings on one backend, the string runs they
+    took, and whether every one settled on its first run."""
 
     def __init__(self, env: MachineEnv, backend,
                  window: int = DEFAULT_WINDOW):
@@ -76,12 +76,14 @@ class GapTimer:
         self.backend = backend
         self.window = window
         self.string_runs = 0
+        self.settled = True
 
     def cycles(self, n: int, k: int, o: int = 0) -> float:
         """Stable time of G(n, k, o) in cycles per access."""
         m = measure_stable(lambda: build_gap_string(n, k, o, self.env),
                            self.backend, window=self.window)
         self.string_runs += m.runs_taken
+        self.settled = self.settled and m.runs_taken == 1
         return m.min_cycles_per_access
 
     def misses(self, base: float, n: int, k: int, o: int = 0) -> bool:
@@ -206,14 +208,14 @@ def check_geometry(capacity: int, assoc: int, linesize: int, base: float,
 
 def run_l1_probe(params: L1Params, env: MachineEnv, backend,
                  window: int = DEFAULT_WINDOW) -> L1Report:
-    """Measure the L1 geometry.  On a backend whose runs do not repeat
-    exactly, the result must pass ``check_geometry``."""
+    """Measure the L1 geometry.  Unless every gap string settled on its
+    first run, the result must pass ``check_geometry``."""
     timer = GapTimer(env, backend, window)
     base = baseline(params, timer)
     capacity, stride = find_capacity(params, base, timer)
     assoc = find_associativity(capacity, stride, base, timer)
     linesize = find_linesize(capacity, assoc, base, timer)
-    if not getattr(backend, "exact", False):
+    if not timer.settled:
         check_geometry(capacity, assoc, linesize, base, timer)
     return L1Report(capacity=capacity, associativity=assoc, linesize=linesize,
                     latency=max(1, round(base)), string_runs=timer.string_runs)

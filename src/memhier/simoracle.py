@@ -548,19 +548,16 @@ class SimulatedBackend:
     """Backend that measures reference strings on a simulated hierarchy.
 
     Deterministic: equal (config, string) pairs give bit-equal results.
-    ``least(kind)`` is the fewest cycles per access that any run of a string
-    of ``kind`` reads on it, so a sweep point whose minimum reaches it is
-    stable at once (``timing.run_sweep``).  It is the floor, the first
-    level's latency, until a run shows more (see the module docstring): a
-    gap or seed-free cache string's run records its read, and a T(1,k)
-    string's run the floor plus the penalties of the TLB levels with fewer
-    entries than its pages.  That state only grows and never changes a
-    result, so the backend is shareable across measurements.
+    Besides ``run`` it declares ``least(kind)``, the fewest cycles per
+    access that any run of a string of ``kind`` reads on it, so a sweep
+    point whose minimum reaches it is stable at once (``timing.run_sweep``).
+    It is the floor, the first level's latency, until a run shows more (see
+    the module docstring): a gap or seed-free cache string's run records
+    its read, so each settles at once, and a T(1,k) string's run the floor
+    plus the penalties of the TLB levels with fewer entries than its pages.
+    That state only grows and never changes a result, so the backend is
+    shareable across measurements.
     """
-
-    #: Runs repeat exactly, so ``l1probe`` trusts a result without checking
-    #: it against fresh strings.
-    exact = True
 
     def __init__(self, config: SimConfig):
         config.validate()

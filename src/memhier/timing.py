@@ -104,16 +104,16 @@ def run_sweep(footprints: List[int],
     the sweep's next string seed: ``seed + 1``, ``seed + 2``, ... in run
     order, one per call.  This is the one place the probes draw string
     seeds.  Cache and TLB strings vary with it; gap strings ignore it.  A
-    backend may declare ``least(kind)``, the fewest cycles per access that
-    any string of ``kind`` can read on it.  A point whose minimum reaches
-    the least of the kind it just ran cannot fall further, so it is stable
-    at once, and stays stable when a neighbor revives it.  On the
-    simulator a gap string and a cache string that proves its kind
-    seed-free, each priced in closed form, read their kind's least, so each
-    takes one run, as does a point at the first level's latency or a T(1,k)
-    point that misses every TLB smaller than its pages.  Other backends,
-    real memory included, declare no least and repeat every string for the
-    full window to filter noise.
+    backend declares ``run`` and may declare ``least(kind)``, the fewest
+    cycles per access that any string of ``kind`` can read on it.  A point
+    whose minimum reaches the least of the kind it just ran cannot fall
+    further, so it is stable at once, and stays stable when a neighbor
+    revives it.  On the simulator a gap string and a cache string that
+    proves its kind seed-free, each priced in closed form, read their
+    kind's least, so each takes one run, as does a point at the first
+    level's latency or a T(1,k) point that misses every TLB smaller than its
+    pages.  Other backends, real memory included, declare no least and
+    repeat every string for the full window to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below
@@ -121,7 +121,7 @@ def run_sweep(footprints: List[int],
     minimum revives any knocked-out immediate neighbor.  The bottom point is
     never knocked out: its strings are the cheapest, and its new minima
     start the revival cascade.  Without it every point is measured until
-    stable on its own.
+    stable on its own, as in the tests' exhaustive reference sweep.
     """
     if window < 1:
         raise ValueError("window must be >= 1")

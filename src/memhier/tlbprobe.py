@@ -52,6 +52,9 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
                                    % (2 * env.pagesize))
     if ub > MAX_FOOTPRINT:
         raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
+    if lb >= ub:
+        raise InvalidGeometryError("TLB LB (%d bytes) must be below TLB UB "
+                                   "(%d bytes)" % (lb, ub))
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
     footprints = [p * env.pagesize for p in pages]
     return run_sweep(footprints, lambda fp, s: build_tlb_string(1, fp, env, s),

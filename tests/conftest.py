@@ -175,11 +175,10 @@ def _check_tlb_placement(rs, kind, pagesize):
 
 class CountingBackend:
     """Wraps a backend, counts its string runs and records the kind of each;
-    exact when the inner backend is, and with its ``least`` if it has one."""
+    with the inner backend's ``least`` if it has one."""
 
     def __init__(self, inner):
         self.inner = inner
-        self.exact = getattr(inner, "exact", False)
         if hasattr(inner, "least"):
             self.least = inner.least
         self.runs = 0
@@ -192,8 +191,8 @@ class CountingBackend:
 
 
 class Inexact:
-    """The simulator's runs, without its claim to repeat exactly or its
-    ``least``."""
+    """The simulator's runs without its ``least``, as on the real backend:
+    no point settles before its full window."""
 
     def __init__(self, inner):
         self.inner = inner
@@ -205,7 +204,7 @@ class Inexact:
 class DriftingBackend:
     """Wraps a backend and scales each run's cycles by 1 + ``rate`` times the
     runs before it: a machine whose speed drifts steadily during a probe.
-    Neither exact nor with a ``least``."""
+    Without a ``least``."""
 
     def __init__(self, inner, rate):
         self.inner = inner

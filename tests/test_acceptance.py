@@ -22,9 +22,10 @@ import pytest
 import memhier
 from conftest import JitterBackend
 from memhier import (CacheLevel, SimConfig, SimulatedBackend, TlbLevel,
-                     build_cache_string, measure_stable, timing, tlbprobe)
+                     build_cache_string, cacheprobe, measure_stable, timing,
+                     tlbprobe)
 from memhier.analysis import assemble_report, detect_transitions
-from memhier.cacheprobe import run_cache_sweep, sample_points
+from memhier.cacheprobe import run_cache_sweep
 from memhier.l1probe import L1Params, run_l1_probe
 from memhier.tlbprobe import run_tlb_probe
 
@@ -94,8 +95,8 @@ def test_criterion_2_multilevel_oracle_equivalence(env):
             rng = random.Random(1000 + seed)
             cfg, expected = random_hierarchy(rng)
             ub = 2 * cfg.cache_levels[-1].capacity
-            curve = run_cache_sweep(sample_points(KB, ub), env,
-                                    SimulatedBackend(cfg), window=3, seed=seed)
+            curve = run_cache_sweep(KB, ub, env, SimulatedBackend(cfg),
+                                    window=3, seed=seed)
             got = detect_transitions(curve)
             assert len(got) == len(expected), "seed %d: %r vs %r" % (
                 seed, got, expected)
@@ -159,15 +160,22 @@ def _three_plateau_backend(seed):
                          scale=1.0)
 
 
-def test_criterion_4_knockout_revival_efficiency(env):
+def _cache_knockout(monkeypatch, knockout):
+    """Make ``run_cache_sweep`` run ``timing.run_sweep`` with ``knockout``;
+    without it, the exhaustive sweep."""
+    monkeypatch.setattr(cacheprobe, "run_sweep", functools.partial(
+        timing.run_sweep, knockout=knockout))
+
+
+def test_criterion_4_knockout_revival_efficiency(env, monkeypatch):
     with criterion(4, "knockout-revival efficiency"):
-        points = sample_points(KB, 512 * KB)
-        with_ko = run_cache_sweep(points, env,
+        with_ko = run_cache_sweep(KB, 512 * KB, env,
                                   _three_plateau_backend(seed=42),
                                   window=15, seed=0)
-        exhaustive = run_cache_sweep(points, env,
+        _cache_knockout(monkeypatch, False)
+        exhaustive = run_cache_sweep(KB, 512 * KB, env,
                                      _three_plateau_backend(seed=42),
-                                     window=15, seed=0, knockout=False)
+                                     window=15, seed=0)
         ratio = exhaustive.total_string_runs / with_ko.total_string_runs
         assert ratio >= 3.0, "only %.2fx fewer runs (%d vs %d)" % (
             ratio, exhaustive.total_string_runs, with_ko.total_string_runs)
@@ -176,24 +184,25 @@ def test_criterion_4_knockout_revival_efficiency(env):
 
 
 def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
-    def both_sweeps(make_backend, points, seed):
-        return [detect_transitions(run_cache_sweep(
-                    points, env, make_backend(), window=5, seed=seed,
-                    knockout=knockout))
-                for knockout in (True, False)]
+    def both_sweeps(make_backend, ub, seed):
+        curves = []
+        for knockout in (True, False):
+            _cache_knockout(monkeypatch, knockout)
+            curves.append(detect_transitions(run_cache_sweep(
+                KB, ub, env, make_backend(), window=5, seed=seed)))
+        return curves
 
     with criterion(4, "knockout matches the exhaustive sweep under jitter"):
         for seed in range(20):
             with_ko, exhaustive = both_sweeps(
-                lambda: _three_plateau_backend(seed),
-                sample_points(KB, 512 * KB), seed)
+                lambda: _three_plateau_backend(seed), 512 * KB, seed)
             assert with_ko == exhaustive, \
                 "three-plateau seed %d: %r vs %r" % (seed, with_ko, exhaustive)
         for seed in range(25):
             cfg, _ = random_hierarchy(random.Random(1000 + seed))
             with_ko, exhaustive = both_sweeps(
                 lambda: JitterBackend(SimulatedBackend(cfg), seed=seed),
-                sample_points(KB, 2 * cfg.cache_levels[-1].capacity), seed)
+                2 * cfg.cache_levels[-1].capacity, seed)
             assert with_ko == exhaustive, \
                 "random hierarchy seed %d: %r vs %r" % (seed, with_ko,
                                                         exhaustive)
@@ -238,8 +247,8 @@ def test_criterion_6_curve_invariants(env):
             cfg = SimConfig(cache_levels=[CacheLevel(c1, 8, 64, 3),
                                           CacheLevel(c2, 8, 64, 14)],
                             memory_latency=90)
-            curve = run_cache_sweep(sample_points(KB, 2 * c2), env,
-                                    SimulatedBackend(cfg), window=3, seed=seed)
+            curve = run_cache_sweep(KB, 2 * c2, env, SimulatedBackend(cfg),
+                                    window=3, seed=seed)
             vals = curve.values()
             assert all(b >= a - 0.25 for a, b in zip(vals, vals[1:])), \
                 "curve not non-decreasing for %r" % ((c1, c2),)

@@ -94,8 +94,8 @@ class TestDetectTransitions:
         cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
                                       CacheLevel(512 * KB, 8, 64, 15)],
                         memory_latency=100)
-        curve = run_cache_sweep(sample_points(KB, 2 * MB), env,
-                                SimulatedBackend(cfg), window=3, seed=4)
+        curve = run_cache_sweep(KB, 2 * MB, env, SimulatedBackend(cfg),
+                                window=3, seed=4)
         assert detect_transitions(curve) == [(32 * KB, 3), (512 * KB, 15)]
 
 

@@ -1,10 +1,11 @@
+import functools
 import math
 
 import pytest
 
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
-                     SimulatedBackend, build_cache_string, curve_from_csv,
-                     curve_to_csv)
+                     SimulatedBackend, build_cache_string, cacheprobe,
+                     curve_from_csv, curve_to_csv, timing)
 from memhier.cacheprobe import octave_points, run_cache_sweep, sample_points
 from memhier.timing import ResponseCurve, SamplePoint, run_sweep
 from memhier.refstring import MAX_FOOTPRINT
@@ -42,7 +43,7 @@ class TestSamplePoints:
                              ids=["not-1KB-multiple", "over-allocation-limit"])
     def test_bad_ub_rejected_before_any_run(self, env, ub):
         with pytest.raises(InvalidGeometryError):
-            run_cache_sweep(sample_points(KB, ub), env, NoRunBackend())
+            run_cache_sweep(KB, ub, env, NoRunBackend())
 
     def test_ub_at_allocation_limit(self):
         assert sample_points(KB, MAX_FOOTPRINT)[-1] == MAX_FOOTPRINT
@@ -50,6 +51,13 @@ class TestSamplePoints:
     def test_octave_points_from_four(self):
         assert octave_points(4, 64) == [4, 5, 6, 7, 8, 10, 12, 14, 16,
                                         20, 24, 28, 32, 40, 48, 56, 64]
+
+    def test_octave_points_below_the_first_power_of_two(self):
+        # The octave of the power of two below LB is sampled from LB up.
+        assert octave_points(5, 64) == [5, 6, 7, 8, 10, 12, 14, 16,
+                                        20, 24, 28, 32, 40, 48, 56, 64]
+        assert octave_points(6, 40) == [6, 7, 8, 10, 12, 14, 16,
+                                        20, 24, 28, 32, 40]
 
 
 def flat_backend(latency=5):
@@ -72,8 +80,8 @@ class TestSweep:
         # runs its stability window.  Every point reads the simulator's
         # floor, so the backend runs without it.
         pts = sample_points(KB, 64 * KB)
-        curve = run_cache_sweep(pts, env, Inexact(flat_backend()), window=3,
-                                seed=1)
+        curve = run_cache_sweep(KB, 64 * KB, env, Inexact(flat_backend()),
+                                window=3, seed=1)
         assert not curve.points[0].knocked_out
         assert all(p.knocked_out for p in curve.points[1:])
         assert curve.total_string_runs == len(pts) + 3
@@ -84,40 +92,42 @@ class TestSweep:
         # The bottom point reads the floor on its first run, so it is stable
         # at once and the first pass is the whole sweep.
         pts = sample_points(KB, 64 * KB)
-        curve = run_cache_sweep(pts, env, flat_backend(), window=3, seed=1)
+        curve = run_cache_sweep(KB, 64 * KB, env, flat_backend(), window=3,
+                                seed=1)
         assert not curve.points[0].knocked_out
         assert all(p.knocked_out for p in curve.points[1:])
         assert curve.total_string_runs == len(pts)
         assert all(v == 5.0 for v in curve.values())
 
     def test_stepped_curve_values(self, env):
-        pts = sample_points(KB, MB)
-        curve = run_cache_sweep(pts, env, stepped_backend(), window=3, seed=1)
+        curve = run_cache_sweep(KB, MB, env, stepped_backend(), window=3,
+                                seed=1)
         for p, v in zip(curve.points, curve.values()):
             if p.footprint <= 32 * KB:
                 assert v == 3.0
             elif p.footprint > 640 * KB:
                 assert v == 100.0
 
-    def test_knockout_reduces_runs(self, env):
+    def test_knockout_reduces_runs(self, env, monkeypatch):
         # Without its floor and seed-free kinds the simulator runs every
         # active point its full window.
-        pts = sample_points(KB, MB)
-        with_ko = run_cache_sweep(pts, env, Inexact(stepped_backend()),
+        with_ko = run_cache_sweep(KB, MB, env, Inexact(stepped_backend()),
                                   window=5, seed=1)
-        without = run_cache_sweep(pts, env, Inexact(stepped_backend()),
-                                  window=5, seed=1, knockout=False)
+        monkeypatch.setattr(cacheprobe, "run_sweep", functools.partial(
+            timing.run_sweep, knockout=False))
+        without = run_cache_sweep(KB, MB, env, Inexact(stepped_backend()),
+                                  window=5, seed=1)
         assert with_ko.total_string_runs < without.total_string_runs
 
     def test_curve_nondecreasing_on_simulator(self, env):
-        pts = sample_points(KB, MB)
-        curve = run_cache_sweep(pts, env, stepped_backend(), window=3, seed=2)
+        curve = run_cache_sweep(KB, MB, env, stepped_backend(), window=3,
+                                seed=2)
         vals = curve.values()
         assert all(b >= a - 0.25 for a, b in zip(vals, vals[1:]))
 
     def test_all_points_stable_or_knocked_out(self, env):
-        pts = sample_points(KB, 128 * KB)
-        curve = run_cache_sweep(pts, env, stepped_backend(), window=4, seed=3)
+        curve = run_cache_sweep(KB, 128 * KB, env, stepped_backend(),
+                                window=4, seed=3)
         for p in curve.points:
             assert p.knocked_out or p.runs_since_min >= 4
 

@@ -190,8 +190,12 @@ class TestExitCodes:
         (["cache", "--lb", "4096", "--ub", "5120", "--format", "csv"],
          "holds 2 sample points"),
         (["tlb", "--lb", "4096"], "TLB LB must be at least 2 pages"),
+        (["tlb", "--lb", "8192", "--ub", "8192"],
+         "TLB LB (8192 bytes) must be below TLB UB (8192 bytes)"),
+        (["l1", "--lb", "8192", "--ub", "4096"], "L1 probe needs LB < UB"),
     ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit",
-            "cache-3K-to-4K", "cache-4K-to-5K-csv", "tlb-lb-one-page"])
+            "cache-3K-to-4K", "cache-4K-to-5K-csv", "tlb-lb-one-page",
+            "tlb-lb-at-ub", "l1-lb-above-ub"])
     def test_bad_ub_is_1_before_any_run(self, capsys, monkeypatch, cfg_path,
                                         argv, message):
         # A range too small to sweep or analyse is refused up front too.
@@ -234,6 +238,16 @@ class TestL1Command:
         assert d["cache_levels"] == []
         assert d["costs"]["l1"] > 0
         assert d["probes"] == {"l1": {"string_runs": 15}}
+
+    def test_linesize_not_found_is_1(self, capsys, tmp_path):
+        # With page-sized lines no offset below the page moves the last
+        # slot of G(9, 4K, o) out of its set.
+        path = tmp_path / "page-lines.cfg"
+        path.write_text("cache 32768 8 4096 3\ncache 2097152 16 4096 14\n")
+        assert main(["l1", "--backend", "sim:%s" % path]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+        assert "linesize not found" in err[0]
 
     def test_max_assoc_twelve_on_twelve_ways(self, capsys, tmp_path):
         path = tmp_path / "twelve.cfg"
@@ -278,7 +292,7 @@ class TestCacheCommand:
                           "tlb_suspects", "costs", "probes", "parameters",
                           "warnings"}
         assert d["l1"] is None
-        # On an exact backend each of the 40 points runs once; the bottom
+        # On the simulator each of the 40 points runs once; the bottom
         # one and the two on either side of each rise (L1, TLB, L2) stay
         # active, and the other 33 are knocked out.  The bottom point and
         # the one below the L1 rise read the floor, and the other five span
@@ -296,8 +310,8 @@ class TestCacheCommand:
         make_backend = cli._make_backend
 
         def jittered(spec):
-            backend, config = make_backend(spec)
-            return JitterBackend(backend, seed=1), config
+            backend, env = make_backend(spec)
+            return JitterBackend(backend, seed=1), env
 
         monkeypatch.setattr(cli, "_make_backend", jittered)
         d = run_json(capsys, ["cache", "--backend", "sim:" + cfg_path,
@@ -378,6 +392,32 @@ class TestSimulateCommand:
         assert not l1_edge["confirmed"] and l1_edge["confirming_n"] == []
         assert [m["n"] for m in l1_edge["measured"]] == [2]
         assert 0 < l1_edge["string_runs"] < tlb["string_runs"]
+
+
+class RunAndLeast:
+    """The whole backend contract and nothing more: ``run`` and ``least``."""
+
+    def __init__(self, inner):
+        self.run = inner.run
+        self.least = inner.least
+
+
+def test_backend_contract_is_run_and_least(capsys, monkeypatch, tmp_path):
+    # The probes read nothing else of a backend: one that has only the two
+    # gets the bare simulator's report, with every cost 0 on a fixed clock.
+    path = tmp_path / "readme.cfg"
+    path.write_text(CONFIG + "mapping random 7\n")
+    monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+    argv = ["simulate", str(path), "--ub", "1048576"]
+    bare = run_json(capsys, argv)
+    make_backend = cli._make_backend
+
+    def wrapped(spec):
+        backend, env = make_backend(spec)
+        return RunAndLeast(backend), env
+
+    monkeypatch.setattr(cli, "_make_backend", wrapped)
+    assert run_json(capsys, argv) == bare
 
 
 class TestAnalyzeCommand:

@@ -1,6 +1,6 @@
 import pytest
 
-from conftest import CountingBackend
+from conftest import CountingBackend, Inexact
 from memhier import CacheLevel, ProbeError, SimConfig, SimulatedBackend
 from memhier import l1probe
 from memhier.l1probe import (GapTimer, L1Params, baseline, check_geometry,
@@ -29,17 +29,6 @@ def backend(cap=32 * KB, assoc=8, linesize=64, latency=3):
                                   CacheLevel(4096 * KB, 16, 64, 15)],
                     memory_latency=100)
     return SimulatedBackend(cfg)
-
-
-class InexactBackend:
-    """A simulated backend that does not declare its runs exact, as the real
-    one does not."""
-
-    def __init__(self, inner):
-        self.inner = inner
-
-    def run(self, rs, loads):
-        return self.inner.run(rs, loads)
 
 
 def timer(env, be=None):
@@ -165,7 +154,7 @@ class TestFullProbe:
     def test_32k8_string_runs(self, env):
         # Baseline 1, stride bisection over 64 B to 256 KB 4, capacity
         # bisection 4, way-size bisection 2, line offsets 8 B to 64 B 4: one
-        # run each on an exact backend.
+        # run each on the simulator, where each gap string settles at once.
         be = CountingBackend(backend())
         rep = run_l1_probe(L1Params(), env, be, window=WINDOW)
         assert (rep.capacity, rep.associativity, rep.linesize) == (32 * KB, 8, 64)
@@ -200,16 +189,17 @@ class TestCheckGeometry:
             check_geometry(cap, assoc, ls, 3.0, timer(env, be))
 
     def test_checked_only_where_runs_are_not_exact(self, env, monkeypatch):
-        # The true geometry passes the check on an inexact backend.
-        rep = run_l1_probe(L1Params(), env, InexactBackend(backend()),
+        # The true geometry passes the check on a backend with no least,
+        # where no gap string settles on its first run.
+        rep = run_l1_probe(L1Params(), env, Inexact(backend()),
                            window=WINDOW)
         assert (rep.capacity, rep.associativity, rep.linesize) \
             == (32 * KB, 8, 64)
-        # A line size no cache has: reported as found on an exact backend,
-        # an error on an inexact one.
+        # A line size no cache has: reported as found where every gap string
+        # settled on its first run, as on the simulator, an error elsewhere.
         monkeypatch.setattr(l1probe, "find_linesize", lambda *a: 56)
         assert run_l1_probe(L1Params(), env, backend(),
                             window=WINDOW).linesize == 56
         with pytest.raises(ProbeError, match="inconsistent L1 result"):
-            run_l1_probe(L1Params(), env, InexactBackend(backend()),
+            run_l1_probe(L1Params(), env, Inexact(backend()),
                          window=WINDOW)

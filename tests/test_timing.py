@@ -246,8 +246,8 @@ class TestRunSweep:
         once = sweep(be)
         assert once.total_string_runs == 3
         assert once.values() == [3.0, 100.0, 100.0]
-        # Without the claim to repeat exactly, the bottom two points each
-        # run their full window and the knocked-out top point stops.
+        # Without the backend's least, the bottom two points each run their
+        # full window and the knocked-out top point stops.
         full = sweep(Inexact(be))
         assert full.total_string_runs == 3 + 2 * 5
         assert full.values() == once.values()
