@@ -86,12 +86,18 @@ class GapKind:
 @dataclass(frozen=True)
 class CacheKind:
     footprint: int
+    #: The line size and page size the string was built for: with the
+    #: footprint they fix the slots every string of the kind touches.
+    linesize: int
+    pagesize: int
 
 
 @dataclass(frozen=True)
 class TlbKind:
     lines_per_page: int
     footprint: int
+    linesize: int
+    pagesize: int
 
 
 Kind = Union[GapKind, CacheKind, TlbKind]
@@ -177,7 +183,8 @@ def build_cache_string(footprint: int, env: MachineEnv, seed: int) -> ReferenceS
         chain.extend(base + c * ls for c in cols)
     if len(chain) < 2:
         raise InvalidGeometryError("cache string needs at least 2 slots")
-    return ReferenceString(footprint=footprint, kind=CacheKind(footprint),
+    return ReferenceString(footprint=footprint,
+                           kind=CacheKind(footprint, ls, env.pagesize),
                            seed=seed, chain=chain)
 
 
@@ -218,5 +225,6 @@ def build_tlb_string(n: int, footprint: int, env: MachineEnv, seed: int) -> Refe
                 line = (base + i) % lines_per_page
                 chain.append(page * env.pagesize + line * ls)
         _shuffle(rng, chain)
-    return ReferenceString(footprint=footprint, kind=TlbKind(n, footprint),
+    return ReferenceString(footprint=footprint,
+                           kind=TlbKind(n, footprint, ls, env.pagesize),
                            seed=seed, chain=chain)

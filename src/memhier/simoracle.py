@@ -59,13 +59,28 @@ closed-form level then misses on the keys of the sets that overflow and
 hands on the accesses to them, and the first level that fits is found from
 the keys alone: the cost, and whether the LRU loop takes any level, depend
 only on which addresses are touched.  So if this run took no LRU loop (d),
-no string of the kind does, and all cost what this one did.  A T(1,k)
-string with one slot in each of the config's pages it spans touches a new
-page at every access, so an LRU TLB with fewer entries than its pages
-misses on every access and hands the whole stream to the level below (the
-stack property of Mattson et al.): every run of the kind pays the penalties
-of those levels on top of the floor.  A TLB whose replacement is not LRU
-could hit on such a stream.
+no string of the kind does, and all cost what this one did.  Such a run
+answers every later run of its kind without simulating it: the read is the
+same at any number of traversals, as an int total over an int load count
+divides to the same float.  A kind carries the line size and the page
+size its string was built for, which with its footprint fix the slots its
+strings touch, so strings of other slots never share its read.
+
+A T(1,k) string with one slot in each of the config's pages it spans
+touches a new page at every access, so an LRU TLB with fewer entries than
+its pages misses on every access and hands the whole stream to the level
+below (the stack property of Mattson et al.): every run of the kind pays
+the penalties of those levels on top of the floor.  The caches miss the
+same way from the first level down, for as long as two things hold at a
+level.  Its set index lies inside the page offset (its sets times its line
+size divide the page size), so every mapping leaves each slot in the set
+its column gives it.  And each set it touches holds more than ``assoc``
+lines at every seed.  Slot j sits at column j mod lines-per-page of its own
+page, so each column holds at least floor(pages / lines-per-page) slots,
+each on its own line; a set holding more than ``assoc`` of them sees them
+as one cyclic run per traversal, and misses on every access.  A level whose
+replacement is not LRU could hit on such a stream and must not claim its
+penalty.
 
 Builtins price a closed-form level.  The run analysis of its stream finds
 the keys and the runs, which start where the key changes, and flags the run
@@ -246,20 +261,17 @@ def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
 
 
 def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
-    """Total latency of ``loads`` accesses after one warm-up traversal: the
-    base latency of every access, plus the TLBs' miss penalties on the
-    virtual chain and the caches' on the physical addresses.  Returns it
-    with whether the LRU loop simulated any level of either family.
+    """Total latency of ``loads`` accesses, a positive whole number of
+    traversals, after one warm-up traversal: the base latency of every
+    access, plus the TLBs' miss penalties on the virtual chain and the
+    caches' on the physical addresses.  Returns it with whether the LRU loop
+    simulated any level of either family.
 
     Under a random mapping the physical addresses are an ``array('q')``,
     eight bytes a slot with no int objects; iterating it creates each int
     as it is read, one at a time.  ``config`` must already be validated.
     """
     chain = rs.chain
-    n = len(chain)
-    if loads % n:
-        raise ConfigError("simulated loads must be a whole number of traversals")
-
     if config.mapping_seed is None:
         paddrs = chain
     else:
@@ -276,7 +288,7 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
                  for page, frame in enumerate(perm)]
         paddrs = array("q", [off + delta[off >> page_shift] for off in chain])
 
-    traversals = loads // n
+    traversals = loads // len(chain)
     tlbs, caches = _levels(config)
     base = (config.cache_levels[0].latency if config.cache_levels
             else config.memory_latency)
@@ -552,9 +564,11 @@ class SimulatedBackend:
     access that any run of a string of ``kind`` reads on it, so a sweep
     point whose minimum reaches it is stable at once (``timing.run_sweep``).
     It is the floor, the first level's latency, until a run shows more (see
-    the module docstring): a gap or seed-free cache string's run records
-    its read, so each settles at once, and a T(1,k) string's run the floor
-    plus the penalties of the TLB levels with fewer entries than its pages.
+    the module docstring).  A gap or seed-free cache string's run records
+    its read, which then answers every run of its kind without simulating,
+    so each settles at once.  A T(1,k) string's run records the floor plus
+    the penalties of the TLB levels with fewer entries than its pages and of
+    the cache levels from the first down whose every set it overflows.
     That state only grows and never changes a result, so the backend is
     shareable across measurements.
     """
@@ -565,6 +579,7 @@ class SimulatedBackend:
         self._floor = (config.cache_levels[0].latency if config.cache_levels
                        else config.memory_latency)
         self._least = {}  # kind -> the least a run showed
+        self._reads = {}  # seed-free kind -> what every run of it reads
 
     def least(self, kind) -> float:
         """The fewest cycles per access any run of a string of ``kind``
@@ -572,21 +587,43 @@ class SimulatedBackend:
         return self._least.get(kind, self._floor)
 
     def run(self, rs: ReferenceString, loads: int) -> float:
-        """Cycles per access over ``loads`` accesses, a whole number of
-        traversals, after one warm-up traversal."""
+        """Cycles per access over ``loads`` accesses, a positive whole
+        number of traversals, after one warm-up traversal."""
+        if loads <= 0 or loads % len(rs.chain):
+            raise ConfigError(
+                "simulated loads must be a positive whole number of traversals")
+        kind = rs.kind
+        if kind in self._reads:
+            return self._reads[kind]
         config = self.config
         total, looped = _simulate_loads(config, rs, loads)
         cycles = total / loads
-        kind = rs.kind
         if not looped and _seed_free(config, rs):
-            self._least[kind] = cycles
+            self._least[kind] = self._reads[kind] = cycles
         elif (isinstance(kind, TlbKind) and kind.lines_per_page == 1
-              and len(rs.chain) * config.pagesize == rs.footprint):
-            # One slot in each page: a smaller TLB misses on every access.
-            pages = len(rs.chain)
-            self._least[kind] = self._floor + sum(
-                tl.latency for tl in config.tlb_levels if tl.entries < pages)
+              and kind.pagesize == config.pagesize):
+            self._least[kind] = self._floor + _one_slot_per_page_penalties(
+                config, len(rs.chain), kind.linesize)
         return cycles
+
+
+def _one_slot_per_page_penalties(config: SimConfig, pages: int,
+                                 linesize: int) -> int:
+    """The miss penalties that every access of every T(1,k) string with one
+    slot in each of ``pages`` pages, built for ``linesize``-byte lines,
+    pays (see the module docstring): those of the TLBs with fewer entries
+    than its pages, and those of the cache levels from the first down whose
+    set index lies inside the page offset and whose every set it touches
+    holds more than ``assoc`` of its lines.  Only LRU levels may claim
+    them."""
+    total = sum(tl.latency for tl in config.tlb_levels if tl.entries < pages)
+    # Each column of the string holds at least this many slots.
+    column = pages // (config.pagesize // linesize)
+    for lvl in _levels(config)[1]:
+        if config.pagesize % (lvl.nsets * lvl.linesize) or column <= lvl.assoc:
+            break
+        total += lvl.penalty
+    return total
 
 
 def _seed_free(config: SimConfig, rs: ReferenceString) -> bool:

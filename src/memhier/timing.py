@@ -111,9 +111,11 @@ def run_sweep(footprints: List[int],
     revives it.  On the simulator a gap string and a cache string that
     proves its kind seed-free, each priced in closed form, read their
     kind's least, so each takes one run, as does a point at the first
-    level's latency or a T(1,k) point that misses every TLB smaller than its
-    pages.  Other backends, real memory included, declare no least and
-    repeat every string for the full window to filter noise.
+    level's latency or a T(1,k) point that reads only the misses every
+    string of its kind takes: in each TLB smaller than its pages, and in
+    each cache level, from the first down, whose every set it overflows.
+    Other backends, real memory included, declare no least and repeat every
+    string for the full window to filter noise.
 
     With ``knockout``, after every pass each point above the bottom one whose
     value agrees with every neighbor it has (the top point has one, below

@@ -12,6 +12,7 @@ from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
                      run_once, simulate)
 from memhier import simoracle
 from memhier.refstring import CacheKind, ReferenceString
+from memhier.timing import run_sweep
 
 from conftest import naive_cycles, naive_single_level_cycles
 
@@ -255,7 +256,7 @@ def strings(draw):
             chain.extend(block * 128 + slot * 32 for slot in slots)
         start = draw(st.integers(0, len(chain) - 1))
         chain = chain[start:] + chain[:start]
-        return ReferenceString(footprint, CacheKind(footprint),
+        return ReferenceString(footprint, CacheKind(footprint, 32, 4096),
                                draw(st.integers(0, 2**16)), chain)
     seed = draw(st.integers(0, 2**32))
     if kind == "cache":
@@ -467,7 +468,8 @@ DECLINED = [
                                          CacheLevel(192, 1, 64, 5),
                                          CacheLevel(352, 1, 32, 15)],
                            memory_latency=62),
-                 ReferenceString(4096, CacheKind(4096), 0, [3816, 1664, 1696]),
+                 ReferenceString(4096, CacheKind(4096, 8, 4096), 0,
+                                 [3816, 1664, 1696]),
                  {"cache": 1},
                  id="steady-miss-warm-up-hit"),
     # The L2 line of the chain's first slot comes back at its end, in the
@@ -477,7 +479,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(192, 3, 32, 10),
                                          CacheLevel(512, 1, 128, 11)],
                            memory_latency=69, mapping_seed=56432),
-                 ReferenceString(8192, CacheKind(8192), 0,
+                 ReferenceString(8192, CacheKind(8192, 8, 4096), 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
                  {"cache": 1}, id="split-first-run"),
     # Pages 0 and 1 alternate, so the TLB declines.  The L1 takes the
@@ -490,7 +492,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
-                 ReferenceString(8192, CacheKind(8192), 0,
+                 ReferenceString(8192, CacheKind(8192, 8, 4096), 0,
                                  [0, 32, 4128, 96, 4256, 8]),
                  {"tlb": 0, "cache": 1}, id="wrapped-run-in-fitting-set"),
 ]
@@ -557,7 +559,8 @@ def test_fitting_level_below_a_wider_line_is_simulated():
                                   CacheLevel(192, 1, 64, 5),
                                   CacheLevel(1024, 1, 32, 15)],
                     memory_latency=62)
-    rs = ReferenceString(4096, CacheKind(4096), 0, [3816, 1664, 1696])
+    rs = ReferenceString(4096, CacheKind(4096, 8, 4096), 0,
+                         [3816, 1664, 1696])
     for traversals in (1, 2, 3):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
@@ -727,7 +730,7 @@ def seed_free_cases(draw):
 def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
     """A kind whose least a run raises above the floor to its read reads
     bit-equal at other string seeds, under its own mapping, identity and
-    two random ones."""
+    two random ones, when each is simulated."""
     cfg, env, footprint = case
     be = SimulatedBackend(cfg)
     rs = build_cache_string(footprint, env, seeds[0])
@@ -735,10 +738,10 @@ def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
     if not cfg.cache_levels[0].latency < cycles == be.least(rs.kind):
         return
     for mapping in [cfg.mapping_seed, None] + mappings:
-        other = SimulatedBackend(replace(cfg, mapping_seed=mapping))
+        other = replace(cfg, mapping_seed=mapping)
         for seed in seeds[1:]:
-            assert run_once(build_cache_string(footprint, env, seed),
-                            other) == cycles
+            assert simulate(other, build_cache_string(footprint, env, seed),
+                            2) == cycles
 
 
 def test_whole_pages_and_sub_page_footprints_are_seed_free():
@@ -749,8 +752,8 @@ def test_whole_pages_and_sub_page_footprints_are_seed_free():
     for kb in (1, 3, 4, 64, 600):
         rs = build_cache_string(kb * KB, ENV, kb)
         assert run_once(rs, be) == be.least(rs.kind)
-    assert be.least(CacheKind(64 * KB)) == 15
-    assert be.least(CacheKind(600 * KB)) > 15
+    assert be.least(CacheKind(64 * KB, 64, 4096)) == 15
+    assert be.least(CacheKind(600 * KB, 64, 4096)) > 15
     rs = build_cache_string(66 * KB, ENV, 66)
     assert run_once(rs, be) == 15
     assert be.least(rs.kind) == 3
@@ -795,6 +798,11 @@ def test_not_seed_free(cfg, rs, loops):
     assert be.least(rs.kind) == 3
 
 
+#: README_LIKE with a 64K/8/64 L1, whose way of 128 sets spans two pages.
+WIDE_WAY = replace(README_LIKE, cache_levels=[
+    CacheLevel(64 * KB, 8, 64, 3), CacheLevel(1024 * KB, 16, 64, 15)])
+
+
 @pytest.mark.parametrize("cfg, rs, least", [
     # 40 pages fit the 64-entry TLB, 80 miss it on every access, and 2,048
     # miss both of TWO_TLBS's TLBs, at 8 and 30 cycles.
@@ -804,8 +812,31 @@ def test_not_seed_free(cfg, rs, loops):
                  id="T(1,80-pages)"),
     pytest.param(TWO_TLBS, build_tlb_string(1, 80 * 4096, ENV, 7), 3 + 8,
                  id="T(1,80-pages)-two-tlbs"),
+    # Each of the 64 columns holds 32 slots, so every 8-way set of the L1
+    # misses too: its penalty is 14 - 3.  The L2's way spans 16 pages.
     pytest.param(TWO_TLBS, build_tlb_string(1, 2048 * 4096, ENV, 7),
-                 3 + 8 + 30, id="T(1,2048-pages)-two-tlbs"),
+                 3 + 8 + 30 + 11, id="T(1,2048-pages)-two-tlbs"),
+    # Past the L1 edge (512 pages) each column holds 10 slots: the L1's
+    # 15 - 3 on top of the TLB's 30.  At the edge each set fits its 8.
+    pytest.param(README_LIKE, build_tlb_string(1, 640 * 4096, ENV, 7),
+                 3 + 30 + 12, id="T(1,640-pages)"),
+    pytest.param(README_LIKE, build_tlb_string(1, 512 * 4096, ENV, 7),
+                 3 + 30, id="T(1,512-pages)"),
+    # 600 = 9 * 64 + 24 pages: every column holds 9 or 10 slots.  575 =
+    # 8 * 64 + 63 leaves one column of 8, whose set fits.
+    pytest.param(README_LIKE, build_tlb_string(1, 600 * 4096, ENV, 7),
+                 3 + 30 + 12, id="T(1,600-pages)"),
+    pytest.param(README_LIKE, build_tlb_string(1, 575 * 4096, ENV, 7),
+                 3 + 30, id="T(1,575-pages)"),
+    # A way larger than a page: the mapping decides a slot's set.
+    pytest.param(WIDE_WAY, build_tlb_string(1, 2048 * 4096, ENV, 7),
+                 3 + 30, id="T(1,2048-pages)-wide-way"),
+    # The walk stops there, though each set of a 17-way L2 below, indexed
+    # inside the page offset, holds 20 lines: the L1 hits some accesses.
+    pytest.param(replace(WIDE_WAY, cache_levels=[
+        WIDE_WAY.cache_levels[0], CacheLevel(68 * KB, 17, 64, 15)]),
+        build_tlb_string(1, 1280 * 4096, ENV, 7), 3 + 30,
+        id="T(1,1280-pages)-wide-way-above-page-way"),
     # Two lines of a page share its TLB entry: the floor.
     pytest.param(README_LIKE, build_tlb_string(2, 80 * 4096, ENV, 8), 3,
                  id="T(2,80-pages)"),
@@ -827,13 +858,128 @@ def test_least_of_each_kind(cfg, rs, least):
     assert be.least(rs.kind) == least <= cycles
 
 
+def simulated_runs(monkeypatch):
+    """The arguments of every ``_simulate_loads`` call from here on."""
+    calls = []
+    real = simoracle._simulate_loads
+    monkeypatch.setattr(simoracle, "_simulate_loads",
+                        lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
+@pytest.mark.parametrize("build", [
+    lambda seed: build_cache_string(64 * KB, ENV, seed),
+    lambda seed: build_cache_string(3 * KB, ENV, seed),
+    lambda seed: build_gap_string(9, 4 * KB, 0, ENV),
+], ids=["C(64K)", "C(3K)", "G(9,4K,0)"])
+def test_seed_free_kind_is_answered_from_its_read(build, monkeypatch):
+    # After one run proves the kind seed-free, its other strings, at any
+    # number of traversals, read that run's value bit for bit without a
+    # simulation; a fresh backend that simulates one agrees.
+    be = SimulatedBackend(README_LIKE)
+    cycles = run_once(build(1), be)
+    calls = simulated_runs(monkeypatch)
+    for seed, traversals in ((2, 2), (3, 1), (4, 5)):
+        rs = build(seed)
+        assert be.run(rs, traversals * rs.chain_length) == cycles
+    assert calls == []
+    rs = build(5)
+    assert SimulatedBackend(README_LIKE).run(rs, 3 * rs.chain_length) \
+        == cycles
+    assert len(calls) == 1
+
+
+def test_loads_must_be_a_positive_whole_number_of_traversals():
+    # Before and after a run makes the kind's read known.
+    be = SimulatedBackend(README_LIKE)
+    rs = build_cache_string(64 * KB, ENV, 1)
+    for _ in range(2):
+        for loads in (0, -rs.chain_length, rs.chain_length + 1):
+            with pytest.raises(ConfigError):
+                be.run(rs, loads)
+        run_once(rs, be)
+
+
+@pytest.mark.parametrize("cfg, rs, loops", NOT_SEED_FREE + [
+    pytest.param(README_LIKE, build_tlb_string(1, 640 * 4096, ENV, 7), False,
+                 id="T(1,640-pages)")])
+def test_other_kinds_are_simulated_every_time(cfg, rs, loops, monkeypatch):
+    # A looped run, or one of a kind that is not seed-free, answers for no
+    # other run.
+    assert looped(cfg, rs) == loops
+    be = SimulatedBackend(cfg)
+    calls = simulated_runs(monkeypatch)
+    reads = {run_once(rs, be) for _ in range(3)}
+    assert len(calls) == 3 and len(reads) == 1
+
+
+def test_a_kind_carries_its_line_size():
+    # A 64 KiB string of 32-byte slots reads 9 on README_LIKE: two slots
+    # share each 64-byte line, so it is not seed-free and its point runs
+    # the full window.  A 64-byte-slot string of the same footprint reads
+    # 15 there, its least, which must not settle the 32-byte point.
+    env32 = MachineEnv(pagesize=4096, l1_linesize=32)
+
+    def sweep(be):
+        return run_sweep([64 * KB],
+                         lambda fp, s: build_cache_string(fp, env32, s), be)
+
+    fresh = sweep(SimulatedBackend(README_LIKE))
+    shared = SimulatedBackend(README_LIKE)
+    assert run_once(build_cache_string(64 * KB, ENV, 1), shared) == 15
+    after = sweep(shared)
+    assert after.points[0].min_cycles == fresh.points[0].min_cycles == 9
+    assert after.total_string_runs == fresh.total_string_runs == 26
+
+
+@pytest.mark.parametrize("cfg, build", [
+    # 48-byte slots leave 16 bytes of each page empty: 168 slots over 1 KiB
+    # pages, 170 over 4 KiB pages.  The first kind is seed-free here.
+    pytest.param(SimConfig(cache_levels=[CacheLevel(15 * 8 * 32, 8, 32, 3)],
+                           memory_latency=100, pagesize=1024),
+                 lambda env: build_cache_string(8 * KB, replace(
+                     env, l1_linesize=48), 1), id="C(8K)-48-byte-slots"),
+    # One slot in each of 160 1 KiB pages misses the 64-entry TLB; 40 in
+    # 4 KiB pages of the same footprint touch only 40 1 KiB pages.
+    pytest.param(replace(README_LIKE, pagesize=1024),
+                 lambda env: build_tlb_string(1, 160 * KB, env, 1),
+                 id="T(1,160K)"),
+])
+def test_a_kind_carries_its_page_size(cfg, build):
+    # A string built for other pages, of the same footprint and line size,
+    # reads what a simulation does, and not below its own kind's least.
+    be = SimulatedBackend(cfg)
+    run_once(build(MachineEnv(pagesize=1024)), be)
+    rs = build(ENV)
+    assert run_once(rs, be) == simulate(cfg, rs, 2) >= be.least(rs.kind)
+
+
 @st.composite
 def least_cases(draw):
     """A hierarchy of ``seed_free_cases`` and a builder of strings of one
     kind, taking a seed: T(1,k), T(2,k), a whole-page or any cache string,
-    or a gap string."""
+    or a gap string.  Strings are built for 16- to 256-byte lines, so their
+    slots may be narrower or wider than any level's line.  A T(1,k) string
+    may span from the first level's ways to three more times its lines per
+    page in pages, where each of its columns holds about as many lines as a
+    set has ways.  Half the hierarchies have a first level whose way is a
+    page, a half or a quarter of one, so that its sets are indexed inside
+    the page offset and its misses may be every T(1,k) string's to pay."""
     cfg, env, footprint = draw(seed_free_cases())
     pagesize = env.pagesize
+    first = cfg.cache_levels[0]
+    if draw(st.booleans()):
+        ways = draw(st.integers(1, 4) | st.integers(1, 16))
+        way = pagesize >> draw(st.integers(0, 2))
+        first = replace(first, capacity=way * ways, associativity=ways,
+                        linesize=draw(st.sampled_from([16, 32, 64, 128,
+                                                       256])))
+        cfg = replace(cfg, cache_levels=[first] + [
+            lvl for lvl in cfg.cache_levels[1:]
+            if lvl.capacity > first.capacity])
+    env = MachineEnv(pagesize=pagesize,
+                     l1_linesize=draw(st.sampled_from([16, 32, 64, 128,
+                                                       256])))
     family = draw(st.sampled_from(["T(1,k)", "T(2,k)", "whole-page", "cache",
                                    "gap"]))
     if family == "gap":
@@ -841,10 +987,16 @@ def least_cases(draw):
         k = draw(st.sampled_from([64, 128, 256, 512, 1024, 4096]))
         o = draw(st.sampled_from([0, 8, 64, 128]))
         return cfg, lambda seed: build_gap_string(n, k, o, env)
-    if family.startswith("T"):
-        n = int(family[2])
-        pages = draw(st.integers(3 - n, 40))
-        return cfg, lambda seed: build_tlb_string(n, pages * pagesize, env,
+    if family == "T(1,k)":
+        lines_per_page = pagesize // env.l1_linesize
+        ways = first.associativity
+        pages = draw(st.integers(2, 40) | st.integers(
+            ways * lines_per_page, (ways + 3) * lines_per_page))
+        return cfg, lambda seed: build_tlb_string(1, pages * pagesize, env,
+                                                  seed)
+    if family == "T(2,k)":
+        pages = draw(st.integers(1, 40))
+        return cfg, lambda seed: build_tlb_string(2, pages * pagesize, env,
                                                   seed)
     if family == "whole-page":
         footprint = draw(st.integers(1, 40)) * pagesize
@@ -859,12 +1011,14 @@ def least_cases(draw):
 def test_no_run_reads_below_its_kinds_least(case, seeds, traversals):
     """Every run of a string reads at least its kind's least, before and
     after the backend has learned the kind, and at any number of timed
-    traversals."""
+    traversals; a run the backend answers without simulating reads what a
+    simulation does."""
     cfg, build = case
     be = SimulatedBackend(cfg)
     for seed in seeds:
         rs = build(seed)
         before = be.least(rs.kind)
         cycles = run_once(rs, be)
+        assert cycles == simulate(cfg, rs, 2)
         assert cycles >= max(before, be.least(rs.kind))
-        assert be.run(rs, traversals * rs.chain_length) >= be.least(rs.kind)
+        assert simulate(cfg, rs, traversals) >= be.least(rs.kind)

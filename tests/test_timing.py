@@ -160,7 +160,7 @@ class TestMeasureStable:
 
     def test_string_at_the_floor_takes_one_run(self, env):
         be = sim_backend()
-        assert be.least(CacheKind(16 * KB)) == 3
+        assert be.least(CacheKind(16 * KB, 64, 4096)) == 3
         for window in (1, 5, 25):
             m = measure_stable(self.factory(env, [0]), be, window=window)
             assert m.runs_taken == 1
