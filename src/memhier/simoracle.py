@@ -41,14 +41,16 @@ loop, while its caches, which see each line once per chain, usually take the
 closed form.  The loop stays the reference, as does the naive model in the
 tests.
 
-A run can show the least that any run of a string of its kind reads, in
-cycles per access, and ``SimulatedBackend.least`` reports it.  Every access
-pays the first cache level's latency (memory's if there is none), a floor
-for every kind.  A run that took no LRU loop costs the closed form's one
-traversal per timed traversal, so it reads the same at any number of
-traversals; a looped run may read less at more, where a level below takes
-several traversals to settle.  Some kinds' strings all read what such a run
-did.  A gap kind has one string at a given word size: seed 0, one layout.
+``SimulatedBackend.least(kind)`` reports the least that any run of a
+string of ``kind`` reads, in cycles per access: from the config and the
+kind alone, or, for a kind whose strings all read alike, from its first
+run's read.  Every access pays the first cache level's latency (memory's
+if there is none), a floor for every kind.  A run that took no LRU loop
+costs the closed form's one traversal per timed traversal, so it reads the
+same at any number of traversals; a looped run may read less at more,
+where a level below takes several traversals to settle.  Some kinds'
+strings all read what such a run did.  A gap kind has one string at a
+given word size: seed 0, one layout.
 A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
 number of pages or at most one page (b): every string seed touches the same
 slots, and every page permutation maps them onto the same physical
@@ -64,23 +66,27 @@ answers every later run of its kind without simulating it: the read is the
 same at any number of traversals, as an int total over an int load count
 divides to the same float.  A kind carries the line size and the page
 size its string was built for, which with its footprint fix the slots its
-strings touch, so strings of other slots never share its read.
+strings touch, so strings of other slots never share its read.  Those
+slots lie the line size apart, or a page apart when a page holds only one,
+so (c) is read off the kind: no cache level's line is wider than that.
 
 A T(1,k) string with one slot in each of the config's pages it spans
 touches a new page at every access, so an LRU TLB with fewer entries than
 its pages misses on every access and hands the whole stream to the level
 below (the stack property of Mattson et al.): every run of the kind pays
-the penalties of those levels on top of the floor.  The caches miss the
-same way from the first level down, for as long as two things hold at a
-level.  Its set index lies inside the page offset (its sets times its line
-size divide the page size), so every mapping leaves each slot in the set
-its column gives it.  And each set it touches holds more than ``assoc``
-lines at every seed.  Slot j sits at column j mod lines-per-page of its own
-page, so each column holds at least floor(pages / lines-per-page) slots,
-each on its own line; a set holding more than ``assoc`` of them sees them
-as one cyclic run per traversal, and misses on every access.  A level whose
-replacement is not LRU could hit on such a stream and must not claim its
-penalty.
+the penalties of those levels on top of the floor, and the kind's least is
+known before any run.  The caches miss the same way from the first level
+down, for as long as two things hold at a level.  Its set index lies
+inside the page offset (its sets times its line size divide the page
+size), so every mapping leaves each slot in the set its column gives it.
+And each set it touches holds more than ``assoc`` lines at every seed.
+Slot j sits at column j mod lines-per-page of its own page, so each column
+holds at least floor(pages / lines-per-page) slots, each on its own line,
+and a set holds those of every column it indexes: several columns when the
+string's slots are narrower than the level's line.  A set holding more
+than ``assoc`` lines sees them as one cyclic run per traversal, and misses
+on every access.  A level whose replacement is not LRU could hit on such a
+stream and must not claim its penalty.
 
 Builtins price a closed-form level.  The run analysis of its stream finds
 the keys and the runs, which start where the key changes, and flags the run
@@ -139,8 +145,8 @@ import random
 from array import array
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from itertools import compress, islice, repeat
-from operator import floordiv, gt, itemgetter, mod, ne, sub
+from itertools import compress, repeat
+from operator import floordiv, gt, itemgetter, mod, ne
 from typing import List, Optional
 
 from .errors import ConfigError
@@ -290,11 +296,10 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
 
     traversals = loads // len(chain)
     tlbs, caches = _levels(config)
-    base = (config.cache_levels[0].latency if config.cache_levels
-            else config.memory_latency)
     tlb_cost, tlb_looped = _family_cost(chain, tlbs, traversals)
     cache_cost, cache_looped = _family_cost(paddrs, caches, traversals)
-    return base * loads + tlb_cost + cache_cost, tlb_looped or cache_looped
+    return (_floor(config) * loads + tlb_cost + cache_cost,
+            tlb_looped or cache_looped)
 
 
 def _family_cost(addrs, levels, traversals: int):
@@ -563,28 +568,32 @@ class SimulatedBackend:
     Besides ``run`` it declares ``least(kind)``, the fewest cycles per
     access that any run of a string of ``kind`` reads on it, so a sweep
     point whose minimum reaches it is stable at once (``timing.run_sweep``).
-    It is the floor, the first level's latency, until a run shows more (see
-    the module docstring).  A gap or seed-free cache string's run records
-    its read, which then answers every run of its kind without simulating,
-    so each settles at once.  A T(1,k) string's run records the floor plus
-    the penalties of the TLB levels with fewer entries than its pages and of
-    the cache levels from the first down whose every set it overflows.
-    That state only grows and never changes a result, so the backend is
-    shareable across measurements.
+    The config and the kind fix it (see the module docstring): the floor,
+    the first level's latency, plus, for a one-slot-per-page T(1,k) kind,
+    the penalties of the TLB levels with fewer entries than its pages and
+    of the cache levels from the first down whose every set it overflows.
+    A gap or seed-free cache kind's first run records its read, which is
+    then its least and answers every later run of the kind without
+    simulating, so each settles at once.  Those reads never change a
+    result, so the backend is shareable across measurements.
     """
 
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self._floor = (config.cache_levels[0].latency if config.cache_levels
-                       else config.memory_latency)
-        self._least = {}  # kind -> the least a run showed
         self._reads = {}  # seed-free kind -> what every run of it reads
 
     def least(self, kind) -> float:
         """The fewest cycles per access any run of a string of ``kind``
-        reads: what a run of the kind showed, or else the floor."""
-        return self._least.get(kind, self._floor)
+        reads: its read if a run showed it, or else what the config and
+        the kind fix."""
+        if kind in self._reads:
+            return self._reads[kind]
+        config = self.config
+        if (isinstance(kind, TlbKind) and kind.lines_per_page == 1
+                and kind.pagesize == config.pagesize):
+            return _floor(config) + _one_slot_per_page_penalties(config, kind)
+        return _floor(config)
 
     def run(self, rs: ReferenceString, loads: int) -> float:
         """Cycles per access over ``loads`` accesses, a positive whole
@@ -595,53 +604,60 @@ class SimulatedBackend:
         kind = rs.kind
         if kind in self._reads:
             return self._reads[kind]
-        config = self.config
-        total, looped = _simulate_loads(config, rs, loads)
+        total, looped = _simulate_loads(self.config, rs, loads)
         cycles = total / loads
-        if not looped and _seed_free(config, rs):
-            self._least[kind] = self._reads[kind] = cycles
-        elif (isinstance(kind, TlbKind) and kind.lines_per_page == 1
-              and kind.pagesize == config.pagesize):
-            self._least[kind] = self._floor + _one_slot_per_page_penalties(
-                config, len(rs.chain), kind.linesize)
+        if not looped and _seed_free(self.config, kind):
+            self._reads[kind] = cycles
         return cycles
 
 
-def _one_slot_per_page_penalties(config: SimConfig, pages: int,
-                                 linesize: int) -> int:
-    """The miss penalties that every access of every T(1,k) string with one
-    slot in each of ``pages`` pages, built for ``linesize``-byte lines,
-    pays (see the module docstring): those of the TLBs with fewer entries
-    than its pages, and those of the cache levels from the first down whose
-    set index lies inside the page offset and whose every set it touches
-    holds more than ``assoc`` of its lines.  Only LRU levels may claim
-    them."""
+def _floor(config: SimConfig) -> int:
+    """The latency every access pays: the first cache level's, memory's if
+    there is none."""
+    return (config.cache_levels[0].latency if config.cache_levels
+            else config.memory_latency)
+
+
+def _one_slot_per_page_penalties(config: SimConfig, kind: TlbKind) -> int:
+    """The miss penalties that every access of every string of ``kind``, a
+    T(1,k) kind built for ``config``'s pages, pays (see the module
+    docstring): those of the TLBs with fewer entries than its pages, and
+    those of the cache levels from the first down whose set index lies
+    inside the page offset and whose every set it touches holds more than
+    ``assoc`` of its lines.  Only LRU levels may claim them."""
+    pages = kind.footprint // kind.pagesize
     total = sum(tl.latency for tl in config.tlb_levels if tl.entries < pages)
-    # Each column of the string holds at least this many slots.
-    column = pages // (config.pagesize // linesize)
+    columns = kind.pagesize // kind.linesize
     for lvl in _levels(config)[1]:
-        if config.pagesize % (lvl.nsets * lvl.linesize) or column <= lvl.assoc:
+        if config.pagesize % (lvl.nsets * lvl.linesize):
+            break
+        # The columns each set indexes; each column holds at least
+        # pages // columns slots, one to a page and so one to a line.
+        counts = Counter(c * kind.linesize // lvl.linesize % lvl.nsets
+                         for c in range(columns))
+        if pages // columns * min(counts.values()) <= lvl.assoc:
             break
         total += lvl.penalty
     return total
 
 
-def _seed_free(config: SimConfig, rs: ReferenceString) -> bool:
-    """Whether every string of ``rs``'s kind costs what ``rs`` does when its
-    run takes no LRU loop: a gap kind has one string, and a cache kind must
-    meet (a) to (c) of the module docstring.  Whole pages touch the same
-    addresses under every page permutation, so (c) can be read off the
-    chain: its slots, in address order, lie at least the widest line apart.
+def _seed_free(config: SimConfig, kind) -> bool:
+    """Whether every string of ``kind`` costs what one does when its run
+    takes no LRU loop: a gap kind has one string, and a cache kind must
+    meet (a) to (c) of the module docstring.  A cache string's slots lie
+    its line size apart, or a page apart when a page holds only one, and
+    (c) asks that no cache level's line be wider than that spacing.
     """
-    if isinstance(rs.kind, GapKind):
+    if isinstance(kind, GapKind):
         return True
     pagesize = config.pagesize
-    if not (isinstance(rs.kind, CacheKind)
-            and (rs.footprint % pagesize == 0 or rs.footprint <= pagesize)):
+    if not (isinstance(kind, CacheKind)
+            and (kind.footprint % pagesize == 0 or kind.footprint <= pagesize)):
         return False
-    ordered = sorted(rs.chain)
+    spacing = (kind.linesize if 2 * kind.linesize <= kind.pagesize
+               else kind.pagesize)
     return max((lvl.linesize for lvl in config.cache_levels), default=0) \
-        <= min(map(sub, islice(ordered, 1, None), ordered))
+        <= spacing
 
 
 # ---------------------------------------------------------------------------

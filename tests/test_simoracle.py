@@ -6,12 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from memhier import (CacheLevel, ConfigError, MachineEnv, SimConfig,
-                     SimulatedBackend, TlbLevel, build_cache_string,
-                     build_gap_string, build_tlb_string, parse_config,
-                     run_once, simulate)
+from memhier import (CacheLevel, ConfigError, InvalidGeometryError,
+                     MachineEnv, SimConfig, SimulatedBackend, TlbLevel,
+                     build_cache_string, build_gap_string, build_tlb_string,
+                     parse_config, run_once, simulate)
 from memhier import simoracle
-from memhier.refstring import CacheKind, ReferenceString
+from memhier.refstring import CacheKind, GapKind, ReferenceString
 from memhier.timing import run_sweep
 
 from conftest import naive_cycles, naive_single_level_cycles
@@ -759,6 +759,33 @@ def test_whole_pages_and_sub_page_footprints_are_seed_free():
     assert be.least(rs.kind) == 3
 
 
+@pytest.mark.parametrize("pagesize, slot", [
+    (pagesize, slot) for pagesize in (1024, 4096)
+    for slot in (16, 32, 48, 64, 128, 256, pagesize * 3 // 4)])
+def test_seed_free_reads_the_slot_spacing_off_the_kind(pagesize, slot):
+    # The spacing ``_seed_free`` reads off a cache kind of whole pages or
+    # at most one page is the smallest gap between its slots in address
+    # order: a level whose line is that wide passes, one a byte wider not.
+    # Three-quarter-page slots lie one to a page.
+    env = MachineEnv(pagesize=pagesize, l1_linesize=slot)
+
+    def widest_line(linesize):
+        return SimConfig(cache_levels=[CacheLevel(linesize, 1, linesize, 3)],
+                         memory_latency=100, pagesize=pagesize)
+
+    footprints = [kb * KB for kb in range(1, pagesize // KB)]
+    footprints += [pages * pagesize for pages in range(1, 5)]
+    for footprint in footprints:
+        try:
+            rs = build_cache_string(footprint, env, 1)
+        except InvalidGeometryError:  # fewer than two slots
+            continue
+        ordered = sorted(rs.chain)
+        gap = min(b - a for a, b in zip(ordered, ordered[1:]))
+        assert simoracle._seed_free(widest_line(gap), rs.kind)
+        assert not simoracle._seed_free(widest_line(gap + 1), rs.kind)
+
+
 def looped(cfg, rs):
     """Whether the LRU loop simulated a level of either family."""
     return simoracle._simulate_loads(cfg, rs, rs.chain_length)[1]
@@ -803,6 +830,14 @@ WIDE_WAY = replace(README_LIKE, cache_levels=[
     CacheLevel(64 * KB, 8, 64, 3), CacheLevel(1024 * KB, 16, 64, 15)])
 
 
+#: TWO_TLBS with a 16K/4/128 L1, whose 32 sets are indexed inside the page,
+#: and its 64-entry TLB alone.
+TWO_COLUMNS_A_SET = replace(
+    TWO_TLBS, cache_levels=[CacheLevel(16 * KB, 4, 128, 3),
+                            TWO_TLBS.cache_levels[1]],
+    tlb_levels=[TlbLevel(64, 30)])
+
+
 @pytest.mark.parametrize("cfg, rs, least", [
     # 40 pages fit the 64-entry TLB, 80 miss it on every access, and 2,048
     # miss both of TWO_TLBS's TLBs, at 8 and 30 cycles.
@@ -837,6 +872,14 @@ WIDE_WAY = replace(README_LIKE, cache_levels=[
         WIDE_WAY.cache_levels[0], CacheLevel(68 * KB, 17, 64, 15)]),
         build_tlb_string(1, 1280 * 4096, ENV, 7), 3 + 30,
         id="T(1,1280-pages)-wide-way-above-page-way"),
+    # The 32 sets of a 16K/4/128 L1 each take two 64-byte columns.  At 192
+    # pages each column holds 3 slots, under the 4 ways, but each set 6
+    # lines: the L1's 14 - 3 on top of the TLB's 30.  At 128 pages each set
+    # fits its 4.
+    pytest.param(TWO_COLUMNS_A_SET, build_tlb_string(1, 192 * 4096, ENV, 7),
+                 3 + 30 + 11, id="T(1,192-pages)-two-columns-a-set"),
+    pytest.param(TWO_COLUMNS_A_SET, build_tlb_string(1, 128 * 4096, ENV, 7),
+                 3 + 30, id="T(1,128-pages)-two-columns-a-set"),
     # Two lines of a page share its TLB entry: the floor.
     pytest.param(README_LIKE, build_tlb_string(2, 80 * 4096, ENV, 8), 3,
                  id="T(2,80-pages)"),
@@ -852,8 +895,11 @@ WIDE_WAY = replace(README_LIKE, cache_levels=[
                  id="G(2,512,0)"),
 ])
 def test_least_of_each_kind(cfg, rs, least):
+    # The config and a T(1,k) kind fix its least before any run; a gap
+    # kind starts at the floor, and its run shows its read.
     be = SimulatedBackend(cfg)
-    assert be.least(rs.kind) == 3
+    assert be.least(rs.kind) == (3 if isinstance(rs.kind, GapKind)
+                                 else least)
     cycles = run_once(rs, be)
     assert be.least(rs.kind) == least <= cycles
 

@@ -35,6 +35,20 @@ def tlb_backend(levels, cache_cap=16 * MB):
 
 
 class TestSweep:
+    def test_points_past_two_columns_a_set_take_one_run(self, env):
+        # A 16K/4/128 L1 indexes its 32 sets inside the page, two 64-byte
+        # columns to a set.  From 192 pages each column holds 3 slots,
+        # under the 4 ways, but each set 6 lines: every access misses the
+        # L1 and the 64-entry TLB, and each point's first run reads the
+        # least of its kind.
+        cfg = SimConfig(cache_levels=[CacheLevel(16 * KB, 4, 128, 3),
+                                      CacheLevel(1024 * KB, 16, 64, 14)],
+                        tlb_levels=[TlbLevel(64, 30)], memory_latency=100)
+        curve = run_tlb_sweep(768 * KB, 1536 * KB, env,
+                              SimulatedBackend(cfg), seed=1)
+        assert curve.values() == [44.0] * 5
+        assert curve.total_string_runs == 5
+
     def test_bounds_must_be_page_multiples(self, env):
         with pytest.raises(InvalidGeometryError):
             run_tlb_sweep(5000, 64 * PAGE, env,
