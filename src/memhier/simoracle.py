@@ -4,52 +4,82 @@ This is the oracle the probes are validated against: it executes a reference
 string symbolically (walking slot offsets, not real memory) and returns the
 exact average latency per access.
 
-One LRU engine prices every level.  A TLB is a cache of one set whose lines
-are pages (Mattson, Gecsei, Slutz & Traiger, "Evaluation Techniques for
-Storage Hierarchies", IBM Sys. J. 1970); the TLBs see the virtual chain and
-the caches its physical addresses.  An access costs a base latency, the
-first cache level's (memory's if there is none), plus the penalty of every
-level it misses.  A TLB level's penalty is its configured one, so a full TLB
-miss costs all of them, which models the walk.  A cache level's is the
-latency of the level below it (memory's below the last) minus its own, so
-an access costs the latency of the first cache level that holds its line.
+Every level is LRU.  A TLB is a one-set cache of pages (Mattson, Gecsei,
+Slutz & Traiger, "Evaluation Techniques for Storage Hierarchies", IBM Sys.
+J. 1970); the TLBs see the virtual chain and the caches its physical
+addresses.  An access costs a base latency, the first cache level's
+(memory's if there is none), plus the penalty of every level it misses.  A
+TLB level's penalty is its configured one, so a full TLB miss costs all of
+them, which models the walk.  A cache level's is the latency of the level
+below it (memory's below the last) minus its own, so an access costs the
+latency of the first cache level that holds its line.
 
 Each level sees only the misses of the level above it, and fills on a miss.
 No level evicts from another, and a hit leaves the levels below untouched
-(an L1 hit does not refresh the line's recency in the L2).  So the engine
-runs one level over the whole stream, then the next level over its misses,
-once for the TLBs and once for the caches.
+(an L1 hit does not refresh the line's recency in the L2).  So the
+simulator runs one level over the whole stream, then the next level over
+its misses, once for the TLBs and once for the caches.
 
-Each family is priced in closed form from its first level down, with no
-LRU bookkeeping, for as long as one condition holds; the LRU loop prices the
+The TLBs run over the chain's page sequence in C.  An access to the page
+that the access before it touched hits every TLB, the first holding that
+page as its most recent, and changes no LRU state: so the chain collapses
+to its page sequence (``itertools.groupby``), and each timed traversal,
+which follows the chain's last access, drops its first page when that is
+the last page too.  Each level is ``functools.lru_cache(maxsize=entries)``
+wrapped round a list's ``append``, which it calls on a miss only: mapping
+it over a stream runs the level and records the pages it misses, in order,
+which are the stream of the level below.
+
+A TLB level runs the warm-up from cold and then only timed traversals 1 to
+min(traversals, d) at depth d, and counts the last one again for each
+traversal after it.  After any stream a one-set LRU holds the stream's
+``entries`` most recent distinct pages, so a stream run twice leaves the
+state that it leaves run once: a level whose input repeats from traversal
+d - 1 meets traversal d and every later one in one state, with one input,
+and repeats its misses from traversal d.  The first level's warm-up is a
+whole traversal, which leaves the state that a timed one does, so its
+misses repeat from traversal 1, and level d's from traversal d.
+
+The TLB walk stops at the first level whose warm-up stream holds no more
+distinct pages than it has entries.  The level above misses on the first
+access to each page of its warm-up stream, so every page that reaches a
+level in any traversal reaches it in the warm-up: such a level holds every
+page it will see, never evicts, and never misses in a timed traversal, and
+nothing at or below it is run.
+
+The caches are priced in closed form from the first level down, with no LRU
+bookkeeping, for as long as one condition holds; the LRU loop prices the
 levels left.  Take a level that every access reaching it reaches in every
-traversal, the warm-up included, as at the first level of each family.  The
-condition: each key's (line's or page's) accesses there form one run when
-the chain is read cyclically.  Then every timed traversal misses on the
-first access of every run in a set holding more than ``assoc`` keys, and
-hits on the rest, and the family's closed-form total is traversals times
-one traversal's cost.  The warm-up starts cold, so it also misses on the
-first access to each key of a set that fits, and on the chain's first
-access where the last run wraps around to it.  The level below sees the
-warm-up's misses in the warm-up and the timed misses in every timed
-traversal.  Where the two differ, the closed form stops at that level.
+traversal, the warm-up included, as at the first level.  The condition:
+each key's (line's) accesses there form one run when the chain is read
+cyclically.  Then every timed traversal misses on the first access of every
+run in a set holding more than ``assoc`` keys, and hits on the rest, and
+the closed-form total is traversals times one traversal's cost.  The
+warm-up starts cold, so it also misses on the first access to each key of
+a set that fits, and on the chain's first access where the last run wraps
+around to it.  The level below sees the warm-up's misses in the warm-up and
+the timed misses in every timed traversal.  Where the two differ, the
+closed form stops at that level.
 
 Cache strings, T(1,k) and gap strings with a gap of at least a line take
-the closed form at the first level of both families.  A shuffled T(n>=2,k)
-splits each page's accesses into several runs, so its TLBs take the LRU
-loop, while its caches, which see each line once per chain, usually take the
-closed form.  The loop stays the reference, as does the naive model in the
-tests.
+the closed form at the first cache level, and so does a shuffled
+T(n>=2,k), which sees each line once per chain, as a rule.  The loop stays
+the closed form's reference, and the naive model in the tests that of both
+families.
 
 ``SimulatedBackend.least(kind)`` reports the least that any run of a
 string of ``kind`` reads, in cycles per access: from the config and the
 kind alone, or, for a kind whose strings all read alike, from its first
 run's read.  Every access pays the first cache level's latency (memory's
-if there is none), a floor for every kind.  A run that took no LRU loop
-costs the closed form's one traversal per timed traversal, so it reads the
-same at any number of traversals; a looped run may read less at more,
-where a level below takes several traversals to settle.  Some kinds'
-strings all read what such a run did.  A gap kind has one string at a
+if there is none), a floor for every kind.  A run whose caches took no
+LRU loop costs the closed form's one traversal there per timed traversal.
+If each of its pages also forms one run of the chain read cyclically, every
+TLB level with fewer entries than its pages misses once on each page in
+every traversal and passes them all on, and the first level with as many
+never misses in a timed one.  Such a run reads the same at any number of
+traversals; a looped run may read less at more, where a level below takes
+several traversals to settle.  Some kinds' strings all read what such a
+run did.  A gap kind has one string at a
 given word size: seed 0, one layout.
 A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
 number of pages or at most one page (b): every string seed touches the same
@@ -60,8 +90,9 @@ in one stretch of the chain, so in any order every key forms one run.  A
 closed-form level then misses on the keys of the sets that overflow and
 hands on the accesses to them, and the first level that fits is found from
 the keys alone: the cost, and whether the LRU loop takes any level, depend
-only on which addresses are touched.  So if this run took no LRU loop (d),
-no string of the kind does, and all cost what this one did.  Such a run
+only on which addresses are touched.  Its TLB cost depends only on how
+many pages it spans.  So if this run took no LRU loop (d), no string of the
+kind does, and all cost what this one did.  Such a run
 answers every later run of its kind without simulating it: the read is the
 same at any number of traversals, as an int total over an int load count
 divides to the same float.  A kind carries the line size and the page
@@ -143,10 +174,11 @@ from __future__ import annotations
 import itertools
 import random
 from array import array
-from collections import Counter, defaultdict
+from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from itertools import compress, repeat
-from operator import floordiv, gt, itemgetter, mod, ne
+from functools import lru_cache
+from itertools import compress, groupby, repeat
+from operator import floordiv, gt, itemgetter, mod, ne, rshift
 from typing import List, Optional
 
 from .errors import ConfigError
@@ -183,9 +215,13 @@ class SimConfig:
         if self.pagesize <= 0 or self.pagesize & (self.pagesize - 1):
             raise ConfigError("pagesize must be a power of two")
         prev_cap = prev_lat = 0
-        for lvl in self.cache_levels:
+        for i, lvl in enumerate(self.cache_levels, 1):
             if lvl.capacity <= 0 or lvl.associativity <= 0 or lvl.linesize <= 0:
                 raise ConfigError("cache level parameters must be positive")
+            if lvl.linesize > self.pagesize:
+                raise ConfigError(
+                    "pagesize %d is smaller than cache level %d's %d-byte "
+                    "line" % (self.pagesize, i, lvl.linesize))
             if lvl.capacity % (lvl.associativity * lvl.linesize):
                 raise ConfigError(
                     "capacity %d not divisible by associativity*linesize" % lvl.capacity)
@@ -211,8 +247,8 @@ class SimConfig:
 
 
 class _Level:
-    """One LRU level of either family: keys ``address // linesize`` in set
-    ``key % nsets`` of ``assoc`` ways, and ``penalty`` cycles per miss."""
+    """One LRU cache level: keys ``address // linesize`` in set ``key %
+    nsets`` of ``assoc`` ways, and ``penalty`` cycles per miss."""
 
     __slots__ = ("linesize", "nsets", "assoc", "penalty", "sets")
 
@@ -242,18 +278,15 @@ class _Level:
 
 
 def _levels(config: SimConfig):
-    """The TLB levels and the cache levels of ``config``, with empty LRU
-    state.  A TLB is one set of pages.  A cache level's penalty is the
-    latency of the level below it, memory's below the last, minus its own."""
-    tlbs = [_Level(config.pagesize, 1, tl.entries, tl.latency)
-            for tl in config.tlb_levels]
+    """The cache levels of ``config``, with empty LRU state.  A level's
+    penalty is the latency of the level below it, memory's below the last,
+    minus its own."""
     below = [lvl.latency for lvl in config.cache_levels[1:]]
     below.append(config.memory_latency)
-    caches = [_Level(lvl.linesize,
-                     lvl.capacity // (lvl.associativity * lvl.linesize),
-                     lvl.associativity, lat - lvl.latency)
-              for lvl, lat in zip(config.cache_levels, below)]
-    return tlbs, caches
+    return [_Level(lvl.linesize,
+                   lvl.capacity // (lvl.associativity * lvl.linesize),
+                   lvl.associativity, lat - lvl.latency)
+            for lvl, lat in zip(config.cache_levels, below)]
 
 
 def simulate(config: SimConfig, rs: ReferenceString, traversals: int) -> float:
@@ -271,7 +304,7 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
     traversals, after one warm-up traversal: the base latency of every
     access, plus the TLBs' miss penalties on the virtual chain and the
     caches' on the physical addresses.  Returns it with whether the LRU loop
-    simulated any level of either family.
+    simulated any cache level.
 
     Under a random mapping the physical addresses are an ``array('q')``,
     eight bytes a slot with no int objects; iterating it creates each int
@@ -295,29 +328,59 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
         paddrs = array("q", [off + delta[off >> page_shift] for off in chain])
 
     traversals = loads // len(chain)
-    tlbs, caches = _levels(config)
-    tlb_cost, tlb_looped = _family_cost(chain, tlbs, traversals)
-    cache_cost, cache_looped = _family_cost(paddrs, caches, traversals)
-    return (_floor(config) * loads + tlb_cost + cache_cost,
-            tlb_looped or cache_looped)
+    cache_cost, looped = _family_cost(paddrs, _levels(config), traversals)
+    return (_floor(config) * loads + _tlb_cost(chain, config, traversals)
+            + cache_cost, looped)
+
+
+def _tlb_cost(chain, config: SimConfig, traversals: int) -> int:
+    """The TLBs' miss penalties over ``traversals`` timed traversals of the
+    virtual ``chain`` after one warm-up, each level an ``lru_cache`` over
+    the page sequence, run for as many timed traversals as its depth (see
+    the module docstring)."""
+    if not config.tlb_levels:
+        return 0
+    pages = [page for page, _ in groupby(
+        map(rshift, chain, repeat(config.pagesize.bit_length() - 1)))]
+    # The pages that reach a level in the warm-up, then in each timed
+    # traversal up to the one that every later traversal repeats.
+    streams = [pages, pages[1:] if pages[0] == pages[-1] else pages]
+    total = 0
+    for tl in config.tlb_levels:
+        if len(set(streams[0])) <= tl.entries:
+            break
+        misses = []
+        level = lru_cache(maxsize=tl.entries)(misses.append)
+        ends = []
+        for stream in streams:
+            deque(map(level, stream), 0)
+            ends.append(len(misses))
+        streams = [misses[a:b] for a, b in zip([0] + ends, ends)]
+        timed = list(map(len, streams[1:]))
+        total += tl.latency * (sum(timed)
+                               + (traversals - len(timed)) * timed[-1])
+        if len(streams) <= traversals:
+            # The level below repeats its misses one traversal later.
+            streams.append(streams[-1])
+    return total
 
 
 def _family_cost(addrs, levels, traversals: int):
     """The miss penalties of ``traversals`` timed traversals of ``addrs``
-    through ``levels`` after one warm-up: in closed form as far as it goes,
-    then by the LRU loop on the levels left.  Returns them with whether the
-    loop simulated any level."""
+    through the cache ``levels`` after one warm-up: in closed form as far
+    as it goes, then by the LRU loop on the levels left.  Returns them with
+    whether the loop simulated any level."""
     steady, i, addrs, reach = _steady_cost(addrs, levels)
     loop, looped = _loop_cost(addrs, reach, levels[i:], traversals)
     return steady * traversals + loop, looped
 
 
 def _loop_cost(addrs, reach, levels, traversals: int):
-    """The miss penalties of ``traversals`` timed traversals through
-    ``levels`` after one warm-up, by the LRU loop over the levels above the
-    first that fits (see the module docstring), and whether there were
-    any.  ``addrs`` reach the first level in the warm-up, and those whose
-    ``reach`` is 3 in every timed traversal too."""
+    """The miss penalties of ``traversals`` timed traversals through the
+    cache ``levels`` after one warm-up, by the LRU loop over the levels
+    above the first that fits (see the module docstring), and whether there
+    were any.  ``addrs`` reach the first level in the warm-up, and those
+    whose ``reach`` is 3 in every timed traversal too."""
     levels = levels[:_first_fit(addrs, levels)]
     if not levels:
         return 0, False
@@ -392,15 +455,6 @@ def _fill(lvl, addrs) -> None:
     """
     linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
     keys = map(floordiv, reversed(addrs), repeat(linesize))
-    if nsets == 1:
-        recent = {}
-        for key in keys:
-            if key not in recent:
-                recent[key] = None
-                if len(recent) == assoc:
-                    break
-        lvl.sets[0] = dict.fromkeys(reversed(recent))
-        return
     recent = defaultdict(dict)  # set index -> keys, most recent first
     for key in dict.fromkeys(keys):
         s = recent[key % nsets]
@@ -412,8 +466,8 @@ def _fill(lvl, addrs) -> None:
 
 
 def _steady_cost(addrs, levels):
-    """The miss penalties of one timed traversal of ``addrs`` through
-    ``levels`` in closed form, as far as it goes (see the module
+    """The miss penalties of one timed traversal of ``addrs`` through the
+    cache ``levels`` in closed form, as far as it goes (see the module
     docstring).  Returns them with the index of the first level it did not
     price, and the addresses and reach (see ``_lru_level``) of the accesses
     that reach that level."""
@@ -552,12 +606,12 @@ def _misses(addrs, lvl) -> list:
 
 
 def _snapshot(levels) -> list:
-    """One family's LRU state: each level's keys in recency order."""
+    """The caches' LRU state: each level's keys in recency order."""
     return [lvl.keys() for lvl in levels]
 
 
 def _unchanged(snapshot, levels) -> bool:
-    """Whether one family's LRU state equals ``snapshot``."""
+    """Whether the caches' LRU state equals ``snapshot``."""
     return all(lvl.keys() == keys for lvl, keys in zip(levels, snapshot))
 
 
@@ -628,7 +682,7 @@ def _one_slot_per_page_penalties(config: SimConfig, kind: TlbKind) -> int:
     pages = kind.footprint // kind.pagesize
     total = sum(tl.latency for tl in config.tlb_levels if tl.entries < pages)
     columns = kind.pagesize // kind.linesize
-    for lvl in _levels(config)[1]:
+    for lvl in _levels(config):
         if config.pagesize % (lvl.nsets * lvl.linesize):
             break
         # The columns each set indexes; each column holds at least

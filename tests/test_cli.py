@@ -174,8 +174,9 @@ class TestExitCodes:
         "pagesize 4096\ntlb 64 30\nmemory -5\n",
         CONFIG + "mapping identity x\n",
         CONFIG + "mapping random -1\n",
+        "pagesize 32\ncache 32768 8 64 3\n",
     ], ids=["memory-only-negative", "identity-trailing-word",
-            "negative-mapping-seed"])
+            "negative-mapping-seed", "page-smaller-than-line"])
     def test_rejected_config_is_1(self, capsys, tmp_path, text):
         path = tmp_path / "machine.cfg"
         path.write_text(text)

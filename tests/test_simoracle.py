@@ -3,7 +3,7 @@ from dataclasses import replace
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from memhier import (CacheLevel, ConfigError, InvalidGeometryError,
@@ -157,6 +157,18 @@ class TestConfigValidation:
             tlb_levels=[TlbLevel(64, 30)],
             memory_latency=120, pagesize=4096, mapping_seed=3)
 
+    @pytest.mark.parametrize("pagesize", [8, 32])
+    def test_page_smaller_than_a_line_rejected(self, pagesize):
+        # The message names the page size and the level's line.
+        text = ("pagesize %d\ncache 1024 2 16 2\ncache 32768 8 64 3\n"
+                % pagesize)
+        with pytest.raises(ConfigError, match="pagesize %d is smaller than "
+                           "cache level %d's (16|64)-byte line"
+                           % (pagesize, 1 if pagesize < 16 else 2)):
+            parse_config(text)
+        assert parse_config(text.replace("pagesize %d" % pagesize,
+                                         "pagesize 64")).pagesize == 64
+
     def test_negative_mapping_seed_rejected(self):
         # random.Random(-s) is random.Random(s): (-1 << 32) ^ 0 and
         # (1 << 32) ^ 0 would seed the same page permutation.
@@ -213,7 +225,7 @@ def test_backend_reproducible(seed, kb):
 
 @st.composite
 def hierarchies(draw):
-    """0-3 cache levels (any way count, set count and line size), 0-2 TLB
+    """0-3 cache levels (any way count, set count and line size), 0-3 TLB
     levels, identity or random mapping."""
     levels = []
     capacity = latency = 0
@@ -227,7 +239,7 @@ def hierarchies(draw):
         levels.append(CacheLevel(capacity, ways, linesize, latency))
     tlbs = []
     entries = 0
-    for _ in range(draw(st.integers(0, 2))):
+    for _ in range(draw(st.integers(0, 3))):
         entries += draw(st.integers(1, 16))
         tlbs.append(TlbLevel(entries, draw(st.integers(0, 40))))
     return SimConfig(cache_levels=levels, tlb_levels=tlbs,
@@ -265,51 +277,6 @@ def strings(draw):
                             draw(st.integers(2, 24)) * 4096, env, seed)
 
 
-@settings(max_examples=150, deadline=None)
-@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
-def test_matches_naive_hierarchy(cfg, rs, traversals):
-    assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
-
-
-def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
-    """``_steady_cost`` handing each family over to the LRU loop at its
-    level ``stop`` at the latest."""
-    def stopped(addrs, levels):
-        total, i, addrs, reach = steady(addrs, levels[:stop])
-        if reach is None:  # a level never misses, so none below does
-            i = len(levels)
-        return total, i, addrs, reach
-    return stopped
-
-
-#: The closed form stopping at once for both families: the TLBs and the
-#: caches take the LRU loop from their first level.
-NO_CLOSED_FORM = {"_steady_cost": closed_form_stopping_at(0)}
-
-
-@settings(max_examples=150, deadline=None)
-@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
-def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
-    """The LRU loop on its own, for both families, which prices what the
-    closed forms decline."""
-    with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
-        assert simulate(cfg, rs, traversals) == \
-            naive_cycles(rs, cfg, traversals)
-
-
-@settings(max_examples=150, deadline=None)
-@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 4))
-def test_hand_over_at_every_level_matches_naive_hierarchy(cfg, rs,
-                                                          traversals):
-    """The closed form handing each family over to the LRU loop at each of
-    its levels in turn, with the stream that reaches that level."""
-    want = naive_cycles(rs, cfg, traversals)
-    for stop in range(max(len(cfg.tlb_levels), len(cfg.cache_levels)) + 1):
-        with mock.patch.object(simoracle, "_steady_cost",
-                               closed_form_stopping_at(stop)):
-            assert simulate(cfg, rs, traversals) == want, stop
-
-
 #: Runs whose first timed traversals change the LRU state.
 LATE_FIXED_POINTS = [
     # The state after the first timed traversal differs from the state after
@@ -332,12 +299,74 @@ LATE_FIXED_POINTS = [
                tlb_levels=[TlbLevel(13, 19), TlbLevel(14, 34)],
                memory_latency=73, mapping_seed=801),
      build_tlb_string(4, 15 * 4096, MachineEnv(pagesize=4096), 727296)),
+    # Found by search over page sequences: the fourth TLB level misses 8
+    # pages in the warm-up, then 1, 7 and 8 in timed traversals 1 to 3,
+    # and 8 in every later one.  Its input, the third level's misses,
+    # repeats from traversal 2.
+    (SimConfig(cache_levels=[CacheLevel(1 * KB, 2, 64, 3)],
+               tlb_levels=[TlbLevel(3, 5), TlbLevel(4, 11), TlbLevel(5, 17),
+                           TlbLevel(7, 29)],
+               memory_latency=40, mapping_seed=5),
+     ReferenceString(10 * 4096, CacheKind(10 * 4096, 64, 4096), 0,
+                     [page * 4096 + 64 * i for i, page in enumerate(
+                         [1, 3, 4, 9, 0, 6, 3, 8, 8, 7, 4])])),
 ]
+
+#: The fourth late fixed point's TLBs alone.
+TLB_ONLY = replace(LATE_FIXED_POINTS[3][0], cache_levels=[])
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 6))
+@example(cfg=TLB_ONLY, rs=LATE_FIXED_POINTS[3][1], traversals=6)
+def test_matches_naive_hierarchy(cfg, rs, traversals):
+    assert simulate(cfg, rs, traversals) == naive_cycles(rs, cfg, traversals)
+
+
+def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
+    """``_steady_cost`` handing the caches over to the LRU loop at their
+    level ``stop`` at the latest."""
+    def stopped(addrs, levels):
+        total, i, addrs, reach = steady(addrs, levels[:stop])
+        if reach is None:  # a level never misses, so none below does
+            i = len(levels)
+        return total, i, addrs, reach
+    return stopped
+
+
+#: The closed form stopping at once: the caches take the LRU loop from
+#: their first level.
+NO_CLOSED_FORM = {"_steady_cost": closed_form_stopping_at(0)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 6))
+@example(cfg=TLB_ONLY, rs=LATE_FIXED_POINTS[3][1], traversals=6)
+def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
+    """The caches' LRU loop on its own, which prices what the closed form
+    declines."""
+    with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 6))
+@example(cfg=TLB_ONLY, rs=LATE_FIXED_POINTS[3][1], traversals=6)
+def test_hand_over_at_every_level_matches_naive_hierarchy(cfg, rs,
+                                                          traversals):
+    """The closed form handing the caches over to the LRU loop at each of
+    their levels in turn, with the stream that reaches that level."""
+    want = naive_cycles(rs, cfg, traversals)
+    for stop in range(len(cfg.cache_levels) + 1):
+        with mock.patch.object(simoracle, "_steady_cost",
+                               closed_form_stopping_at(stop)):
+            assert simulate(cfg, rs, traversals) == want, stop
 
 
 @pytest.mark.parametrize("cfg, rs", LATE_FIXED_POINTS)
 def test_late_fixed_point(cfg, rs):
-    for traversals in (1, 2, 3, 4):
+    for traversals in range(1, 7):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
 
@@ -357,14 +386,14 @@ TWO_TLBS = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
 
 @pytest.fixture
 def built_levels(monkeypatch):
-    """The TLB levels and the cache levels of the latest run, as the level
-    builder returned them."""
+    """The cache levels of the latest run, as the level builder returned
+    them."""
     built = []
     levels = simoracle._levels
 
     def recorded_levels(config):
         built[:] = levels(config)
-        return tuple(built)
+        return list(built)
 
     monkeypatch.setattr(simoracle, "_levels", recorded_levels)
     return built
@@ -372,27 +401,24 @@ def built_levels(monkeypatch):
 
 @pytest.fixture
 def loop_traversals(monkeypatch, built_levels):
-    """Records the family, "tlb" or "cache", and the index in it of the
-    first level received, of every level list the LRU loop receives and of
-    every traversal it simulates: none means the closed form priced the
-    run.  The family is the one that holds every level received, which may
-    be any part of its list."""
+    """Records the index among the cache levels of the first level of every
+    level list the LRU loop receives and of every traversal it simulates:
+    none means the closed form priced the run.  Every level received must be
+    a cache level of the run."""
     calls = []
     loop, traverse = simoracle._loop_cost, simoracle._traverse
 
-    def family(lvls):
-        for name, levels in zip(("tlb", "cache"), built_levels):
-            if all(lvl in levels for lvl in lvls):
-                return name, levels.index(lvls[0])
-        raise AssertionError("levels of neither family")
+    def first(lvls):
+        assert all(lvl in built_levels for lvl in lvls)
+        return built_levels.index(lvls[0])
 
     def counted_loop(addrs, reach, lvls, traversals):
         if lvls:
-            calls.append(family(lvls))
+            calls.append(first(lvls))
         return loop(addrs, reach, lvls, traversals)
 
     def counted_traverse(addrs, lvls):
-        calls.append(family(lvls))
+        calls.append(first(lvls))
         return traverse(addrs, lvls)
 
     monkeypatch.setattr(simoracle, "_loop_cost", counted_loop)
@@ -401,13 +427,24 @@ def loop_traversals(monkeypatch, built_levels):
 
 
 def handed_over(calls):
-    """Each family of ``loop_traversals``' records, and the index of the
-    first level of it that the LRU loop took: where the closed form
-    stopped."""
-    first = {}
-    for name, index in calls:
-        first[name] = min(index, first.get(name, index))
-    return first
+    """The index of the first cache level in ``loop_traversals``' records,
+    the first that the LRU loop took and where the closed form stopped; None
+    if the loop took none."""
+    return min(calls, default=None)
+
+
+@pytest.fixture
+def tlb_builds(monkeypatch):
+    """The entry count of every TLB level ``_tlb_cost`` builds, in order."""
+    built = []
+    lru_cache = simoracle.lru_cache
+
+    def recorded(maxsize):
+        built.append(maxsize)
+        return lru_cache(maxsize=maxsize)
+
+    monkeypatch.setattr(simoracle, "lru_cache", recorded)
+    return built
 
 
 @pytest.mark.parametrize("cfg", [README_LIKE, TWO_TLBS, two_level()])
@@ -423,35 +460,44 @@ def handed_over(calls):
     build_gap_string(17, 2 * KB, 64, ENV),
     build_gap_string(33, 1024, 0, ENV),
 ], ids=repr)
-def test_closed_form_taken(cfg, rs, built_levels, loop_traversals):
+def test_closed_form_taken(cfg, rs, built_levels, loop_traversals,
+                           tlb_builds):
     """Cache strings, T(1,k) and gap strings with k >= linesize are priced
-    without LRU bookkeeping, at the loop's exact totals.  The closed form
-    prices each family's first level.  Where some L1 sets fit and others
-    overflow, as for the part page and G(33, 1K, 0), the L2's stream has
-    warm-up-only accesses: the loop takes the L2, which holds the whole
-    string, and simulates nothing."""
+    without LRU bookkeeping in the caches, at the loop's exact totals.  The
+    closed form prices the first cache level.  Where some L1 sets fit and
+    others overflow, as for the part page and G(33, 1K, 0), the L2's stream
+    has warm-up-only accesses: the loop takes the L2, which holds the whole
+    string, and simulates nothing.  Each page's accesses form one run, so
+    each TLB with fewer entries than the string has pages misses once on
+    every page in every traversal, and only those TLBs are built."""
+    pages = len({addr // 4096 for addr in rs.chain})
+    missed = [tl for tl in cfg.tlb_levels if tl.entries < pages]
     closed = []
     for traversals in (1, 2, 5):
         closed.append(simulate(cfg, rs, traversals))
-        assert not any(lvl.sets for levels in built_levels for lvl in levels)
-    assert handed_over(loop_traversals) in ({}, {"cache": 1})
+        assert not any(lvl.sets for lvl in built_levels)
+        assert simoracle._tlb_cost(rs.chain, cfg, traversals) == \
+            traversals * pages * sum(tl.latency for tl in missed)
+    assert handed_over(loop_traversals) in (None, 1)
+    assert tlb_builds == [tl.entries for tl in missed] * 6
     with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
         assert [simulate(cfg, rs, t) for t in (1, 2, 5)] == closed
-    assert handed_over(loop_traversals) == {
-        name: 0 for name, levels in zip(("tlb", "cache"), built_levels)
-        if levels}
+    assert handed_over(loop_traversals) == 0
 
 
-#: Strings the closed form must hand over to the loop, and where: each
-#: family the loop takes levels of, and the index of the first it takes.
+#: Strings the closed form must hand over to the loop: the index of the
+#: first cache level the loop takes, None if it takes none, and the entry
+#: counts of the TLB levels that ``_tlb_cost`` builds in one run.
 DECLINED = [
     # T(n >= 2, k) shuffles its accesses, so a page's accesses form several
-    # runs.
-    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9), {"tlb": 0},
+    # runs, while each line's form one.  Its 40 pages fit the first TLB, so
+    # no TLB level is built.
+    pytest.param(TWO_TLBS, build_tlb_string(3, 40 * 4096, ENV, 9), None, [],
                  id="T(3,k)"),
-    # The mirror case: one page, so the TLBs take the closed form.
-    pytest.param(*LATE_FIXED_POINTS[1], {"cache": 1}, id="late-gap"),
-    pytest.param(*LATE_FIXED_POINTS[2], {"tlb": 0}, id="late-T(4,k)"),
+    # The mirror case: one page, which fits the TLB.
+    pytest.param(*LATE_FIXED_POINTS[1], 1, [], id="late-gap"),
+    # 15 pages overflow both TLBs.
+    pytest.param(*LATE_FIXED_POINTS[2], None, [13, 14], id="late-T(4,k)"),
     # L1 (64-byte lines) passes the slots at 0 and 256 on in every
     # traversal, and the one at 576 only in the warm-up.  In the L2's
     # 32-byte lines, 256 and 576 share a one-way set: the steady stream
@@ -459,7 +505,7 @@ DECLINED = [
     pytest.param(SimConfig(cache_levels=[CacheLevel(256, 1, 64, 4),
                                          CacheLevel(320, 1, 32, 12)],
                            memory_latency=35),
-                 build_gap_string(3, 256, 64, ENV), {"cache": 1},
+                 build_gap_string(3, 256, 64, ENV), 1, [],
                  id="steady-fits-warm-up-overflowed"),
     # 1664 and 1696 share a 64-byte L2 line.  1696 misses L1 in every
     # traversal, 1664 only in the warm-up, where it reached the L2 first:
@@ -470,8 +516,7 @@ DECLINED = [
                            memory_latency=62),
                  ReferenceString(4096, CacheKind(4096, 8, 4096), 0,
                                  [3816, 1664, 1696]),
-                 {"cache": 1},
-                 id="steady-miss-warm-up-hit"),
+                 1, [], id="steady-miss-warm-up-hit"),
     # The L2 line of the chain's first slot comes back at its end, in the
     # warm-up only; so after the warm-up it is the most recent line of its
     # one-way set, and the first timed access to it hits where every later
@@ -481,29 +526,31 @@ DECLINED = [
                            memory_latency=69, mapping_seed=56432),
                  ReferenceString(8192, CacheKind(8192, 8, 4096), 0,
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
-                 {"cache": 1}, id="split-first-run"),
-    # Pages 0 and 1 alternate, so the TLB declines.  The L1 takes the
-    # closed form: line 0 comes back as the last run, in a set that fits
-    # while the other set overflows, so that run hits in the warm-up too and
-    # is not passed on.  Passed on to the L2, where 0 and 32 share a line,
-    # it would make line 0's run wrap around with a timed access at the
-    # chain's start only.  The L1's fitting set passes warm-up-only
-    # accesses on, so the loop takes the L2.
+                 1, [], id="split-first-run"),
+    # Pages 0 and 1 alternate through a one-entry TLB, which is built.  The
+    # L1 takes the closed form: line 0 comes back as the last run, in a set
+    # that fits while the other set overflows, so that run hits in the
+    # warm-up too and is not passed on.  Passed on to the L2, where 0 and 32
+    # share a line, it would make line 0's run wrap around with a timed
+    # access at the chain's start only.  The L1's fitting set passes
+    # warm-up-only accesses on, so the loop takes the L2.
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
                  ReferenceString(8192, CacheKind(8192, 8, 4096), 0,
                                  [0, 32, 4128, 96, 4256, 8]),
-                 {"tlb": 0, "cache": 1}, id="wrapped-run-in-fitting-set"),
+                 1, [1], id="wrapped-run-in-fitting-set"),
 ]
 
 
-@pytest.mark.parametrize("cfg, rs, stops", DECLINED)
-def test_closed_form_declines(cfg, rs, stops, loop_traversals):
+@pytest.mark.parametrize("cfg, rs, stop, builds", DECLINED)
+def test_closed_form_declines(cfg, rs, stop, builds, loop_traversals,
+                              tlb_builds):
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-    assert handed_over(loop_traversals) == stops
+    assert handed_over(loop_traversals) == stop
+    assert tlb_builds == builds * 4
 
 
 def test_late_state_change_at_steady_cost(built_levels, loop_traversals):
@@ -516,39 +563,80 @@ def test_late_state_change_at_steady_cost(built_levels, loop_traversals):
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-        assert not any(lvl.sets for levels in built_levels for lvl in levels)
-    assert handed_over(loop_traversals) == {"cache": 1}
+        assert not any(lvl.sets for lvl in built_levels)
+    assert handed_over(loop_traversals) == 1
 
 
 @pytest.mark.parametrize("cfg", [TWO_TLBS, README_LIKE],
                          ids=["TWO_TLBS", "README_LIKE"])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals):
+def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals,
+                                                   tlb_builds):
     """A shuffled T(n>=2,k) splits each page's accesses into several runs,
-    so its TLBs take the loop; each of its lines occurs once per chain, so
-    its caches take the closed form."""
+    while each of its lines occurs once per chain, so its caches take the
+    closed form.  Its TLBs build only the 64-entry level, and only for 80
+    pages: 24 fit it, and 80 fit the 1024-entry level below."""
     for pages in (24, 80):
         rs = build_tlb_string(n, pages * 4096, ENV, 100 * n + pages)
         for traversals in (1, 2, 3, 4):
             assert simulate(cfg, rs, traversals) == \
                 naive_cycles(rs, cfg, traversals)
-    assert handed_over(loop_traversals) == {"tlb": 0}
+    assert handed_over(loop_traversals) is None
+    assert tlb_builds == [64] * 4
 
 
-@pytest.mark.parametrize("pages, simulated", [(24, []), (80, [0])])
+@pytest.mark.parametrize("pages, built", [(24, []), (64, []), (65, [64]),
+                                          (80, [64])])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_fitting_tlb_level_never_simulated(n, pages, simulated,
-                                           built_levels, loop_traversals):
-    """A T(n>=2,k) takes the TLBs' loop, which stops at the first level that
-    holds every page: 64 entries hold 24 pages, and 1024 hold 80.  That
-    level and those below it are neither filled nor run."""
+def test_fitting_tlb_level_never_simulated(n, pages, built, tlb_builds):
+    """A T(n>=2,k)'s TLB walk stops at the first level that holds every
+    page: 64 entries hold 24 pages and 64, and 1024 hold 65 and 80.
+    Neither that level nor any below it is built."""
     rs = build_tlb_string(n, pages * 4096, ENV, 10 * n + pages)
     for traversals in (1, 2, 3, 4):
+        tlb_builds.clear()
         assert simulate(TWO_TLBS, rs, traversals) == \
             naive_cycles(rs, TWO_TLBS, traversals)
-        tlbs, _ = built_levels
-        assert [i for i, lvl in enumerate(tlbs) if lvl.sets] == simulated
-    assert handed_over(loop_traversals)["tlb"] == 0
+        assert tlb_builds == built
+
+
+@pytest.fixture
+def cache_pricing(monkeypatch):
+    """Every level that the closed form, the LRU loop and ``_misses``
+    receive, and the line size of every run analysis."""
+    levels, linesizes = [], []
+    steady, loop = simoracle._steady_cost, simoracle._loop_cost
+    misses, runs = simoracle._misses, simoracle._runs
+    monkeypatch.setattr(simoracle, "_steady_cost", lambda addrs, lvls: (
+        levels.extend(lvls) or steady(addrs, lvls)))
+    monkeypatch.setattr(simoracle, "_loop_cost", lambda addrs, r, lvls, t: (
+        levels.extend(lvls) or loop(addrs, r, lvls, t)))
+    monkeypatch.setattr(simoracle, "_misses", lambda addrs, lvl: (
+        levels.append(lvl) or misses(addrs, lvl)))
+    monkeypatch.setattr(simoracle, "_runs", lambda addrs, linesize: (
+        linesizes.append(linesize) or runs(addrs, linesize)))
+    return levels, linesizes
+
+
+@pytest.mark.parametrize("cfg, rs", [
+    (TWO_TLBS, build_tlb_string(3, 80 * 4096, ENV, 5)),
+    *LATE_FIXED_POINTS[1:]])
+@pytest.mark.parametrize("tlbs_only", [False, True])
+def test_tlbs_reach_no_cache_pricing(cfg, rs, tlbs_only, built_levels,
+                                     cache_pricing):
+    """The TLBs are priced by ``_tlb_cost`` alone: only cache levels reach
+    the closed form, the LRU loop and ``_misses``, and each run analysis is
+    at a cache level's line size, with the caches or without them."""
+    if tlbs_only:
+        cfg = replace(cfg, cache_levels=[])
+    received, linesizes = cache_pricing
+    for traversals in (1, 3):
+        assert simulate(cfg, rs, traversals) == \
+            naive_cycles(rs, cfg, traversals)
+        assert all(lvl in built_levels for lvl in received)
+        assert set(linesizes) <= {lvl.linesize for lvl in cfg.cache_levels}
+        received.clear()
+        linesizes.clear()
 
 
 def test_fitting_level_below_a_wider_line_is_simulated():
@@ -567,7 +655,7 @@ def test_fitting_level_below_a_wider_line_is_simulated():
 
 
 def family_streams(cfg, rs):
-    """The address stream and the levels of each family of one run."""
+    """The physical address stream and the cache levels of one run."""
     streams = []
 
     def recorded(addrs, levels, traversals):
@@ -645,14 +733,17 @@ def test_run_analysis_redone_at_new_line_size(analyses, loop_traversals):
     assert not loop_traversals
 
 
-def test_second_tlb_reuses_run_analysis(analyses, loop_traversals):
+def test_tlbs_take_no_run_analysis(analyses, loop_traversals, tlb_builds):
     """T(1,k) over 80 pages overflows the 64-entry TLB, one access per
-    page: the 1024-entry TLB reuses its analysis."""
+    page, and fits the 1024-entry one: the TLBs build the first level only,
+    and make no run analysis at the 4,096-byte page size.  The L1 holds the
+    string, one analysis at its line size."""
     rs = build_tlb_string(1, 80 * 4096, ENV, 23)
     for traversals in (1, 2):
         assert simulate(TWO_TLBS, rs, traversals) == \
             naive_cycles(rs, TWO_TLBS, traversals)
-    assert analyses.count(4096) == 2
+    assert analyses == [64, 64]
+    assert tlb_builds == [64, 64]
     assert not loop_traversals
 
 
@@ -787,7 +878,7 @@ def test_seed_free_reads_the_slot_spacing_off_the_kind(pagesize, slot):
 
 
 def looped(cfg, rs):
-    """Whether the LRU loop simulated a level of either family."""
+    """Whether the LRU loop simulated a cache level."""
     return simoracle._simulate_loads(cfg, rs, rs.chain_length)[1]
 
 
