@@ -20,35 +20,62 @@ No level evicts from another, and a hit leaves the levels below untouched
 simulator runs one level over the whole stream, then the next level over
 its misses, once for the TLBs and once for the caches.
 
-The TLBs run over the chain's page sequence in C.  An access to the page
-that the access before it touched hits every TLB, the first holding that
-page as its most recent, and changes no LRU state: so the chain collapses
-to its page sequence (``itertools.groupby``), and each timed traversal,
-which follows the chain's last access, drops its first page when that is
-the last page too.  Each level is ``functools.lru_cache(maxsize=entries)``
-wrapped round a list's ``append``, which it calls on a miss only: mapping
-it over a stream runs the level and records the pages it misses, in order,
-which are the stream of the level below.
+One engine prices every LRU level, TLB or cache (``_lru_cost``).  A level
+is a ``(linesize, nsets, assoc, penalty)`` tuple, with keys ``address //
+linesize`` in set ``key % nsets``; a TLB level is one set of one-byte lines
+over pages.  Each set it touches is a ``functools.lru_cache(maxsize=
+assoc)``, built on its first access, so the LRU bookkeeping runs in C.  A
+level whose keys are its items, as a TLB's pages are, wraps a list's
+``append``, which the cache calls on a miss only: mapping the level over a
+stream records the items it misses, in order, which are the stream of the
+level below.  A cache level must pass on addresses, not keys, so it wraps
+``partial(next, count())``.  A miss returns a new mark, higher than every
+earlier one, and a hit returns its key's mark, which was handed out
+earlier.  So the misses are the accesses whose mark beats the running
+maximum of the marks before them, carried across the level's streams.
 
-A TLB level runs the warm-up from cold and then only timed traversals 1 to
-min(traversals, d) at depth d, and counts the last one again for each
-traversal after it.  After any stream a one-set LRU holds the stream's
-``entries`` most recent distinct pages, so a stream run twice leaves the
-state that it leaves run once: a level whose input repeats from traversal
-d - 1 meets traversal d and every later one in one state, with one input,
-and repeats its misses from traversal d.  The first level's warm-up is a
-whole traversal, which leaves the state that a timed one does, so its
-misses repeat from traversal 1, and level d's from traversal d.
+The engine is handed the streams that reach the first level: the warm-up's,
+then those of timed traversals 1 to k, the last of which every later
+traversal repeats.  Each level runs them from cold, and counts the misses of
+the last one again for each traversal after it.  After any stream an LRU
+set holds the stream's ``assoc`` most recent distinct keys, in recency order
+(the stack property of Mattson et al.), so a stream run twice leaves the
+state that it leaves run once.  A level whose input repeats from traversal k
+therefore meets traversal k + 1 and every later one in one state, with one
+input, and repeats its misses from traversal k + 1: it hands the level below
+its misses with the last once more, up to ``traversals`` timed streams.
 
-The TLB walk stops at the first level whose warm-up stream holds no more
-distinct pages than it has entries.  The level above misses on the first
-access to each page of its warm-up stream, so every page that reaches a
-level in any traversal reaches it in the warm-up: such a level holds every
-page it will see, never evicts, and never misses in a timed traversal, and
-nothing at or below it is run.
+The TLBs hand the first level the chain's page sequence, as the warm-up and
+as one timed traversal.  An access to the page that the access before it
+touched hits every TLB, the first holding that page as its most recent, and
+changes no LRU state: so the chain collapses to its page sequence
+(``itertools.groupby``), and each timed traversal, which follows the
+chain's last access, drops its first page when that is the last page too.
+The warm-up is a whole traversal, which leaves the state that a timed one
+does, so the first level's misses repeat from traversal 1, and the TLB at
+depth d runs min(traversals, d) timed traversals.
+
+The closed form below hands the caches to the engine at the level where it
+stops, with the accesses that reach that level in the warm-up and those
+that reach it in every timed traversal.  Where the two are one stream, the
+level is handed it twice and, like the first TLB, repeats its misses from
+traversal 1.  Where some accesses reach it in the warm-up only, the warm-up
+is not a timed traversal: the level's input repeats from traversal 1, so
+its misses repeat only from traversal 2.  It runs min(traversals, 2) timed
+traversals, and each level below one more.
+
+The walk stops at the first level that fits: no set holds more than
+``assoc`` of the keys of its warm-up stream, and its line holds the line of
+every level the walk ran above it.  Every access that reaches the first
+level in a timed traversal reaches it in the warm-up too.  There, the
+first access to each key of a level that fits is also the first access to
+its line at each level run above, so it misses them all and reaches the
+level: every key that reaches the level in any traversal reaches it in the
+warm-up.  Such a level holds every key it will see, never evicts, and never
+misses in a timed traversal; neither it nor any level below it is run.
 
 The caches are priced in closed form from the first level down, with no LRU
-bookkeeping, for as long as one condition holds; the LRU loop prices the
+bookkeeping, for as long as one condition holds; the engine prices the
 levels left.  Take a level that every access reaching it reaches in every
 traversal, the warm-up included, as at the first level.  The condition:
 each key's (line's) accesses there form one run when the chain is read
@@ -63,24 +90,25 @@ closed form stops at that level.
 
 Cache strings, T(1,k) and gap strings with a gap of at least a line take
 the closed form at the first cache level, and so does a shuffled
-T(n>=2,k), which sees each line once per chain, as a rule.  The loop stays
-the closed form's reference, and the naive model in the tests that of both
-families.
+T(n>=2,k), which sees each line once per chain, as a rule.  The engine
+stays the closed form's reference, and the naive model in the tests that of
+both families.
 
 ``SimulatedBackend.least(kind)`` reports the least that any run of a
 string of ``kind`` reads, in cycles per access: from the config and the
 kind alone, or, for a kind whose strings all read alike, from its first
 run's read.  Every access pays the first cache level's latency (memory's
-if there is none), a floor for every kind.  A run whose caches took no
-LRU loop costs the closed form's one traversal there per timed traversal.
+if there is none), a floor for every kind.  A run in which the engine ran
+no cache level costs the closed form's one traversal there per timed
+traversal.
 If each of its pages also forms one run of the chain read cyclically, every
 TLB level with fewer entries than its pages misses once on each page in
 every traversal and passes them all on, and the first level with as many
 never misses in a timed one.  Such a run reads the same at any number of
-traversals; a looped run may read less at more, where a level below takes
-several traversals to settle.  Some kinds' strings all read what such a
-run did.  A gap kind has one string at a
-given word size: seed 0, one layout.
+traversals; a run in which it ran one may read less at more, where a level
+below takes several traversals to settle.  Some kinds' strings all read
+what such a run did.  A gap kind has one string at a given word size: seed
+0, one layout.
 A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
 number of pages or at most one page (b): every string seed touches the same
 slots, and every page permutation maps them onto the same physical
@@ -89,17 +117,18 @@ its slots (c), each cache key is touched once per traversal, and each page
 in one stretch of the chain, so in any order every key forms one run.  A
 closed-form level then misses on the keys of the sets that overflow and
 hands on the accesses to them, and the first level that fits is found from
-the keys alone: the cost, and whether the LRU loop takes any level, depend
+the keys alone: the cost, and whether the engine runs any level, depend
 only on which addresses are touched.  Its TLB cost depends only on how
-many pages it spans.  So if this run took no LRU loop (d), no string of the
-kind does, and all cost what this one did.  Such a run
-answers every later run of its kind without simulating it: the read is the
-same at any number of traversals, as an int total over an int load count
-divides to the same float.  A kind carries the line size and the page
-size its string was built for, which with its footprint fix the slots its
-strings touch, so strings of other slots never share its read.  Those
-slots lie the line size apart, or a page apart when a page holds only one,
-so (c) is read off the kind: no cache level's line is wider than that.
+many pages it spans.  So if the engine ran no cache level in this run (d),
+it runs none for any string of the kind, and all cost what this one did.
+Such a run answers every later run of its kind without simulating it: the
+read is the same at any number of traversals, as an int total over an int
+load count divides to the same float.  A kind carries the line size and
+the page size its string was built for, which with its footprint fix the
+slots its strings touch, so strings of other slots never share its read.
+Those slots lie the line size apart, or a page apart when a page holds
+only one, so (c) is read off the kind: no cache level's line is wider than
+that.
 
 A T(1,k) string with one slot in each of the config's pages it spans
 touches a new page at every access, so an LRU TLB with fewer entries than
@@ -128,45 +157,6 @@ that loop.  A traversal misses once on each key of a set holding more than
 ``assoc``.  A level that passes on every access in every traversal hands its
 stream on, which at the same line size has the same keys and runs: the
 level below reuses the analysis.
-
-The LRU loop takes the stream that reaches the first level left, in the
-warm-up and in the timed traversals, and simulates only the levels that can
-miss.  It stops at the first level that fits: no set holds more than
-``assoc`` of the stream's keys at its line size, and the line of every level
-above it that the loop took lies within one of its lines.  In the warm-up,
-which starts cold, the first access to each of its keys is also the first
-access to its line at every such level above, so it misses all of them and
-reaches the level.  The level then holds every key it will see, never
-evicts, and never misses in a timed traversal; neither it nor any level
-below it is simulated.
-
-Where every access reaches the first level in every traversal, as when the
-run analysis declines, that level sees the same stream each time.  After any
-stream an LRU set holds the stream's ``assoc`` most recent distinct keys in
-recency order (the stack property of Mattson et al.), so reading the stream
-backwards gives its state after the warm-up, which every timed traversal
-leaves as it found it: one pass from that state prices them all.  In the
-warm-up, an access that is not its key's first follows the same accesses
-since the key's last one as in a timed traversal, so it misses exactly when
-it does there, and a first access misses cold.  The level's warm-up misses
-are thus its first accesses plus its steady misses, in chain order: the
-warm-up stream of the level below, whose timed traversals each see the
-steady misses.  Where the closed form stopped at accesses that reach the
-level in the warm-up only, it hands over the level's warm-up stream, and
-those of its accesses that reach it in every traversal are the timed one:
-the level is one of these levels below.  An intermediate level runs its
-warm-up stream forwards to pass its misses on; the last simulated level is
-filled backwards from its own.
-
-The levels below run only as many timed traversals as they need.  Their LRU
-state after a traversal depends only on their state before it, because
-every traversal hands them the same accesses.  So once a timed traversal
-leaves the state as it found it, every later traversal costs exactly what
-that one did.  The simulator snapshots the state before each timed
-traversal that has a successor, compares it afterwards, and on a match
-multiplies out the rest.  Sets live in a table keyed by set index and are
-created by the fill or on first access, so set-up, snapshot and comparison
-scale with the lines a string touches, not with cache capacity.
 """
 
 from __future__ import annotations
@@ -176,10 +166,10 @@ import random
 from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import compress, groupby, repeat
+from functools import lru_cache, partial
+from itertools import accumulate, compress, count, groupby, repeat
 from operator import floordiv, gt, itemgetter, mod, ne, rshift
-from typing import List, Optional
+from typing import List, NamedTuple, Optional
 
 from .errors import ConfigError
 from .refstring import (CacheKind, GapKind, ReferenceString, TlbKind,
@@ -246,41 +236,26 @@ class SimConfig:
             raise ConfigError("mapping seed must be non-negative")
 
 
-class _Level:
-    """One LRU cache level: keys ``address // linesize`` in set ``key %
-    nsets`` of ``assoc`` ways, and ``penalty`` cycles per miss."""
+class _Level(NamedTuple):
+    """One LRU level: keys ``address // linesize`` in set ``key % nsets`` of
+    ``assoc`` ways, and ``penalty`` cycles per miss.  A TLB level is one set
+    of one-byte lines over pages."""
 
-    __slots__ = ("linesize", "nsets", "assoc", "penalty", "sets")
+    linesize: int
+    nsets: int
+    assoc: int
+    penalty: int
 
-    def __init__(self, linesize: int, nsets: int, assoc: int, penalty: int):
-        self.linesize = linesize
-        self.nsets = nsets
-        self.assoc = assoc
-        self.penalty = penalty
-        #: set index -> {key: None} in LRU-to-MRU order; a set appears on
-        #: its first access, or when ``_fill`` gives it its keys.
-        self.sets = defaultdict(dict)
 
-    def keys(self):
-        """The set count, and the keys of every set in recency order, one
-        set after another.
-
-        Sets are never dropped or emptied.  The fill creates the sets of
-        its stream, and a later access to a set that does not exist yet
-        appends it, so between a snapshot and its comparison sets are only
-        ever appended.  The keys of a set all share its index.  So equal
-        counts and equal keys mean that every set holds the same keys in the
-        same order.  An array holds the values, not the key objects, which
-        later hits replace with equal ones.
-        """
-        return len(self.sets), array(
-            "q", itertools.chain.from_iterable(self.sets.values()))
+#: Calls an ``lru_cache`` wrapper with one argument, from C, so that
+#: ``map`` can send each key to its set's wrapper (``operator.call`` is new
+#: in Python 3.11).
+_call = type(lru_cache(maxsize=1)(abs)).__call__
 
 
 def _levels(config: SimConfig):
-    """The cache levels of ``config``, with empty LRU state.  A level's
-    penalty is the latency of the level below it, memory's below the last,
-    minus its own."""
+    """The cache levels of ``config``.  A level's penalty is the latency of
+    the level below it, memory's below the last, minus its own."""
     below = [lvl.latency for lvl in config.cache_levels[1:]]
     below.append(config.memory_latency)
     return [_Level(lvl.linesize,
@@ -303,8 +278,8 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
     """Total latency of ``loads`` accesses, a positive whole number of
     traversals, after one warm-up traversal: the base latency of every
     access, plus the TLBs' miss penalties on the virtual chain and the
-    caches' on the physical addresses.  Returns it with whether the LRU loop
-    simulated any cache level.
+    caches' on the physical addresses.  Returns it with whether the LRU
+    engine ran any cache level.
 
     Under a random mapping the physical addresses are an ``array('q')``,
     eight bytes a slot with no int objects; iterating it creates each int
@@ -328,141 +303,106 @@ def _simulate_loads(config: SimConfig, rs: ReferenceString, loads: int):
         paddrs = array("q", [off + delta[off >> page_shift] for off in chain])
 
     traversals = loads // len(chain)
-    cache_cost, looped = _family_cost(paddrs, _levels(config), traversals)
+    cache_cost, ran = _family_cost(paddrs, _levels(config), traversals)
     return (_floor(config) * loads + _tlb_cost(chain, config, traversals)
-            + cache_cost, looped)
+            + cache_cost, ran)
 
 
 def _tlb_cost(chain, config: SimConfig, traversals: int) -> int:
     """The TLBs' miss penalties over ``traversals`` timed traversals of the
-    virtual ``chain`` after one warm-up, each level an ``lru_cache`` over
-    the page sequence, run for as many timed traversals as its depth (see
-    the module docstring)."""
+    virtual ``chain`` after one warm-up, by the LRU engine over its page
+    sequence (see the module docstring)."""
     if not config.tlb_levels:
         return 0
     pages = [page for page, _ in groupby(
         map(rshift, chain, repeat(config.pagesize.bit_length() - 1)))]
-    # The pages that reach a level in the warm-up, then in each timed
-    # traversal up to the one that every later traversal repeats.
     streams = [pages, pages[1:] if pages[0] == pages[-1] else pages]
-    total = 0
-    for tl in config.tlb_levels:
-        if len(set(streams[0])) <= tl.entries:
-            break
-        misses = []
-        level = lru_cache(maxsize=tl.entries)(misses.append)
-        ends = []
-        for stream in streams:
-            deque(map(level, stream), 0)
-            ends.append(len(misses))
-        streams = [misses[a:b] for a, b in zip([0] + ends, ends)]
-        timed = list(map(len, streams[1:]))
-        total += tl.latency * (sum(timed)
-                               + (traversals - len(timed)) * timed[-1])
-        if len(streams) <= traversals:
-            # The level below repeats its misses one traversal later.
-            streams.append(streams[-1])
-    return total
+    return _lru_cost(streams, [_Level(1, 1, tl.entries, tl.latency)
+                               for tl in config.tlb_levels], traversals)[0]
 
 
 def _family_cost(addrs, levels, traversals: int):
     """The miss penalties of ``traversals`` timed traversals of ``addrs``
     through the cache ``levels`` after one warm-up: in closed form as far
-    as it goes, then by the LRU loop on the levels left.  Returns them with
-    whether the loop simulated any level."""
+    as it goes, then by the LRU engine on the levels left.  Returns them with
+    whether the engine ran any level."""
     steady, i, addrs, reach = _steady_cost(addrs, levels)
-    loop, looped = _loop_cost(addrs, reach, levels[i:], traversals)
-    return steady * traversals + loop, looped
+    streams = [addrs, addrs]
+    if reach and 1 in reach:
+        # Some accesses reach level i in the warm-up only: its input repeats
+        # from timed traversal 1, and its misses from traversal 2.
+        timed = list(compress(addrs, reach.replace(b"\x01", b"\0")))
+        streams = [addrs] + [timed] * min(2, traversals)
+    engine, ran = _lru_cost(streams, levels[i:], traversals)
+    return steady * traversals + engine, ran
 
 
-def _loop_cost(addrs, reach, levels, traversals: int):
-    """The miss penalties of ``traversals`` timed traversals through the
-    cache ``levels`` after one warm-up, by the LRU loop over the levels
-    above the first that fits (see the module docstring), and whether there
-    were any.  ``addrs`` reach the first level in the warm-up, and those
-    whose ``reach`` is 3 in every timed traversal too."""
-    levels = levels[:_first_fit(addrs, levels)]
-    if not levels:
-        return 0, False
+def _lru_cost(streams, levels, traversals: int):
+    """The miss penalties of ``traversals`` timed traversals through the LRU
+    ``levels``, and whether any level was run.  ``streams`` are what reaches
+    the first level in the warm-up and then in timed traversals 1, 2, ...,
+    the last of which every later traversal repeats.  Each level runs those
+    streams from cold and hands the level below its misses, the last once
+    more; the walk stops at the first level that fits (see the module
+    docstring)."""
     total = 0
-    if 1 not in reach:
-        first = levels[0]
-        _fill(first, addrs)
-        steady = _misses(addrs, first)
-        total = first.penalty * len(steady) * traversals
-        levels = levels[1:]
-        if not levels:
-            return total, True
-        # The levels below see the first level's warm-up misses, then its
-        # steady misses in every timed traversal.
-        warm = list(map(addrs.__getitem__,
-                        _warm_up_misses(addrs, first.linesize, steady)))
-        addrs = list(map(addrs.__getitem__, steady))
-    else:
-        warm = addrs
-        addrs = list(compress(addrs, reach.replace(b"\x01", b"\0")))
-    for lvl in levels[:-1]:
-        warm = list(map(warm.__getitem__, _misses(warm, lvl)))
-    _fill(levels[-1], warm)
-    left = traversals
-    while left:
-        snapshot = _snapshot(levels) if left > 1 else None
-        cost = _traverse(addrs, levels)
-        total += cost
-        left -= 1
-        if snapshot is not None and _unchanged(snapshot, levels):
-            # The state after a traversal depends only on the state before
-            # it, so every later traversal repeats this one exactly.
-            return total + left * cost, True
-        snapshot = None  # drop it before the next one is built
-    return total, True
+    above = []  # the line sizes of the levels run
+    for lvl in levels:
+        linesize, nsets, assoc, penalty = lvl
+        if not any(linesize % line for line in above):
+            keys = set(_keys(streams[0], linesize))
+            if len(keys) <= assoc or (
+                    len(keys) <= nsets * assoc
+                    and max(Counter(map(mod, keys, repeat(nsets))).values())
+                    <= assoc):
+                break
+        above.append(linesize)
+        streams = _lru_misses(streams, lvl)
+        timed = list(map(len, streams[1:]))
+        total += penalty * (sum(timed) + (traversals - len(timed)) * timed[-1])
+        if len(streams) <= traversals:
+            # The level below repeats its misses one traversal later.
+            streams.append(streams[-1])
+    return total, bool(above)
 
 
-def _warm_up_misses(addrs, linesize: int, steady) -> list:
-    """The positions of the first level's warm-up misses, given ``steady``,
-    those of each timed traversal: the first access to each key, and every
-    steady miss, which follows the same accesses in the warm-up."""
-    keys = map(floordiv, reversed(addrs), repeat(linesize))
-    firsts = dict(zip(keys, range(len(addrs) - 1, -1, -1))).values()
-    return sorted(set(firsts).union(steady))
+def _lru_misses(streams, lvl) -> list:
+    """Run ``streams`` one after another through the empty LRU level
+    ``lvl``, one ``lru_cache`` per set it touches; return the items of each
+    stream that miss, in order."""
+    linesize, nsets, assoc, _ = lvl
+    if linesize == 1:  # the keys are the items: record the misses
+        misses = []
+        new = misses.append
+    else:  # mark each miss higher than every earlier one
+        new = partial(next, count())
+    sets = defaultdict(partial(lru_cache(maxsize=assoc), new))
+    passed = []
+    peak = -1  # the highest mark yet
+    for stream in streams:
+        keys = _keys(stream, linesize)
+        if nsets == 1:  # as a TLB: routing each key would cost a quarter more
+            looked_up = map(sets[0], keys)
+        else:
+            looked_up = map(_call, map(sets.__getitem__,
+                                       map(mod, keys, repeat(nsets))), keys)
+        if linesize == 1:
+            start = len(misses)
+            deque(looked_up, 0)
+            passed.append(misses[start:])
+        else:
+            marks = list(looked_up)
+            highest = list(accumulate(marks, max, initial=peak))
+            peak = highest[-1]
+            passed.append(list(compress(stream, map(gt, marks, highest))))
+    return passed
 
 
-def _first_fit(addrs, levels) -> int:
-    """The index of the first level that never misses in a timed traversal,
-    len(levels) if none: no set holds more than ``assoc`` of the keys of
-    ``addrs``, the stream that reaches the first level in the warm-up, and
-    the line of every level above lies within one of its lines."""
-    distinct = {}  # line size -> the stream's keys
-    for i, lvl in enumerate(levels):
-        linesize = lvl.linesize
-        if any(linesize % above.linesize for above in levels[:i]):
-            continue
-        if linesize not in distinct:
-            distinct[linesize] = set(map(floordiv, addrs, repeat(linesize)))
-        keys = distinct[linesize]
-        if len(keys) <= lvl.assoc or (
-                len(keys) <= lvl.nsets * lvl.assoc
-                and max(Counter(map(mod, keys, repeat(lvl.nsets))).values())
-                <= lvl.assoc):
-            return i
-    return len(levels)
-
-
-def _fill(lvl, addrs) -> None:
-    """Give the empty ``lvl`` the LRU state that the stream ``addrs``, which
-    is not empty, leaves in it: each set's ``assoc`` most recent distinct
-    keys, read backwards, with the sets in the order of their first access.
-    """
-    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
-    keys = map(floordiv, reversed(addrs), repeat(linesize))
-    recent = defaultdict(dict)  # set index -> keys, most recent first
-    for key in dict.fromkeys(keys):
-        s = recent[key % nsets]
-        if len(s) < assoc:
-            s[key] = None
-    for index in dict.fromkeys(map(mod, map(floordiv, addrs, repeat(linesize)),
-                                   repeat(nsets))):
-        lvl.sets[index] = dict.fromkeys(reversed(recent[index]))
+def _keys(stream, linesize: int):
+    """The keys of the addresses ``stream`` at ``linesize``."""
+    if linesize == 1:
+        return stream
+    return list(map(floordiv, stream, repeat(linesize)))
 
 
 def _steady_cost(addrs, levels):
@@ -572,49 +512,6 @@ def _lru_level(addrs, analysis, lvl):
     return misses, addrs, reach
 
 
-def _traverse(addrs, levels) -> int:
-    """Run one traversal of ``addrs`` through ``levels``' LRU state, one
-    level at a time: each level sees the misses of the level above.  Return
-    the traversal's total miss penalty."""
-    total = 0
-    for lvl in levels:
-        misses = _misses(addrs, lvl)
-        total += lvl.penalty * len(misses)
-        addrs = list(map(addrs.__getitem__, misses))
-    return total
-
-
-def _misses(addrs, lvl) -> list:
-    """Run ``addrs`` through ``lvl``'s LRU state; return the positions in
-    ``addrs`` of the accesses that miss."""
-    linesize, nsets, assoc = lvl.linesize, lvl.nsets, lvl.assoc
-    sets = lvl.sets
-    misses = []
-    miss = misses.append
-    for i, addr in enumerate(addrs):
-        key = addr // linesize
-        s = sets[key % nsets]
-        if key in s:
-            del s[key]
-            s[key] = None
-        else:
-            if len(s) >= assoc:
-                del s[next(iter(s))]
-            s[key] = None
-            miss(i)
-    return misses
-
-
-def _snapshot(levels) -> list:
-    """The caches' LRU state: each level's keys in recency order."""
-    return [lvl.keys() for lvl in levels]
-
-
-def _unchanged(snapshot, levels) -> bool:
-    """Whether the caches' LRU state equals ``snapshot``."""
-    return all(lvl.keys() == keys for lvl, keys in zip(levels, snapshot))
-
-
 class SimulatedBackend:
     """Backend that measures reference strings on a simulated hierarchy.
 
@@ -658,9 +555,9 @@ class SimulatedBackend:
         kind = rs.kind
         if kind in self._reads:
             return self._reads[kind]
-        total, looped = _simulate_loads(self.config, rs, loads)
+        total, ran = _simulate_loads(self.config, rs, loads)
         cycles = total / loads
-        if not looped and _seed_free(self.config, kind):
+        if not ran and _seed_free(self.config, kind):
             self._reads[kind] = cycles
         return cycles
 
@@ -696,11 +593,12 @@ def _one_slot_per_page_penalties(config: SimConfig, kind: TlbKind) -> int:
 
 
 def _seed_free(config: SimConfig, kind) -> bool:
-    """Whether every string of ``kind`` costs what one does when its run
-    takes no LRU loop: a gap kind has one string, and a cache kind must
-    meet (a) to (c) of the module docstring.  A cache string's slots lie
-    its line size apart, or a page apart when a page holds only one, and
-    (c) asks that no cache level's line be wider than that spacing.
+    """Whether every string of ``kind`` costs what one does when the LRU
+    engine runs no cache level in its run: a gap kind has one string, and
+    a cache kind must meet (a) to (c) of the module docstring.  A cache
+    string's slots lie its line size apart, or a page apart when a page
+    holds only one, and (c) asks that no cache level's line be wider than
+    that spacing.
     """
     if isinstance(kind, GapKind):
         return True

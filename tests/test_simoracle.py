@@ -14,7 +14,7 @@ from memhier import simoracle
 from memhier.refstring import CacheKind, GapKind, ReferenceString
 from memhier.timing import run_sweep
 
-from conftest import naive_cycles, naive_single_level_cycles
+from conftest import _lru_hit, naive_cycles, naive_single_level_cycles
 
 KB = 1024
 
@@ -310,6 +310,14 @@ LATE_FIXED_POINTS = [
      ReferenceString(10 * 4096, CacheKind(10 * 4096, 64, 4096), 0,
                      [page * 4096 + 64 * i for i, page in enumerate(
                          [1, 3, 4, 9, 0, 6, 3, 8, 8, 7, 4])])),
+    # The chain is 192, 32, 0.  The closed form prices the L1, where lines 6
+    # and 1 overflow one set and line 0 fits another: 0 reaches the L2 in
+    # the warm-up only.  Lines 6 and 0 share a one-way L2 set, so the L2
+    # misses 192 in timed traversal 1 and nothing in traversal 2.
+    (SimConfig(cache_levels=[CacheLevel(160, 1, 32, 1),
+                             CacheLevel(192, 1, 32, 2)],
+               memory_latency=3),
+     build_gap_string(3, 32, 128, MachineEnv(pagesize=4096))),
 ]
 
 #: The fourth late fixed point's TLBs alone.
@@ -324,7 +332,7 @@ def test_matches_naive_hierarchy(cfg, rs, traversals):
 
 
 def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
-    """``_steady_cost`` handing the caches over to the LRU loop at their
+    """``_steady_cost`` handing the caches over to the LRU engine at their
     level ``stop`` at the latest."""
     def stopped(addrs, levels):
         total, i, addrs, reach = steady(addrs, levels[:stop])
@@ -334,7 +342,7 @@ def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
     return stopped
 
 
-#: The closed form stopping at once: the caches take the LRU loop from
+#: The closed form stopping at once: the caches take the LRU engine from
 #: their first level.
 NO_CLOSED_FORM = {"_steady_cost": closed_form_stopping_at(0)}
 
@@ -343,8 +351,8 @@ NO_CLOSED_FORM = {"_steady_cost": closed_form_stopping_at(0)}
 @given(cfg=hierarchies(), rs=strings(), traversals=st.integers(1, 6))
 @example(cfg=TLB_ONLY, rs=LATE_FIXED_POINTS[3][1], traversals=6)
 def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
-    """The caches' LRU loop on its own, which prices what the closed form
-    declines."""
+    """The LRU engine on its own for the caches, which prices what the
+    closed form declines."""
     with mock.patch.multiple(simoracle, **NO_CLOSED_FORM):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
@@ -355,8 +363,8 @@ def test_loop_matches_naive_hierarchy(cfg, rs, traversals):
 @example(cfg=TLB_ONLY, rs=LATE_FIXED_POINTS[3][1], traversals=6)
 def test_hand_over_at_every_level_matches_naive_hierarchy(cfg, rs,
                                                           traversals):
-    """The closed form handing the caches over to the LRU loop at each of
-    their levels in turn, with the stream that reaches that level."""
+    """The closed form handing the caches over to the LRU engine at each of
+    their levels in turn, with the streams that reach that level."""
     want = naive_cycles(rs, cfg, traversals)
     for stop in range(len(cfg.cache_levels) + 1):
         with mock.patch.object(simoracle, "_steady_cost",
@@ -400,50 +408,90 @@ def built_levels(monkeypatch):
 
 
 @pytest.fixture
-def loop_traversals(monkeypatch, built_levels):
+def tlb_pricing(monkeypatch):
+    """A list that is not empty while ``_tlb_cost`` runs: the levels that
+    the LRU engine runs then are TLB levels, and cache levels otherwise."""
+    running = []
+    tlb_cost = simoracle._tlb_cost
+
+    def marked(chain, config, traversals):
+        running.append(None)
+        try:
+            return tlb_cost(chain, config, traversals)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(simoracle, "_tlb_cost", marked)
+    return running
+
+
+@pytest.fixture
+def level_runs(monkeypatch, tlb_pricing):
+    """Every level the LRU engine runs, in order, as whether it is a TLB
+    level, the level, and the number of timed traversals it runs."""
+    runs = []
+    misses = simoracle._lru_misses
+
+    def recorded(streams, lvl):
+        runs.append((bool(tlb_pricing), lvl, len(streams) - 1))
+        return misses(streams, lvl)
+
+    monkeypatch.setattr(simoracle, "_lru_misses", recorded)
+    return runs
+
+
+def cache_runs(runs):
+    """The cache levels among ``level_runs``' records."""
+    return [lvl for tlb, lvl, _ in runs if not tlb]
+
+
+@pytest.fixture
+def loop_traversals(monkeypatch, built_levels, tlb_pricing):
     """Records the index among the cache levels of the first level of every
-    level list the LRU loop receives and of every traversal it simulates:
-    none means the closed form priced the run.  Every level received must be
-    a cache level of the run."""
+    level list the LRU engine receives for the caches, and of every cache
+    level it runs: none means the closed form priced the run.  Every level
+    received must be a cache level of the run."""
     calls = []
-    loop, traverse = simoracle._loop_cost, simoracle._traverse
+    cost, misses = simoracle._lru_cost, simoracle._lru_misses
 
     def first(lvls):
         assert all(lvl in built_levels for lvl in lvls)
         return built_levels.index(lvls[0])
 
-    def counted_loop(addrs, reach, lvls, traversals):
-        if lvls:
+    def counted_cost(streams, lvls, traversals):
+        if lvls and not tlb_pricing:
             calls.append(first(lvls))
-        return loop(addrs, reach, lvls, traversals)
+        return cost(streams, lvls, traversals)
 
-    def counted_traverse(addrs, lvls):
-        calls.append(first(lvls))
-        return traverse(addrs, lvls)
+    def counted_misses(streams, lvl):
+        if not tlb_pricing:
+            calls.append(first([lvl]))
+        return misses(streams, lvl)
 
-    monkeypatch.setattr(simoracle, "_loop_cost", counted_loop)
-    monkeypatch.setattr(simoracle, "_traverse", counted_traverse)
+    monkeypatch.setattr(simoracle, "_lru_cost", counted_cost)
+    monkeypatch.setattr(simoracle, "_lru_misses", counted_misses)
     return calls
 
 
 def handed_over(calls):
     """The index of the first cache level in ``loop_traversals``' records,
-    the first that the LRU loop took and where the closed form stopped; None
-    if the loop took none."""
+    the first that the LRU engine took and where the closed form stopped;
+    None if the engine took none."""
     return min(calls, default=None)
 
 
 @pytest.fixture
-def tlb_builds(monkeypatch):
-    """The entry count of every TLB level ``_tlb_cost`` builds, in order."""
+def tlb_builds(monkeypatch, tlb_pricing):
+    """The entry count of every TLB level the LRU engine runs, in order."""
     built = []
-    lru_cache = simoracle.lru_cache
+    misses = simoracle._lru_misses
 
-    def recorded(maxsize):
-        built.append(maxsize)
-        return lru_cache(maxsize=maxsize)
+    def recorded(streams, lvl):
+        if tlb_pricing:
+            built.append(lvl.assoc)
+        return misses(streams, lvl)
 
-    monkeypatch.setattr(simoracle, "lru_cache", recorded)
+    monkeypatch.setattr(simoracle, "_lru_misses", recorded)
     return built
 
 
@@ -460,14 +508,14 @@ def tlb_builds(monkeypatch):
     build_gap_string(17, 2 * KB, 64, ENV),
     build_gap_string(33, 1024, 0, ENV),
 ], ids=repr)
-def test_closed_form_taken(cfg, rs, built_levels, loop_traversals,
+def test_closed_form_taken(cfg, rs, level_runs, loop_traversals,
                            tlb_builds):
     """Cache strings, T(1,k) and gap strings with k >= linesize are priced
-    without LRU bookkeeping in the caches, at the loop's exact totals.  The
-    closed form prices the first cache level.  Where some L1 sets fit and
-    others overflow, as for the part page and G(33, 1K, 0), the L2's stream
-    has warm-up-only accesses: the loop takes the L2, which holds the whole
-    string, and simulates nothing.  Each page's accesses form one run, so
+    without LRU bookkeeping in the caches, at the engine's exact totals.
+    The closed form prices the first cache level.  Where some L1 sets fit
+    and others overflow, as for the part page and G(33, 1K, 0), the L2's
+    stream has warm-up-only accesses: the engine takes the L2, which holds
+    the whole string, and runs no level.  Each page's accesses form one run, so
     each TLB with fewer entries than the string has pages misses once on
     every page in every traversal, and only those TLBs are built."""
     pages = len({addr // 4096 for addr in rs.chain})
@@ -475,7 +523,7 @@ def test_closed_form_taken(cfg, rs, built_levels, loop_traversals,
     closed = []
     for traversals in (1, 2, 5):
         closed.append(simulate(cfg, rs, traversals))
-        assert not any(lvl.sets for lvl in built_levels)
+        assert not cache_runs(level_runs)
         assert simoracle._tlb_cost(rs.chain, cfg, traversals) == \
             traversals * pages * sum(tl.latency for tl in missed)
     assert handed_over(loop_traversals) in (None, 1)
@@ -485,9 +533,9 @@ def test_closed_form_taken(cfg, rs, built_levels, loop_traversals,
     assert handed_over(loop_traversals) == 0
 
 
-#: Strings the closed form must hand over to the loop: the index of the
-#: first cache level the loop takes, None if it takes none, and the entry
-#: counts of the TLB levels that ``_tlb_cost`` builds in one run.
+#: Strings the closed form must hand over to the LRU engine: the index of
+#: the first cache level the engine takes, None if it takes none, and the
+#: entry counts of the TLB levels that the engine runs in one run.
 DECLINED = [
     # T(n >= 2, k) shuffles its accesses, so a page's accesses form several
     # runs, while each line's form one.  Its 40 pages fit the first TLB, so
@@ -533,7 +581,7 @@ DECLINED = [
     # warm-up too and is not passed on.  Passed on to the L2, where 0 and 32
     # share a line, it would make line 0's run wrap around with a timed
     # access at the chain's start only.  The L1's fitting set passes
-    # warm-up-only accesses on, so the loop takes the L2.
+    # warm-up-only accesses on, so the engine takes the L2.
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
@@ -553,17 +601,17 @@ def test_closed_form_declines(cfg, rs, stop, builds, loop_traversals,
     assert tlb_builds == builds * 4
 
 
-def test_late_state_change_at_steady_cost(built_levels, loop_traversals):
+def test_late_state_change_at_steady_cost(level_runs, loop_traversals):
     """The first late fixed point changes only the L2's LRU order: its
     first timed traversal costs what every later one does.  The closed form
     prices the L1, whose direct-mapped sets partly overflow, and hands the
-    L2 to the loop; the L2 holds the whole string, so nothing is
-    simulated."""
+    L2 to the LRU engine; the L2 holds the whole string, so no level is
+    run."""
     cfg, rs = LATE_FIXED_POINTS[0]
     for traversals in (1, 2, 3, 4):
         assert simulate(cfg, rs, traversals) == \
             naive_cycles(rs, cfg, traversals)
-        assert not any(lvl.sets for lvl in built_levels)
+        assert not cache_runs(level_runs)
     assert handed_over(loop_traversals) == 1
 
 
@@ -591,7 +639,7 @@ def test_shuffled_tlb_string_caches_in_closed_form(cfg, n, loop_traversals,
 def test_fitting_tlb_level_never_simulated(n, pages, built, tlb_builds):
     """A T(n>=2,k)'s TLB walk stops at the first level that holds every
     page: 64 entries hold 24 pages and 64, and 1024 hold 65 and 80.
-    Neither that level nor any below it is built."""
+    Neither that level nor any below it is run."""
     rs = build_tlb_string(n, pages * 4096, ENV, 10 * n + pages)
     for traversals in (1, 2, 3, 4):
         tlb_builds.clear()
@@ -600,19 +648,58 @@ def test_fitting_tlb_level_never_simulated(n, pages, built, tlb_builds):
         assert tlb_builds == built
 
 
+#: Runs of the LRU engine: the cache level where the closed form stops at
+#: the latest (None: where it stops by itself), the timed traversals the
+#: first cache level the engine runs needs, and how many TLB and cache
+#: levels it runs.
+DEPTHS = [
+    pytest.param(TLB_ONLY, LATE_FIXED_POINTS[3][1], None, None, 4, 0,
+                 id="four-tlbs"),
+    pytest.param(*LATE_FIXED_POINTS[2], None, None, 2, 0, id="late-T(4,k)"),
+    pytest.param(*LATE_FIXED_POINTS[1], None, 2, 0, 1, id="late-gap"),
+    pytest.param(*LATE_FIXED_POINTS[1], 0, 1, 0, 2,
+                 id="late-gap-no-closed-form"),
+    pytest.param(*LATE_FIXED_POINTS[4], None, 2, 0, 1, id="hand-over"),
+    pytest.param(*LATE_FIXED_POINTS[4], 0, 1, 0, 2,
+                 id="hand-over-no-closed-form"),
+]
+
+
+@pytest.mark.parametrize("cfg, rs, stop, first, tlbs, caches", DEPTHS)
+def test_timed_traversals_by_depth(cfg, rs, stop, first, tlbs, caches,
+                                   level_runs):
+    """Each level runs only the timed traversals that its depth needs: the
+    TLB at depth d min(t, d); the first cache level handed over min(t, 2)
+    where some accesses reach it in the warm-up only, min(t, 1) where every
+    access reaches it in every traversal; and each cache level below it one
+    more than the level above."""
+    for t in range(1, 7):
+        level_runs.clear()
+        with mock.patch.object(simoracle, "_steady_cost",
+                               closed_form_stopping_at(stop)):
+            assert simulate(cfg, rs, t) == naive_cycles(rs, cfg, t)
+        assert [timed for tlb, _, timed in level_runs if tlb] == \
+            [min(t, d) for d in range(1, tlbs + 1)]
+        assert [timed for tlb, _, timed in level_runs if not tlb] == \
+            [min(t, first + d) for d in range(caches)]
+
+
 @pytest.fixture
-def cache_pricing(monkeypatch):
-    """Every level that the closed form, the LRU loop and ``_misses``
-    receive, and the line size of every run analysis."""
+def cache_pricing(monkeypatch, tlb_pricing):
+    """Every level that the closed form receives, and the LRU engine outside
+    ``_tlb_cost``, and the line size of every run analysis."""
     levels, linesizes = [], []
-    steady, loop = simoracle._steady_cost, simoracle._loop_cost
-    misses, runs = simoracle._misses, simoracle._runs
+    steady, cost, runs = (simoracle._steady_cost, simoracle._lru_cost,
+                          simoracle._runs)
+
+    def engine(streams, lvls, traversals):
+        if not tlb_pricing:
+            levels.extend(lvls)
+        return cost(streams, lvls, traversals)
+
     monkeypatch.setattr(simoracle, "_steady_cost", lambda addrs, lvls: (
         levels.extend(lvls) or steady(addrs, lvls)))
-    monkeypatch.setattr(simoracle, "_loop_cost", lambda addrs, r, lvls, t: (
-        levels.extend(lvls) or loop(addrs, r, lvls, t)))
-    monkeypatch.setattr(simoracle, "_misses", lambda addrs, lvl: (
-        levels.append(lvl) or misses(addrs, lvl)))
+    monkeypatch.setattr(simoracle, "_lru_cost", engine)
     monkeypatch.setattr(simoracle, "_runs", lambda addrs, linesize: (
         linesizes.append(linesize) or runs(addrs, linesize)))
     return levels, linesizes
@@ -624,9 +711,10 @@ def cache_pricing(monkeypatch):
 @pytest.mark.parametrize("tlbs_only", [False, True])
 def test_tlbs_reach_no_cache_pricing(cfg, rs, tlbs_only, built_levels,
                                      cache_pricing):
-    """The TLBs are priced by ``_tlb_cost`` alone: only cache levels reach
-    the closed form, the LRU loop and ``_misses``, and each run analysis is
-    at a cache level's line size, with the caches or without them."""
+    """The TLBs reach the LRU engine from ``_tlb_cost`` alone: only cache
+    levels reach the closed form and the engine's cache calls, and each run
+    analysis is at a cache level's line size, with the caches or without
+    them."""
     if tlbs_only:
         cfg = replace(cfg, cache_levels=[])
     received, linesizes = cache_pricing
@@ -749,39 +837,38 @@ def test_tlbs_take_no_run_analysis(analyses, loop_traversals, tlb_builds):
 
 @st.composite
 def lru_streams(draw):
-    """An empty LRU level and a non-empty stream of addresses, over few
-    enough keys that sets overflow and keys come back."""
-    level = simoracle._Level(draw(st.sampled_from([32, 64, 128])),
-                             draw(st.just(1) | st.integers(1, 6)),
+    """An LRU level of one-byte or wider lines and one to six sets, and two
+    non-empty streams of addresses over few enough keys that sets overflow
+    and keys come back."""
+    linesize = draw(st.sampled_from([1, 32, 64, 128]))
+    level = simoracle._Level(linesize, draw(st.just(1) | st.integers(1, 6)),
                              draw(st.integers(1, 8)), 1)
-    return level, draw(st.lists(st.integers(0, 4095), min_size=1,
-                                max_size=120))
+    addrs = st.lists(st.builds(lambda key, offset: key * linesize + offset,
+                               st.integers(0, 47),
+                               st.integers(0, linesize - 1)),
+                     min_size=1, max_size=120)
+    return level, draw(addrs), draw(addrs)
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(lru_streams())
-def test_fill_matches_forward_warm_up(case):
-    """Reading a stream backwards gives the LRU state that running it
-    forwards from empty leaves, set order included: each set holds its
-    ``assoc`` most recent keys (the stack property, Mattson et al. 1970)."""
-    filled, addrs = case
-    run = simoracle._Level(filled.linesize, filled.nsets, filled.assoc, 1)
-    simoracle._fill(filled, addrs)
-    simoracle._misses(addrs, run)
-    assert filled.keys() == run.keys()
-
-
-@settings(max_examples=200, deadline=None)
-@given(lru_streams())
-def test_first_level_warm_up_misses(case):
-    """A level that sees the whole chain misses in the warm-up on the first
-    access to each key and on the misses of a timed traversal, which every
-    later traversal repeats."""
-    lvl, addrs = case
-    warm = simoracle._misses(addrs, lvl)
-    steady = simoracle._misses(addrs, lvl)
-    assert simoracle._warm_up_misses(addrs, lvl.linesize, steady) == warm
-    assert simoracle._misses(addrs, lvl) == steady
+def test_engine_level_matches_naive_lru(case):
+    """One level of the LRU engine, run over a warm-up stream and a timed
+    one twice, misses where a naive LRU set misses, stream by stream: a hit
+    in a later stream returns a mark that an earlier stream handed out."""
+    lvl, warm, timed = case
+    streams = [warm, timed, timed]
+    history = {}  # set index -> the keys it saw
+    want = []
+    for stream in streams:
+        want.append([])
+        for addr in stream:
+            key = addr // lvl.linesize
+            seen = history.setdefault(key % lvl.nsets, [])
+            if not _lru_hit(seen, key, lvl.assoc):
+                want[-1].append(addr)
+            seen.append(key)
+    assert simoracle._lru_misses(streams, lvl) == want
 
 
 @st.composite
@@ -878,7 +965,7 @@ def test_seed_free_reads_the_slot_spacing_off_the_kind(pagesize, slot):
 
 
 def looped(cfg, rs):
-    """Whether the LRU loop simulated a cache level."""
+    """Whether the LRU engine ran a cache level."""
     return simoracle._simulate_loads(cfg, rs, rs.chain_length)[1]
 
 
@@ -897,7 +984,7 @@ NOT_SEED_FREE = [
                  id="line-holds-two-slots"),
     # Three L1 sets share the two pages' 128 lines 43, 43 and 42: two
     # overflow their 42 ways and the third fits, so the L2's stream has
-    # warm-up-only accesses and the loop takes it.  Its 254 one-way sets
+    # warm-up-only accesses and the LRU engine takes it.  Its 254 one-way sets
     # of 32-byte lines do not fit the string (lines 0 and 127 share set
     # 0), so it is simulated.
     pytest.param(SimConfig(cache_levels=[CacheLevel(3 * 42 * 64, 42, 64, 3),
