@@ -78,19 +78,22 @@ The caches are priced in closed form from the first level down, with no LRU
 bookkeeping, for as long as one condition holds; the engine prices the
 levels left.  Take a level that every access reaching it reaches in every
 traversal, the warm-up included, as at the first level.  The condition:
-each key's (line's) accesses there form one run when the chain is read
-cyclically.  Then every timed traversal misses on the first access of every
-run in a set holding more than ``assoc`` keys, and hits on the rest, and
-the closed-form total is traversals times one traversal's cost.  The
-warm-up starts cold, so it also misses on the first access to each key of
-a set that fits, and on the chain's first access where the last run wraps
-around to it.  The level below sees the warm-up's misses in the warm-up and
-the timed misses in every timed traversal.  Where the two differ, the
-closed form stops at that level.
+every key (line) that reaches the level is touched once a traversal.  Each
+set then sees its keys once a traversal, in one order, so by the stack
+property every timed traversal misses on each access to a set holding more
+than ``assoc`` keys and hits on the rest: the closed-form total is
+traversals times one traversal's cost.  The warm-up starts cold and misses
+on every access.  A level whose every touched set overflows passes every
+access on in every traversal, and the level below meets the premise in
+turn.  A level where no set overflows never misses in a timed traversal,
+nor does any below it: the walk ends.  Below a level where some sets
+overflow, every access arrives in the warm-up and only those of the sets
+that overflow in a timed traversal: the engine takes that level, as it
+takes a level where a key repeats, with its one stream twice.
 
 Cache strings, T(1,k) and gap strings with a gap of at least a line take
 the closed form at the first cache level, and so does a shuffled
-T(n>=2,k), which sees each line once per chain, as a rule.  The engine
+T(n>=2,k): each touches each of its lines once a traversal.  The engine
 stays the closed form's reference, and the naive model in the tests that of
 both families.
 
@@ -113,8 +116,8 @@ A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
 number of pages or at most one page (b): every string seed touches the same
 slots, and every page permutation maps them onto the same physical
 addresses (one page maps to itself).  If no cache level's line holds two of
-its slots (c), each cache key is touched once per traversal, and each page
-in one stretch of the chain, so in any order every key forms one run.  A
+its slots (c), each cache key is touched once per traversal, in any
+order, which is the closed form's condition at every level it reaches.  A
 closed-form level then misses on the keys of the sets that overflow and
 hands on the accesses to them, and the first level that fits is found from
 the keys alone: the cost, and whether the engine runs any level, depend
@@ -148,27 +151,24 @@ than ``assoc`` lines sees them as one cyclic run per traversal, and misses
 on every access.  A level whose replacement is not LRU could hit on such a
 stream and must not claim its penalty.
 
-Builtins price a closed-form level.  The run analysis of its stream finds
-the keys and the runs, which start where the key changes, and flags the run
-keys in a bytearray indexed by key, the one loop in Python: each key forms
-one cyclic run iff they are distinct but for a last run that continues the
-first.  A stream with more runs than its key range can hold declines before
-that loop.  A traversal misses once on each key of a set holding more than
-``assoc``.  A level that passes on every access in every traversal hands its
-stream on, which at the same line size has the same keys and runs: the
-level below reuses the analysis.
+Builtins price a closed-form level.  Its keys are flagged in a bytearray
+indexed by key, the one loop in Python, and are distinct iff as many flags
+are set as there are keys.  A set's key count is the count of its flags (at
+s, s + nsets, s + 2 * nsets, ...) where the level has eight keys or more a
+set, and a ``Counter`` of the keys' set indices otherwise.  A level that
+passes on every access hands its stream on unchanged, which at the same
+line size has the same keys: the level below reuses them.
 """
 
 from __future__ import annotations
 
-import itertools
 import random
 from array import array
 from collections import Counter, defaultdict, deque
 from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, compress, count, groupby, repeat
-from operator import floordiv, gt, itemgetter, mod, ne, rshift
+from operator import floordiv, gt, itemgetter, mod, rshift
 from typing import List, NamedTuple, Optional
 
 from .errors import ConfigError
@@ -206,8 +206,10 @@ class SimConfig:
             raise ConfigError("pagesize must be a power of two")
         prev_cap = prev_lat = 0
         for i, lvl in enumerate(self.cache_levels, 1):
-            if lvl.capacity <= 0 or lvl.associativity <= 0 or lvl.linesize <= 0:
-                raise ConfigError("cache level parameters must be positive")
+            for name in ("capacity", "associativity", "linesize", "latency"):
+                if getattr(lvl, name) <= 0:
+                    raise ConfigError("cache level %d's %s must be positive"
+                                      % (i, name))
             if lvl.linesize > self.pagesize:
                 raise ConfigError(
                     "pagesize %d is smaller than cache level %d's %d-byte "
@@ -224,7 +226,10 @@ class SimConfig:
             raise ConfigError("memory latency must be positive and exceed "
                               "the last cache level's")
         prev_ent = 0
-        for tl in self.tlb_levels:
+        for i, tl in enumerate(self.tlb_levels, 1):
+            if tl.entries <= 0:
+                raise ConfigError("TLB level %d's entry count must be positive"
+                                  % i)
             if tl.entries <= prev_ent:
                 raise ConfigError("TLB levels must increase in entry count")
             if tl.latency < 0:
@@ -326,14 +331,9 @@ def _family_cost(addrs, levels, traversals: int):
     through the cache ``levels`` after one warm-up: in closed form as far
     as it goes, then by the LRU engine on the levels left.  Returns them with
     whether the engine ran any level."""
-    steady, i, addrs, reach = _steady_cost(addrs, levels)
-    streams = [addrs, addrs]
-    if reach and 1 in reach:
-        # Some accesses reach level i in the warm-up only: its input repeats
-        # from timed traversal 1, and its misses from traversal 2.
-        timed = list(compress(addrs, reach.replace(b"\x01", b"\0")))
-        streams = [addrs] + [timed] * min(2, traversals)
-    engine, ran = _lru_cost(streams, levels[i:], traversals)
+    steady, i, streams = _steady_cost(addrs, levels)
+    # No more timed streams than timed traversals.
+    engine, ran = _lru_cost(streams[:traversals + 1], levels[i:], traversals)
     return steady * traversals + engine, ran
 
 
@@ -409,107 +409,47 @@ def _steady_cost(addrs, levels):
     """The miss penalties of one timed traversal of ``addrs`` through the
     cache ``levels`` in closed form, as far as it goes (see the module
     docstring).  Returns them with the index of the first level it did not
-    price, and the addresses and reach (see ``_lru_level``) of the accesses
-    that reach that level."""
+    price and the streams that reach that level, as ``_lru_cost`` takes
+    them: none where no level below misses in a timed traversal."""
     total = 0
-    reach = bytearray(b"\x03") * len(addrs)
-    runs = None  # the run analysis of ``addrs``, while it holds
-    for i, lvl in enumerate(levels):
-        if 1 in reach:
-            return total, i, addrs, reach
-        if runs is None or runs[0] != lvl.linesize:
-            runs = None  # one key list at a time
-            runs = _runs(addrs, lvl.linesize)
-            if runs is None:
-                return total, i, addrs, reach
-        misses, passed, reach = _lru_level(addrs, runs, lvl)
-        total += lvl.penalty * misses
-        if not misses:
-            break
-        if passed is not addrs:
-            addrs, runs = passed, None
-    return total, len(levels), addrs, reach
+    keyed_at = keyed = None  # the distinct keys of ``addrs`` at that line
+    for i, (linesize, nsets, assoc, penalty) in enumerate(levels):
+        if linesize != keyed_at:
+            keyed_at, keyed = linesize, None  # one key list at a time
+            keyed = _distinct_keys(addrs, linesize)
+        if keyed is None:
+            return total, i, [addrs, addrs]
+        keys, seen = keyed
+        # set index -> key count, over the sets that hold any
+        if len(keys) >= 8 * nsets:
+            strides = map(slice, range(nsets), repeat(None), repeat(nsets))
+            counts = map(bytearray.count, map(seen.__getitem__, strides),
+                         repeat(1))
+            sets = dict(filter(itemgetter(1), enumerate(counts)))
+        else:
+            sets = Counter(map(mod, keys, repeat(nsets)))
+        over = list(map(gt, sets.values(), repeat(assoc)))
+        if all(over):  # every access misses, and is passed on as it was
+            total += penalty * len(addrs)
+        elif not any(over):
+            return total, len(levels), []
+        else:
+            # A timed traversal misses on the keys of the sets that overflow.
+            hot = set(compress(sets, over))
+            timed = list(compress(addrs, map(hot.__contains__, map(
+                mod, keys, repeat(nsets)))))
+            return total + penalty * len(timed), i + 1, [addrs, timed, timed]
+    return total, len(levels), [addrs, addrs]
 
 
-def _runs(addrs, linesize: int):
-    """The run analysis of ``addrs`` at ``linesize`` (see the module
-    docstring), or None unless each key forms one cyclic run."""
-    keys = list(map(floordiv, addrs, repeat(linesize)))
-    starts = bytes(map(ne, keys, itertools.chain((-1,), keys)))
-    runs = starts.count(1)
-    top = max(keys)
-    if runs > top + 2:
-        return None  # more runs than keys 0..top, and a wrapped run
-    seen = bytearray(top + 1)
-    for key in compress(keys, starts):
+def _distinct_keys(addrs, linesize: int):
+    """The keys of ``addrs`` at ``linesize`` and a bytearray indexed by key
+    that flags them, or None if a key repeats."""
+    keys = _keys(addrs, linesize)
+    seen = bytearray(max(keys) + 1)
+    for key in keys:
         seen[key] = 1
-    # Each key forms one cyclic run iff every run's key is new but the
-    # last run's, which may continue the first run.
-    wrapped = runs > 1 and keys[-1] == keys[0]
-    if seen.count(1) != runs - wrapped:
-        return None
-    return linesize, keys, starts, runs, seen, wrapped
-
-
-#: A level below's reach by whether the set overflows: 1 for a set that
-#: fits, which misses in the warm-up only, 3 for one that overflows.
-_REACH = b"\x01\x03"
-
-
-def _lru_level(addrs, analysis, lvl):
-    """One LRU level of the closed form.
-
-    ``addrs`` are the addresses of the accesses that reach the level in
-    every traversal, in chain order, and ``analysis`` is their run analysis
-    (``_runs``).  Keys are ``address // linesize`` in set ``key % nsets``.
-    Returns the misses of each timed traversal with the addresses of the
-    accesses the level passes on and their reach: ``reach[i]`` is 1 where
-    access ``i`` is passed on in the warm-up traversal only, 3 where in the
-    warm-up and in every timed traversal (None for both if the level never
-    misses).  Passing on every access in every traversal, it returns
-    ``addrs`` itself: at the same line size the level below has the same
-    keys and runs, and reuses the analysis.  Passing on fewer empties the
-    keys.
-    """
-    nsets, assoc = lvl.nsets, lvl.assoc
-    _, keys, starts, runs, seen, wrapped = analysis
-    # set index -> keys, over the sets that hold any.  With eight runs or
-    # more per set, counting the flags of each set (at s, s + nsets,
-    # s + 2 * nsets, ...) is cheaper than a dict update per run.
-    if runs >= 8 * nsets:
-        strides = map(slice, range(nsets), repeat(None), repeat(nsets))
-        counts = map(bytearray.count, map(seen.__getitem__, strides),
-                     repeat(1))
-        sets = dict(filter(itemgetter(1), enumerate(counts)))
-    else:
-        sets = Counter(map(mod, compress(keys, starts), repeat(nsets)))
-        if wrapped:
-            sets[keys[0] % nsets] -= 1
-    sizes = list(sets.values())
-    over = list(map(gt, sizes, repeat(assoc)))
-    misses = sum(compress(sizes, over))
-    if not misses:
-        return 0, None, None
-    # The warm-up misses on every run start, each timed traversal on those
-    # in a set that overflows.
-    if all(over):
-        reach = bytearray(b"\x03") * runs
-    else:
-        level = dict(zip(sets, map(_REACH.__getitem__, over)))
-        reach = bytearray(map(level.__getitem__, map(
-            mod, compress(keys, starts), repeat(nsets))))
-    if runs < len(addrs):
-        keys.clear()  # free its ints before the addresses are built
-        addrs = array("q", compress(addrs, starts))
-    if wrapped:
-        # The chain's first access continues the last run in the timed
-        # traversals.  If the first key's set fits, its second run hits in
-        # the warm-up too.
-        reach[0] = 1
-        if reach[-1] == 1:
-            addrs = addrs[:-1]
-            del reach[-1]
-    return misses, addrs, reach
+    return (keys, seen) if seen.count(1) == len(keys) else None
 
 
 class SimulatedBackend:

@@ -1,4 +1,4 @@
-from array import array
+from collections import Counter
 from dataclasses import replace
 from unittest import mock
 
@@ -129,6 +129,22 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
                                     CacheLevel(16 * KB, 8, 64, 15)]).validate()
+
+    @pytest.mark.parametrize("text, message", [
+        ("tlb 0 5", "TLB level 1's entry count must be positive"),
+        ("tlb -3 5", "TLB level 1's entry count must be positive"),
+        ("tlb 64 5\ntlb 0 5", "TLB level 2's entry count must be positive"),
+        ("cache 32768 8 64 0", "cache level 1's latency must be positive"),
+        ("cache 32768 8 64 3\ncache 0 8 64 9",
+         "cache level 2's capacity must be positive"),
+        ("cache 32768 0 64 3", "cache level 1's associativity must be "
+         "positive"),
+        ("cache 32768 8 -64 3", "cache level 1's linesize must be positive"),
+    ])
+    def test_non_positive_value_named(self, text, message):
+        # The message names the level and the value, not the ordering.
+        with pytest.raises(ConfigError, match="^%s$" % message):
+            parse_config(text + "\nmemory 100\n")
 
     def test_memory_slower_than_last_level(self):
         with pytest.raises(ConfigError):
@@ -335,10 +351,10 @@ def closed_form_stopping_at(stop, steady=simoracle._steady_cost):
     """``_steady_cost`` handing the caches over to the LRU engine at their
     level ``stop`` at the latest."""
     def stopped(addrs, levels):
-        total, i, addrs, reach = steady(addrs, levels[:stop])
-        if reach is None:  # a level never misses, so none below does
+        total, i, streams = steady(addrs, levels[:stop])
+        if not streams:  # a level never misses, so none below does
             i = len(levels)
-        return total, i, addrs, reach
+        return total, i, streams
     return stopped
 
 
@@ -533,6 +549,11 @@ def test_closed_form_taken(cfg, rs, level_runs, loop_traversals,
     assert handed_over(loop_traversals) == 0
 
 
+#: README_LIKE's TLB over the l1-16k4 benchmark shape: a 16K/4/32 L1
+#: under a 2M/16/64 L2.
+L1_16K4 = replace(README_LIKE, cache_levels=[
+    CacheLevel(16 * KB, 4, 32, 3), CacheLevel(2048 * KB, 16, 64, 14)])
+
 #: Strings the closed form must hand over to the LRU engine: the index of
 #: the first cache level the engine takes, None if it takes none, and the
 #: entry counts of the TLB levels that the engine runs in one run.
@@ -576,18 +597,20 @@ DECLINED = [
                                  [5096, 5032, 6312, 5600, 5544, 5064]),
                  1, [], id="split-first-run"),
     # Pages 0 and 1 alternate through a one-entry TLB, which is built.  The
-    # L1 takes the closed form: line 0 comes back as the last run, in a set
-    # that fits while the other set overflows, so that run hits in the
-    # warm-up too and is not passed on.  Passed on to the L2, where 0 and 32
-    # share a line, it would make line 0's run wrap around with a timed
-    # access at the chain's start only.  The L1's fitting set passes
-    # warm-up-only accesses on, so the engine takes the L2.
+    # chain's first and last slots, 0 and 8, share the L1's 32-byte line 0,
+    # which is touched twice a traversal: the engine takes the L1.
     pytest.param(SimConfig(cache_levels=[CacheLevel(64, 1, 32, 2),
                                          CacheLevel(256, 4, 64, 6)],
                            tlb_levels=[TlbLevel(1, 10)], memory_latency=40),
                  ReferenceString(8192, CacheKind(8192, 8, 4096), 0,
                                  [0, 32, 4128, 96, 4256, 8]),
-                 1, [1], id="wrapped-run-in-fitting-set"),
+                 0, [1], id="wrapped-run-in-fitting-set"),
+    # Each 32-byte slot has its own L1 line, and the 64 KiB string
+    # overflows every L1 set; but two slots share each 64-byte L2 line.  Its
+    # 16 pages fit the TLB.
+    pytest.param(L1_16K4, build_cache_string(
+        64 * KB, MachineEnv(pagesize=4096, l1_linesize=32), 1), 1, [],
+        id="32-byte-slots-under-64-byte-lines"),
 ]
 
 
@@ -687,10 +710,10 @@ def test_timed_traversals_by_depth(cfg, rs, stop, first, tlbs, caches,
 @pytest.fixture
 def cache_pricing(monkeypatch, tlb_pricing):
     """Every level that the closed form receives, and the LRU engine outside
-    ``_tlb_cost``, and the line size of every run analysis."""
+    ``_tlb_cost``, and the line size of every key computation."""
     levels, linesizes = [], []
-    steady, cost, runs = (simoracle._steady_cost, simoracle._lru_cost,
-                          simoracle._runs)
+    steady, cost, keys = (simoracle._steady_cost, simoracle._lru_cost,
+                          simoracle._distinct_keys)
 
     def engine(streams, lvls, traversals):
         if not tlb_pricing:
@@ -700,8 +723,8 @@ def cache_pricing(monkeypatch, tlb_pricing):
     monkeypatch.setattr(simoracle, "_steady_cost", lambda addrs, lvls: (
         levels.extend(lvls) or steady(addrs, lvls)))
     monkeypatch.setattr(simoracle, "_lru_cost", engine)
-    monkeypatch.setattr(simoracle, "_runs", lambda addrs, linesize: (
-        linesizes.append(linesize) or runs(addrs, linesize)))
+    monkeypatch.setattr(simoracle, "_distinct_keys", lambda addrs, linesize: (
+        linesizes.append(linesize) or keys(addrs, linesize)))
     return levels, linesizes
 
 
@@ -712,8 +735,8 @@ def cache_pricing(monkeypatch, tlb_pricing):
 def test_tlbs_reach_no_cache_pricing(cfg, rs, tlbs_only, built_levels,
                                      cache_pricing):
     """The TLBs reach the LRU engine from ``_tlb_cost`` alone: only cache
-    levels reach the closed form and the engine's cache calls, and each run
-    analysis is at a cache level's line size, with the caches or without
+    levels reach the closed form and the engine's cache calls, and each key
+    computation is at a cache level's line size, with the caches or without
     them."""
     if tlbs_only:
         cfg = replace(cfg, cache_levels=[])
@@ -755,50 +778,93 @@ def family_streams(cfg, rs):
     return streams
 
 
-def fresh_streams(addrs, analysis, lvl, lru_level=simoracle._lru_level):
-    """``_lru_level`` passing on a copy of its stream, so that no level
-    below reuses its run analysis."""
-    level = lru_level(addrs, analysis, lvl)
-    if level[1] is None:
-        return level
-    misses, passed, reach = level
-    return misses, array("q", passed), reach
+def level_by_level(addrs, levels):
+    """``_steady_cost`` called on one level at a time, so that each level
+    computes the keys of its stream afresh."""
+    total = 0
+    for i, lvl in enumerate(levels):
+        cost, stop, streams = simoracle._steady_cost(addrs, [lvl])
+        total += cost
+        if not streams:
+            return total, len(levels), streams
+        if stop == 0 or len(streams) > 2:  # handed over at or below lvl
+            return total, i + stop, streams
+        addrs = streams[0]
+    return total, len(levels), [addrs, addrs]
 
 
 @settings(max_examples=300, deadline=None)
 @given(cfg=hierarchies(), rs=strings())
-def test_reused_run_analysis_matches_fresh_one(cfg, rs):
-    """Reusing the run analysis of the level above gives the closed form
-    that analysing the stream afresh at every level gives, down to the
-    level where it stops and the stream it hands over."""
-    def steady(addrs, levels):
-        total, stop, passed, reach = simoracle._steady_cost(addrs, levels)
-        return total, stop, list(passed), reach
+def test_reused_keys_match_recomputed_ones(cfg, rs):
+    """Reusing the keys of the level above, whose stream a level passes on
+    unchanged, gives the closed form that computing them afresh at every
+    level gives, down to the level where it stops and the streams it hands
+    over."""
+    def listed(result):
+        total, stop, streams = result
+        return total, stop, [list(stream) for stream in streams]
 
     for addrs, levels in family_streams(cfg, rs):
-        reused = steady(addrs, levels)
-        with mock.patch.object(simoracle, "_lru_level", fresh_streams):
-            assert steady(addrs, levels) == reused
+        assert listed(simoracle._steady_cost(addrs, levels)) == \
+            listed(level_by_level(addrs, levels))
+
+
+def decline_rule(addrs, levels):
+    """Where the closed form hands ``addrs`` over to the LRU engine, read
+    independently off each level's keys: at the first level where a line
+    that reaches it repeats within a traversal, one past the first level
+    whose sets partly overflow, or nowhere (None) where a level's sets all
+    fit or no level is left."""
+    for i, (linesize, nsets, assoc, _) in enumerate(levels):
+        keys = [addr // linesize for addr in addrs]
+        if len(set(keys)) < len(keys):
+            return i
+        per_set = Counter(key % nsets for key in keys)
+        overflowing = {s for s, n in per_set.items() if n > assoc}
+        if not overflowing:
+            return None
+        if len(overflowing) < len(per_set):
+            return i + 1 if i + 1 < len(levels) else None
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(cfg=hierarchies(), rs=strings())
+def test_decline_rule(cfg, rs):
+    """The closed form hands the caches over to the LRU engine where
+    ``decline_rule`` says."""
+    (addrs, levels), = family_streams(cfg, rs)
+    first = []  # the index of the first level of every engine call
+    cost = simoracle._lru_cost
+
+    def recorded(streams, lvls, traversals):
+        if lvls:
+            first.append(len(levels) - len(lvls))
+        return cost(streams, lvls, traversals)
+
+    with mock.patch.object(simoracle, "_lru_cost", recorded):
+        simoracle._family_cost(addrs, levels, 2)
+    assert handed_over(first) == decline_rule(list(addrs), levels)
 
 
 @pytest.fixture
 def analyses(monkeypatch):
-    """The line size of every run analysis made."""
+    """The line size of every key computation made."""
     made = []
-    runs = simoracle._runs
+    keys = simoracle._distinct_keys
 
     def counted(addrs, linesize):
         made.append(linesize)
-        return runs(addrs, linesize)
+        return keys(addrs, linesize)
 
-    monkeypatch.setattr(simoracle, "_runs", counted)
+    monkeypatch.setattr(simoracle, "_distinct_keys", counted)
     return made
 
 
-def test_run_analysis_reused_at_same_line_size(analyses, loop_traversals):
+def test_keys_reused_at_same_line_size(analyses, loop_traversals):
     """Every L1 set overflows with 64 lines of the 256 KB string, each
-    access its own run: the L2 sees the L1's stream and reuses its
-    analysis."""
+    touched once a traversal: the L2 sees the L1's stream and reuses its
+    keys."""
     rs = build_cache_string(256 * KB, ENV, 21)
     for traversals in (1, 2):
         assert simulate(two_level(), rs, traversals) == \
@@ -807,9 +873,9 @@ def test_run_analysis_reused_at_same_line_size(analyses, loop_traversals):
     assert not loop_traversals
 
 
-def test_run_analysis_redone_at_new_line_size(analyses, loop_traversals):
+def test_keys_recomputed_at_new_line_size(analyses, loop_traversals):
     """A 32-byte L1 passes on every access of a cache string to a 64-byte
-    L2, whose keys are not the L1's: its stream is analysed again."""
+    L2, whose keys are not the L1's: they are computed again."""
     cfg = SimConfig(cache_levels=[CacheLevel(16 * KB, 4, 32, 3),
                                   CacheLevel(128 * KB, 8, 64, 12)],
                     memory_latency=60)
@@ -821,11 +887,12 @@ def test_run_analysis_redone_at_new_line_size(analyses, loop_traversals):
     assert not loop_traversals
 
 
-def test_tlbs_take_no_run_analysis(analyses, loop_traversals, tlb_builds):
+def test_tlbs_take_no_key_computation(analyses, loop_traversals,
+                                     tlb_builds):
     """T(1,k) over 80 pages overflows the 64-entry TLB, one access per
     page, and fits the 1024-entry one: the TLBs build the first level only,
-    and make no run analysis at the 4,096-byte page size.  The L1 holds the
-    string, one analysis at its line size."""
+    and compute no keys at the 4,096-byte page size.  The L1 holds the
+    string, one key computation at its line size."""
     rs = build_tlb_string(1, 80 * 4096, ENV, 23)
     for traversals in (1, 2):
         assert simulate(TWO_TLBS, rs, traversals) == \
