@@ -2,53 +2,54 @@
 format: ``assemble_report`` builds the JSON report from what the probes
 measured, and is the one place that spells its keys.
 
-A plateau is a maximal run of points with statistically equal latency; each
-level boundary is placed at the last footprint still at the plateau value,
-which is exactly the effective-capacity convention (usable memory before the
-latency begins to rise).  Rises must be persistent: a spike that later drops
-back to the plateau is treated as noise and absorbed.
+``plateaus``, the one detector of both C(k) and T(1,k), splits a curve into
+maximal runs of statistically equal latency.  Each boundary is the last
+footprint still at the plateau value: the effective capacity, the usable
+memory before the latency begins to rise.  A rise must exceed ``RISE``'s
+margin and persist: a spike that drops back to the plateau is noise.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import DegenerateCurveError
 from .l1probe import L1Report
 from .refstring import MachineEnv
 from .timing import RISE, STEP_TOL, ResponseCurve, is_step
-from .tlbprobe import TlbSuspect
+
+if TYPE_CHECKING:  # tlbprobe imports ``plateaus`` from here
+    from .tlbprobe import TlbSuspect
 
 #: Deeper detections than this are flagged for human review.
 MAX_LEVELS = 4
 
 
-def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
-    """Segment the curve into plateaus; return [(capacity, latency), ...].
-
-    Each transition is the last footprint before a persistent rise, paired
-    with the plateau's median latency rounded to whole cycles.  The final
-    plateau (backing memory, or the last level when the range never leaves
-    it) produces no transition.
-    """
-    measured = [p for p in curve.points if p.measured]
-    if len(measured) < 3:
+def plateaus(curve: ResponseCurve) -> List[Tuple[int, float]]:
+    """[(last footprint, unrounded median latency), ...] of each plateau,
+    the last one included.  Unmeasured points are absent from every one."""
+    points = [(p.footprint, v) for p, v in zip(curve.points, curve.values())
+              if p.measured]
+    if len(points) < 3:
         raise DegenerateCurveError("need at least 3 measured points")
-    values = curve.values()
-    fps = curve.footprints()
-    transitions: List[Tuple[int, int]] = []
+    values = [v for _, v in points]
+    out: List[Tuple[int, float]] = []
     plateau = [values[0]]
-    plateau_end = fps[0]
-    for i in range(1, len(values)):
-        v = values[i]
+    for i in range(1, len(points)):
         med = _median(plateau)
-        if is_step(med, v, *RISE) and _persists(values, i, med):
-            transitions.append((plateau_end, round(med)))
-            plateau = [v]
-        else:
-            plateau.append(v)
-        plateau_end = fps[i]
-    return transitions
+        if is_step(med, values[i], *RISE) and _persists(values, i, med):
+            out.append((points[i - 1][0], med))
+            plateau = []
+        plateau.append(values[i])
+    out.append((points[-1][0], _median(plateau)))
+    return out
+
+
+def detect_transitions(curve: ResponseCurve) -> List[Tuple[int, int]]:
+    """[(capacity, latency), ...]: each plateau but the last (backing
+    memory, or the last level when the range never leaves it), its median
+    rounded to whole cycles."""
+    return [(end, round(med)) for end, med in plateaus(curve)[:-1]]
 
 
 def _median(values: List[float]) -> float:
@@ -64,8 +65,6 @@ def _median(values: List[float]) -> float:
 def _persists(values: List[float], start: int, median: float) -> bool:
     """True if no later value returns to within tolerance of the plateau."""
     return all(is_step(median, v, STEP_TOL) for v in values[start:])
-
-
 
 
 def level_dicts(curve: ResponseCurve) -> List[dict]:
@@ -87,8 +86,7 @@ def _sweep_counts(curve: ResponseCurve, other_runs: int = 0) -> dict:
 def assemble_report(env: MachineEnv,
                     l1: Optional[L1Report],
                     cache_curve: Optional[ResponseCurve],
-                    tlb: Optional[Tuple[List[int], List[TlbSuspect],
-                                        ResponseCurve]],
+                    tlb: Optional[Tuple[List[TlbSuspect], ResponseCurve]],
                     costs: Optional[dict] = None,
                     parameters: Optional[dict] = None) -> dict:
     """The JSON report of the probes that ran.
@@ -115,11 +113,12 @@ def assemble_report(env: MachineEnv,
                     "L1 probe capacity %d disagrees with first cache level %d"
                     % (l1.capacity, first))
         probes["cache"] = _sweep_counts(cache_curve)
-    entries, suspects = [], []
+    suspects: List[TlbSuspect] = []
     if tlb is not None:
-        entries, suspects, tlb_curve = tlb
+        suspects, tlb_curve = tlb
         probes["tlb"] = _sweep_counts(
             tlb_curve, sum(s.string_runs for s in suspects))
+    confirmed = [s for s in suspects if s.confirmed]
     return {
         "machine": {"pagesize": env.pagesize,
                     "word": env.word,
@@ -133,9 +132,10 @@ def assemble_report(env: MachineEnv,
         },
         "cache_levels": cache_levels,
         "tlb_levels": [{"level": i + 1,
-                        "capacity": n * env.pagesize,
-                        "entries": n}
-                       for i, n in enumerate(entries)],
+                        "capacity": s.boundary,
+                        "entries": s.boundary // env.pagesize,
+                        "latency": s.latency}
+                       for i, s in enumerate(confirmed)],
         "tlb_suspects": [{"footprint": s.footprint,
                           "boundary": s.boundary,
                           "confirming_n": s.confirming_n,

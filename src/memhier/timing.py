@@ -25,9 +25,9 @@ from .refstring import ReferenceString
 #: a whole traversal, so the probes compare unrounded values against it.
 STEP_TOL = 0.25
 
-#: (abs_tol, rel_tol) of a rise that leaves a cache plateau ...
+#: (abs_tol, rel_tol) of a rise that leaves a plateau of C(k) or T(1,k) ...
 RISE = (1.0, 0.15)
-#: ... and of a jump in a TLB curve.
+#: ... and of a jump between the T(n,k) pair that confirms a TLB suspect.
 JUMP = (0.5, 0.10)
 
 DEFAULT_WINDOW = 25
@@ -76,13 +76,14 @@ class ResponseCurve:
         return [p.footprint for p in self.points]
 
     def values(self) -> List[float]:
-        """Per-point values, where a knocked-out point takes the value of
-        the nearest point below it that is not knocked out (the form the
-        analysis consumes)."""
+        """Per-point values, where a knocked-out or unmeasured point takes
+        the value of the nearest measured point below it that is not
+        knocked out; with none below, a knocked-out point keeps its own
+        and an unmeasured one reads NaN (the form the analysis consumes)."""
         out: List[float] = []
         last = math.nan
         for p in self.points:
-            if p.knocked_out and not math.isinf(p.min_cycles) and out:
+            if p.knocked_out and not math.isnan(last):
                 out.append(last)
             elif p.measured:
                 out.append(p.min_cycles)

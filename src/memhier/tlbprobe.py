@@ -1,6 +1,8 @@
 """TLB probe: T(1,k) sweep over page counts, suspect-point detection, and
 on-demand confirmation with the higher line-count strings T(2..4, k).
 
+The suspects are the T(1,k) curve's transitions by ``analysis.plateaus``,
+each with the rise between its two plateaus: the level's miss penalty.
 A rise in T(1,k) can come from a cache boundary instead of a TLB boundary;
 only rises that T(2,k), T(3,k) and T(4,k) all reproduce at the same footprint
 are reported, because a cache-edge artifact moves to a smaller footprint when
@@ -17,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Tuple
 
+from .analysis import plateaus
 from .cacheprobe import octave_points
 from .errors import InvalidGeometryError
 from .refstring import MAX_FOOTPRINT, MachineEnv, build_tlb_string
@@ -28,7 +31,7 @@ DEFAULT_UB = 8 * 1024 * 1024
 
 @dataclass
 class TlbSuspect:
-    footprint: int  # bytes; the sample where the jump lands
+    footprint: int  # bytes; the sample where the rise lands
     boundary: int   # bytes; the last sample before the rise
     confirmed: bool = False
     confirming_n: List[int] = field(default_factory=list)
@@ -38,6 +41,8 @@ class TlbSuspect:
     measured: List[Tuple[int, float, float]] = field(default_factory=list)
     #: String runs its confirmation took.
     string_runs: int = 0
+    #: Rise in cycles per access from the T(1,k) plateau it ends to the next.
+    latency: int = 0
 
 
 def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
@@ -56,19 +61,24 @@ def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
         raise InvalidGeometryError("TLB LB (%d bytes) must be below TLB UB "
                                    "(%d bytes)" % (lb, ub))
     pages = octave_points(lb // env.pagesize, ub // env.pagesize)
+    if len(pages) < 3:
+        raise InvalidGeometryError("TLB LB %d to UB %d holds %d sample points;"
+                                   " analysis needs at least 3"
+                                   % (lb, ub, len(pages)))
     footprints = [p * env.pagesize for p in pages]
     return run_sweep(footprints, lambda fp, s: build_tlb_string(1, fp, env, s),
                      backend, window=window, seed=seed)
 
 
 def find_suspects(curve: ResponseCurve) -> List[TlbSuspect]:
-    values = curve.values()
+    """One suspect per transition of ``analysis.plateaus``: its
+    ``boundary`` is a plateau's last footprint, its ``footprint`` the next
+    sample, and its ``latency`` the rise to the next plateau's median."""
+    steps = plateaus(curve)
     fps = curve.footprints()
-    out = []
-    for i in range(1, len(values)):
-        if is_step(values[i - 1], values[i], *JUMP):
-            out.append(TlbSuspect(footprint=fps[i], boundary=fps[i - 1]))
-    return out
+    return [TlbSuspect(footprint=fps[fps.index(end) + 1], boundary=end,
+                       latency=round(after - before))
+            for (end, before), (_, after) in zip(steps, steps[1:])]
 
 
 def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
@@ -101,17 +111,16 @@ def confirm_suspect(suspect: TlbSuspect, env: MachineEnv, backend,
 
 def run_tlb_probe(env: MachineEnv, backend, lb: int = 0, ub: int = DEFAULT_UB,
                   window: int = DEFAULT_WINDOW, seed: int = 0
-                  ) -> Tuple[List[int], List[TlbSuspect], ResponseCurve]:
+                  ) -> Tuple[List[TlbSuspect], ResponseCurve]:
     """Full TLB test: sweep, suspects, confirmation.
 
     The sweep's string seeds start at ``seed + 1``, suspect i's at
-    ``seed + 7919 * i + 1``.  Returns (the entry count of each confirmed
-    suspect's boundary, smallest first; every suspect; the T(1,k) curve).
+    ``seed + 7919 * i + 1``.  Returns (every suspect, smallest boundary
+    first, each confirmed or not; the T(1,k) curve).
     """
     lb = lb or DEFAULT_LB_PAGES * env.pagesize
     curve = run_tlb_sweep(lb, ub, env, backend, window=window, seed=seed)
     suspects = [confirm_suspect(s, env, backend, window=window,
                                 seed=seed + 7919 * i)
                 for i, s in enumerate(find_suspects(curve))]
-    entries = [s.boundary // env.pagesize for s in suspects if s.confirmed]
-    return entries, suspects, curve
+    return suspects, curve

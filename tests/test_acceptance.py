@@ -128,15 +128,26 @@ def random_tlb_hierarchy(seed):
     return cfg, entries
 
 
+def confirmed(suspects):
+    return [s for s in suspects if s.confirmed]
+
+
 def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
     with criterion(3, "TLB oracle equivalence and false-positive rejection"):
         for seed in range(25):
             cfg, entries = random_tlb_hierarchy(seed)
-            levels, _, _ = run_tlb_probe(
+            suspects, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg),
                 ub=4 * entries[-1] * PAGE, window=3, seed=seed)
+            levels = [s.boundary // PAGE for s in confirmed(suspects)]
             assert levels == entries, "seed %d: %r vs %r" % (seed, levels,
                                                              entries)
+            # Each level's latency is the rise between the T(1,k) plateaus
+            # on either side of its boundary: its miss penalty.
+            latencies = [s.latency for s in confirmed(suspects)]
+            penalties = [tl.latency for tl in cfg.tlb_levels]
+            assert latencies == penalties, "seed %d: %r vs %r" % (
+                seed, latencies, penalties)
         # Adversarial: a cache whose line capacity runs out at a footprint on
         # the sweep schedule produces a T(1,k) rise that looks like a TLB
         # boundary; confirmation via n = 2, 3, 4 must reject it.
@@ -144,9 +155,10 @@ def test_criterion_3_tlb_oracle_and_false_positive_rejection(env):
             cfg = SimConfig(cache_levels=[CacheLevel(pages * 64, 16, 64, 3)],
                             tlb_levels=[TlbLevel(4096, 30)],
                             memory_latency=250)
-            levels, suspects, _ = run_tlb_probe(
+            suspects, _ = run_tlb_probe(
                 env, SimulatedBackend(cfg), ub=8 * MB, window=3,
                 seed=pages)
+            levels = [s.boundary // PAGE for s in confirmed(suspects)]
             assert levels == [], "cache edge at %d pages reported as TLB %r" \
                 % (pages, levels)
             assert suspects and not any(s.confirmed for s in suspects)
@@ -213,10 +225,10 @@ def test_criterion_4_knockout_matches_exhaustive(env, monkeypatch):
             for knockout in (True, False):
                 monkeypatch.setattr(tlbprobe, "run_sweep", functools.partial(
                     timing.run_sweep, knockout=knockout))
-                levels, _, _ = run_tlb_probe(
+                suspects, _ = run_tlb_probe(
                     env, SimulatedBackend(cfg), ub=4 * entries[-1] * PAGE,
                     window=3, seed=seed)
-                got.append(levels)
+                got.append([s.boundary // PAGE for s in confirmed(suspects)])
             assert got == [entries, entries], "TLB seed %d: %r" % (seed, got)
 
 

@@ -3,6 +3,8 @@ import statistics
 import subprocess
 import sys
 
+import math
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,10 +13,11 @@ import memhier
 from memhier import (CacheLevel, DegenerateCurveError, MachineEnv, SimConfig,
                      SimulatedBackend)
 from memhier.analysis import (_median, assemble_report, detect_transitions,
-                              level_dicts)
+                              level_dicts, plateaus)
 from memhier.cacheprobe import (ResponseCurve, SamplePoint, run_cache_sweep,
                                 sample_points)
 from memhier.l1probe import L1Report
+from memhier.timing import RISE, is_step
 from memhier.tlbprobe import TlbSuspect, find_suspects
 
 KB = 1024
@@ -70,6 +73,21 @@ class TestDetectTransitions:
         c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.0), (4 * KB, 4.0),
                       (5 * KB, 4.0), (6 * KB, 4.0)])
         assert detect_transitions(c) == []
+
+    def test_leading_unmeasured_points_are_absent(self):
+        # Two unmeasured points below the first measured one take no part
+        # in the first plateau's median.
+        c = curve_of([(KB, math.nan), (2 * KB, math.nan), (4 * KB, 3.0),
+                      (8 * KB, 3.0), (64 * KB, 15.0), (128 * KB, 15.0)])
+        assert detect_transitions(c) == [(8 * KB, 3)]
+        assert plateaus(c) == [(8 * KB, 3.0), (128 * KB, 15.0)]
+
+    def test_knocked_out_point_above_unmeasured_ones_keeps_its_value(self):
+        c = ResponseCurve(points=[
+            SamplePoint(KB), SamplePoint(2 * KB, 3.0, 0, True),
+            SamplePoint(4 * KB, 3.0), SamplePoint(8 * KB, 15.0),
+            SamplePoint(16 * KB, 15.0)])
+        assert plateaus(c) == [(4 * KB, 3.0), (16 * KB, 15.0)]
 
     def test_latency_rounds_to_whole_cycles(self):
         c = curve_of([(KB, 3.4), (2 * KB, 3.1), (4 * KB, 3.3),
@@ -128,8 +146,8 @@ class TestAssembleReport:
             SamplePoint(80 * 4096, 15.0)], total_string_runs=3, revivals=1)
         suspect = TlbSuspect(80 * 4096, 64 * 4096, True, [2, 3, 4],
                              [(2, 3.0, 15.5), (3, 3.0, 12.75),
-                              (4, 3.0, 11.25)], 28)
-        return [64], [suspect], curve
+                              (4, 3.0, 11.25)], 28, latency=12)
+        return [suspect], curve
 
     def test_json_shape(self, env):
         fps = sample_points(KB, MB)
@@ -147,7 +165,7 @@ class TestAssembleReport:
         assert [list(lv) for lv in d["cache_levels"]] == \
             [["level", "effective_capacity", "latency"]]
         assert [list(lv) for lv in d["tlb_levels"]] == \
-            [["level", "capacity", "entries"]]
+            [["level", "capacity", "entries", "latency"]]
         assert [list(s) for s in d["tlb_suspects"]] == \
             [["footprint", "boundary", "confirming_n", "confirmed",
               "measured", "string_runs"]]
@@ -170,7 +188,7 @@ class TestAssembleReport:
         assert d["cache_levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
         assert d["tlb_levels"] == [
-            {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+            {"level": 1, "capacity": 64 * 4096, "entries": 64, "latency": 12}]
         assert d["costs"] == {"l1_seconds": 0.1}
         assert d["parameters"] == {"window": 25}
         assert d["warnings"] == []
@@ -189,12 +207,19 @@ class TestAssembleReport:
             "tlb": {"string_runs": 3 + 28, "knocked_out": 1, "revivals": 1}}
 
     def test_tlb_levels_number_entry_counts(self):
+        # Levels are the confirmed suspects alone, numbered from 1.
         env = MachineEnv(pagesize=16 * KB)
-        _, suspects, curve = self.tlb()
-        d = assemble_report(env, None, None, ([16, 256], suspects, curve))
+        _, curve = self.tlb()
+        suspects = [TlbSuspect(20 * 16 * KB, 16 * 16 * KB, True, latency=8),
+                    TlbSuspect(160 * 16 * KB, 128 * 16 * KB, latency=11),
+                    TlbSuspect(320 * 16 * KB, 256 * 16 * KB, True, latency=30)]
+        d = assemble_report(env, None, None, (suspects, curve))
         assert d["tlb_levels"] == [
-            {"level": 1, "capacity": 16 * 16 * KB, "entries": 16},
-            {"level": 2, "capacity": 256 * 16 * KB, "entries": 256}]
+            {"level": 1, "capacity": 16 * 16 * KB, "entries": 16,
+             "latency": 8},
+            {"level": 2, "capacity": 256 * 16 * KB, "entries": 256,
+             "latency": 30}]
+        assert len(d["tlb_suspects"]) == 3
 
     def test_direct_mapped_flagged(self, env):
         d = assemble_report(env, self.l1(associativity=1), None, None)
@@ -239,3 +264,59 @@ class TestFindSuspects:
     def test_jump_of_exactly_the_margin_is_no_suspect(self):
         c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.5), (4 * KB, 3.5)])
         assert find_suspects(c) == []
+
+    def test_rise_of_exactly_the_rise_margin_is_no_suspect(self):
+        c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.0), (4 * KB, 4.0),
+                      (5 * KB, 4.0), (6 * KB, 4.0)])
+        assert find_suspects(c) == []
+
+    def test_spike_back_to_the_plateau_is_no_suspect(self):
+        # The consecutive-point JUMP test flagged the rise into 4 KB.
+        c = curve_of([(KB, 3.0), (2 * KB, 3.0), (4 * KB, 9.0), (8 * KB, 3.1),
+                      (16 * KB, 3.0), (32 * KB, 3.0)])
+        assert find_suspects(c) == []
+
+    def test_suspect_spans_the_rise_and_carries_its_latency(self):
+        c = curve_of([(KB, 3.0), (2 * KB, 3.0), (3 * KB, 3.0),
+                      (4 * KB, 33.0), (5 * KB, 33.0)])
+        [s] = find_suspects(c)
+        assert (s.boundary, s.footprint, s.latency) == (3 * KB, 4 * KB, 30)
+        assert (s.confirmed, s.confirming_n, s.measured, s.string_runs) == \
+            (False, [], [], 0)
+
+
+@st.composite
+def _staircase_curve(draw):
+    """A staircase of 1-5 plateaus at rising latencies over 3-30 distinct
+    footprints, each value jittered upward by up to ``jitter`` cycles; with
+    its (index of the first point above, rise) steps and ``jitter``."""
+    fps = sorted(draw(st.sets(st.integers(1, 4096), min_size=3, max_size=30)))
+    steps = sorted(draw(st.lists(st.tuples(st.integers(1, len(fps) - 1),
+                                           st.integers(1, 100)),
+                                 max_size=4, unique_by=lambda t: t[0])))
+    jitter = draw(st.sampled_from([0.0, 0.2, 1.0, 5.0]))
+    pairs = []
+    for i, fp in enumerate(fps):
+        lat = 3 + sum(rise for at, rise in steps if at <= i)
+        pairs.append((fp * KB, lat + draw(st.floats(0, jitter))))
+    return curve_of(pairs), steps, jitter
+
+
+@settings(max_examples=300, deadline=None)
+@given(_staircase_curve())
+def test_suspects_are_the_transitions(drawn):
+    curve, steps, jitter = drawn
+    transitions = detect_transitions(curve)
+    suspects = find_suspects(curve)
+    assert [s.boundary for s in suspects] == [c for c, _ in transitions]
+    fps = curve.footprints()
+    assert [s.footprint for s in suspects] == \
+        [fps[fps.index(s.boundary) + 1] for s in suspects]
+    # Without jitter, a staircase whose every rise clears RISE's margin is
+    # found exactly: each step a suspect, each suspect's latency its rise.
+    before = [3 + sum(rise for _, rise in steps[:j])
+              for j in range(len(steps))]
+    if jitter == 0 and all(is_step(b, b + rise, *RISE)
+                           for b, (_, rise) in zip(before, steps)):
+        assert [(s.boundary, s.footprint, s.latency) for s in suspects] == \
+            [(fps[at - 1], fps[at], rise) for at, rise in steps]

@@ -193,10 +193,11 @@ class TestExitCodes:
         (["tlb", "--lb", "4096"], "TLB LB must be at least 2 pages"),
         (["tlb", "--lb", "8192", "--ub", "8192"],
          "TLB LB (8192 bytes) must be below TLB UB (8192 bytes)"),
+        (["tlb", "--lb", "8192", "--ub", "12288"], "holds 2 sample points"),
         (["l1", "--lb", "8192", "--ub", "4096"], "L1 probe needs LB < UB"),
     ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit",
             "cache-3K-to-4K", "cache-4K-to-5K-csv", "tlb-lb-one-page",
-            "tlb-lb-at-ub", "l1-lb-above-ub"])
+            "tlb-lb-at-ub", "tlb-2-to-3-pages", "l1-lb-above-ub"])
     def test_bad_ub_is_1_before_any_run(self, capsys, monkeypatch, cfg_path,
                                         argv, message):
         # A range too small to sweep or analyse is refused up front too.
@@ -333,7 +334,7 @@ class TestTlbCommand:
         d = run_json(capsys, ["tlb", "--backend", "sim:" + cfg_path,
                               "--window", "3", "--ub", str(2048 * KB)])
         assert d["tlb_levels"] == [
-            {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+            {"level": 1, "capacity": 64 * 4096, "entries": 64, "latency": 30}]
         assert d["parameters"]["max_assoc"] is None
         # The sweep's 29 points run once.  Its bottom one and the one below
         # the rise read the floor, and the 80 pages of the one above it miss
@@ -381,7 +382,7 @@ class TestSimulateCommand:
         d = run_json(capsys, ["simulate", cfg_path, "--window", "3",
                               "--ub", "4194304"])
         assert d["tlb_levels"] == [
-            {"level": 1, "capacity": 64 * 4096, "entries": 64}]
+            {"level": 1, "capacity": 64 * 4096, "entries": 64, "latency": 30}]
         tlb, l1_edge = d["tlb_suspects"]
         assert (tlb["boundary"], tlb["footprint"]) == (64 * 4096, 80 * 4096)
         assert tlb["confirmed"] and tlb["confirming_n"] == [2, 3, 4]
@@ -433,6 +434,14 @@ class TestAnalyzeCommand:
         d = run_json(capsys, ["analyze", str(path)])
         assert d["levels"] == [
             {"level": 1, "effective_capacity": 32 * KB, "latency": 3}]
+
+    def test_leading_unmeasured_rows_are_absent(self, capsys, tmp_path):
+        path = tmp_path / "curve.csv"
+        path.write_text("1024,nan,0\n2048,nan,0\n4096,3.0,0\n8192,3.0,0\n"
+                        "65536,15.0,0\n131072,15.0,0\n")
+        d = run_json(capsys, ["analyze", str(path)])
+        assert d["levels"] == [
+            {"level": 1, "effective_capacity": 8 * KB, "latency": 3}]
 
     def test_format_is_a_usage_error(self, tmp_path):
         path = tmp_path / "curve.csv"

@@ -54,6 +54,11 @@ class TestSweep:
             run_tlb_sweep(5000, 64 * PAGE, env,
                           tlb_backend([TlbLevel(16, 30)]), window=WINDOW)
 
+    def test_range_of_two_points_rejected_before_any_run(self, env):
+        with pytest.raises(InvalidGeometryError,
+                           match="holds 2 sample points"):
+            run_tlb_sweep(2 * PAGE, 3 * PAGE, env, NoRunBackend())
+
     def test_ub_over_allocation_limit_rejected_before_any_run(self, env):
         with pytest.raises(InvalidGeometryError):
             run_tlb_probe(env, NoRunBackend(), ub=MAX_FOOTPRINT + PAGE,
@@ -82,6 +87,7 @@ class TestSuspects:
         suspects = find_suspects(curve)
         assert suspects
         assert suspects[0].boundary == 64 * PAGE
+        assert suspects[0].latency == 30
 
     def test_flat_curve_has_no_suspects(self, env):
         be = tlb_backend([TlbLevel(4096, 30)])
@@ -251,19 +257,38 @@ def test_confirmation_stops_at_first_n_without_a_step(steps, seed):
                                         + (WINDOW + 2 if failing else 0))
 
 
+def confirmed_levels(suspects):
+    """(entries, latency) of each confirmed suspect, in boundary order."""
+    return [(s.boundary // PAGE, s.latency) for s in suspects if s.confirmed]
+
+
 class TestFullProbe:
     def test_single_level_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30)])
-        levels, suspects, curve = run_tlb_probe(
+        suspects, curve = run_tlb_probe(
             env, be, ub=2 * MB, window=WINDOW, seed=1)
-        assert levels == [64]
+        assert confirmed_levels(suspects) == [(64, 30)]
 
     def test_two_levels_exact(self, env):
         be = tlb_backend([TlbLevel(64, 30), TlbLevel(1024, 120)])
-        levels, suspects, curve = run_tlb_probe(
+        suspects, curve = run_tlb_probe(
             env, be, ub=8 * MB, window=WINDOW, seed=1)
-        assert levels == [64, 1024]
+        assert confirmed_levels(suspects) == [(64, 30), (1024, 120)]
         assert all(s.confirmed for s in suspects)
+
+    def test_tlb_edge_past_the_l1_edge_reports_its_own_penalty(self, env):
+        # The shape of perfbench's tlb-heavy config.  T(1,k) leaves the 32K
+        # L1 at 512 pages, an 11-cycle rise that confirmation rejects, so
+        # the 1,024-entry edge rises from the L2 plateau, not the L1 one.
+        cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 8, 64, 3),
+                                      CacheLevel(MB, 16, 64, 14)],
+                        tlb_levels=[TlbLevel(64, 8), TlbLevel(1024, 30)],
+                        memory_latency=100, mapping_seed=1)
+        suspects, curve = run_tlb_probe(
+            env, SimulatedBackend(cfg), ub=8 * MB, window=WINDOW, seed=1)
+        assert [(s.boundary // PAGE, s.latency, s.confirmed)
+                for s in suspects] == [(64, 8, True), (512, 11, False),
+                                       (1024, 30, True)]
 
     def test_cache_edge_inside_range_is_filtered(self, env):
         # T(1,k) touches one line per page, so a 32KB cache runs out of lines
@@ -271,13 +296,13 @@ class TestFullProbe:
         # at 64 entries.  Only the TLB level may be reported.
         cfg = SimConfig(cache_levels=[CacheLevel(32 * KB, 16, 64, 3)],
                         tlb_levels=[TlbLevel(64, 30)], memory_latency=200)
-        levels, suspects, curve = run_tlb_probe(
+        suspects, curve = run_tlb_probe(
             env, SimulatedBackend(cfg), ub=8 * MB, window=WINDOW, seed=1)
-        assert levels == [64]
+        assert confirmed_levels(suspects) == [(64, 30)]
         assert any(not s.confirmed for s in suspects)
 
     def test_no_tlb_reports_nothing(self, env):
         be = tlb_backend([], cache_cap=64 * MB)
-        levels, suspects, curve = run_tlb_probe(
+        suspects, curve = run_tlb_probe(
             env, be, ub=2 * MB, window=WINDOW, seed=1)
-        assert levels == []
+        assert confirmed_levels(suspects) == []
