@@ -14,11 +14,13 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, List, Optional, Tuple
 
 from .errors import DegenerateCurveError
-from .l1probe import L1Report
 from .refstring import MachineEnv
 from .timing import RISE, STEP_TOL, ResponseCurve, is_step
 
-if TYPE_CHECKING:  # tlbprobe imports ``plateaus`` from here
+# For annotations only: tlbprobe imports ``plateaus`` from here, and a
+# command that runs no L1 probe does not load l1probe.
+if TYPE_CHECKING:
+    from .l1probe import L1Report
     from .tlbprobe import TlbSuspect
 
 #: Deeper detections than this are flagged for human review.

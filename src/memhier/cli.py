@@ -17,17 +17,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import Optional, Tuple
 
-from . import analysis, cacheprobe, l1probe, tlbprobe
-from .backend import RealMemoryBackend
-from .cacheprobe import curve_to_csv, load_curve
+from . import analysis
 from .errors import MemhierError
 from .refstring import MachineEnv
-from .simoracle import SimulatedBackend, load_config
 from .timing import DEFAULT_WINDOW, ResponseCurve
+
+# The probes, the backends and the curve format are imported where a command
+# runs them, so that a command loads only what it uses.
 
 
 def _int_at_least(text: str, low: int, what: str) -> int:
@@ -69,8 +70,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--ub", type=_positive_int, default=None,
                        help="upper bound of the sweep in bytes")
         if l1:
-            p.add_argument("--max-assoc", type=_positive_int,
-                           default=l1probe.DEFAULT_MAX_ASSOC)
+            # None stands for the L1 probe's default, read where the probe
+            # is loaded.
+            p.add_argument("--max-assoc", type=_positive_int, default=None)
         else:
             p.set_defaults(max_assoc=None)
         p.add_argument("--window", type=_positive_int, default=DEFAULT_WINDOW,
@@ -100,11 +102,27 @@ def _build_parser() -> argparse.ArgumentParser:
 def _make_backend(spec: str) -> Tuple[object, MachineEnv]:
     """The backend ``spec`` names and the machine the probes build for."""
     if spec == "real":
+        from .backend import RealMemoryBackend
+
         return RealMemoryBackend(), MachineEnv.host()
     if spec.startswith("sim:"):
+        from .simoracle import SimulatedBackend, load_config
+
         config = load_config(spec[4:])
         return SimulatedBackend(config), MachineEnv(pagesize=config.pagesize)
     raise MemhierError("unknown backend %r (use 'real' or 'sim:<file>')" % spec)
+
+
+def _check_out(path: str) -> None:
+    """Raise MemhierError unless the directory of ``path`` exists and
+    ``path`` is not a directory itself, so that no probe runs for a report
+    that cannot be written."""
+    directory = os.path.dirname(path) or "."
+    if not os.path.isdir(directory):
+        raise MemhierError("cannot write %s: no directory %s"
+                           % (path, directory))
+    if os.path.isdir(path):
+        raise MemhierError("cannot write %s: it is a directory" % path)
 
 
 def _emit(args, text: str) -> None:
@@ -119,7 +137,8 @@ def _emit(args, text: str) -> None:
 
 
 def _bound(value: Optional[int], default: int) -> int:
-    """A sweep bound given on the command line, else the probe's default."""
+    """A sweep bound or way count given on the command line, else the
+    probe's default."""
     return default if value is None else value
 
 
@@ -128,6 +147,17 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     curve, if the cache was swept.  ``costs`` holds the wall time of each
     probe call, timed here and nowhere else, and their ``total``."""
     backend, env = _make_backend(args.backend)
+    max_assoc = args.max_assoc
+    # Loaded before the clock starts, so that ``costs`` times probe work
+    # alone.
+    if which in ("l1", "all"):
+        from . import l1probe
+
+        max_assoc = _bound(max_assoc, l1probe.DEFAULT_MAX_ASSOC)
+    if which in ("cache", "all"):
+        from . import cacheprobe
+    if which in ("tlb", "all"):
+        from . import tlbprobe
     started = time.perf_counter()
     costs: dict = {}
     l1_report = cache_curve = tlb = None
@@ -141,7 +171,7 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     if which in ("l1", "all"):
         params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
                                   ub=_bound(args.ub, l1probe.DEFAULT_UB),
-                                  max_assoc=args.max_assoc)
+                                  max_assoc=max_assoc)
         l1_report = timed("l1", l1probe.run_l1_probe, params, env, backend,
                           window=args.window)
         env.l1_linesize = l1_report.linesize
@@ -163,7 +193,7 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     report = analysis.assemble_report(
         env, l1_report, cache_curve, tlb, costs=costs,
         parameters={"window": args.window, "seed": args.seed,
-                    "backend": args.backend, "max_assoc": args.max_assoc,
+                    "backend": args.backend, "max_assoc": max_assoc,
                     "lb": args.lb, "ub": args.ub})
     return report, cache_curve
 
@@ -176,7 +206,11 @@ def main(argv: Optional[list] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
 
     try:
+        if args.out:
+            _check_out(args.out)
         if args.command == "analyze":
+            from .cacheprobe import load_curve
+
             curve = load_curve(args.curve)
             payload = {"levels": analysis.level_dicts(curve)}
             _emit(args, json.dumps(payload, indent=2))
@@ -189,6 +223,8 @@ def main(argv: Optional[list] = None) -> int:
             report, curve = _run_probes(args, args.command)
 
         if args.format == "csv" and curve is not None:
+            from .cacheprobe import curve_to_csv
+
             _emit(args, curve_to_csv(curve))
         else:
             _emit(args, json.dumps(report, indent=2))

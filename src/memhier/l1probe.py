@@ -32,8 +32,7 @@ mapped; the multi-level sweep handles everything above it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Tuple
+from typing import Callable, NamedTuple, Tuple
 
 from .errors import ProbeError
 from .refstring import MachineEnv, build_gap_string
@@ -44,21 +43,21 @@ DEFAULT_UB = 4 * 1024 * 1024
 DEFAULT_MAX_ASSOC = 16
 
 
-@dataclass
 class L1Params:
-    lb: int = DEFAULT_LB
-    ub: int = DEFAULT_UB
-    max_assoc: int = DEFAULT_MAX_ASSOC
+    __slots__ = ("lb", "ub", "max_assoc")
 
-    def __post_init__(self):
-        if self.lb >= self.ub:
+    def __init__(self, lb: int = DEFAULT_LB, ub: int = DEFAULT_UB,
+                 max_assoc: int = DEFAULT_MAX_ASSOC):
+        if lb >= ub:
             raise ProbeError("L1 probe needs LB < UB")
-        if self.max_assoc < 1:
+        if max_assoc < 1:
             raise ProbeError("MaxAssoc must be a positive integer")
+        self.lb = lb
+        self.ub = ub
+        self.max_assoc = max_assoc
 
 
-@dataclass
-class L1Report:
+class L1Report(NamedTuple):
     capacity: int
     associativity: int
     linesize: int

@@ -18,8 +18,7 @@ from __future__ import annotations
 
 import os
 import random
-from dataclasses import dataclass, field
-from typing import Union
+from typing import NamedTuple, Union
 
 from .errors import InvalidGeometryError
 
@@ -33,35 +32,40 @@ def _shuffle(rng: random.Random, x: list) -> None:
     """Shuffle ``x`` in place exactly as ``rng.shuffle(x)`` does: the same
     permutation, and the same generator state afterwards.
 
-    ``random.Random.shuffle`` draws each index through ``_randbelow``, a
-    method call per element; this inlines its ``getrandbits`` rejection
-    loop.
+    ``random.Random.shuffle`` draws each index j <= i through
+    ``_randbelow(i + 1)``, a method call per element; this inlines its
+    ``getrandbits`` rejection loop.  Its bit count, (i + 1).bit_length(),
+    is k for every i from 2^k - 2 down to 2^(k-1) - 1, so the loop runs one
+    bit count at a time, and rejects j > i, which is j >= i + 1.
     """
     getrandbits = rng.getrandbits
-    for i in range(len(x) - 1, 0, -1):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
+    top = len(x) - 1
+    for k in range(len(x).bit_length(), 1, -1):
+        low = (1 << (k - 1)) - 1
+        for i in range(top, low - 1, -1):
             j = getrandbits(k)
-        x[i], x[j] = x[j], x[i]
+            while j > i:
+                j = getrandbits(k)
+            x[i], x[j] = x[j], x[i]
+        top = low - 1
 
 
-@dataclass
 class MachineEnv:
     """Static facts about the machine (or simulated machine) under test."""
 
-    pagesize: int
-    word: int = 8
-    l1_linesize: int = DEFAULT_LINESIZE
+    __slots__ = ("pagesize", "word", "l1_linesize")
 
-    def __post_init__(self):
-        if self.pagesize <= 0 or self.pagesize & (self.pagesize - 1):
+    def __init__(self, pagesize: int, word: int = 8,
+                 l1_linesize: int = DEFAULT_LINESIZE):
+        if pagesize <= 0 or pagesize & (pagesize - 1):
             raise InvalidGeometryError("pagesize must be a power of two")
-        if self.word not in (4, 8):
+        if word not in (4, 8):
             raise InvalidGeometryError("word must be 4 or 8 bytes")
-        if self.l1_linesize < self.word:
+        if l1_linesize < word:
             raise InvalidGeometryError("l1_linesize must be >= word")
+        self.pagesize = pagesize
+        self.word = word
+        self.l1_linesize = l1_linesize
 
     @classmethod
     def host(cls) -> "MachineEnv":
@@ -76,15 +80,13 @@ class MachineEnv:
         return cls(pagesize=pagesize, word=struct.calcsize("P"))
 
 
-@dataclass(frozen=True)
-class GapKind:
+class GapKind(NamedTuple):
     n: int
     k: int
     o: int
 
 
-@dataclass(frozen=True)
-class CacheKind:
+class CacheKind(NamedTuple):
     footprint: int
     #: The line size and page size the string was built for: with the
     #: footprint they fix the slots every string of the kind touches.
@@ -92,8 +94,7 @@ class CacheKind:
     pagesize: int
 
 
-@dataclass(frozen=True)
-class TlbKind:
+class TlbKind(NamedTuple):
     lines_per_page: int
     footprint: int
     linesize: int
@@ -103,8 +104,7 @@ class TlbKind:
 Kind = Union[GapKind, CacheKind, TlbKind]
 
 
-@dataclass
-class ReferenceString:
+class ReferenceString(NamedTuple):
     """A circular chain of pointer-sized slots over a contiguous footprint.
 
     ``chain`` lists the slot byte offsets in traversal order; following it
@@ -115,11 +115,15 @@ class ReferenceString:
     footprint: int
     kind: Kind
     seed: int
-    chain: list = field(repr=False)
+    chain: list
 
     @property
     def chain_length(self) -> int:
         return len(self.chain)
+
+    def __repr__(self) -> str:  # without the chain, which can be long
+        return ("ReferenceString(footprint=%r, kind=%r, seed=%r)"
+                % (self.footprint, self.kind, self.seed))
 
 
 def build_gap_string(n: int, k: int, o: int,

@@ -165,36 +165,32 @@ from __future__ import annotations
 import random
 from array import array
 from collections import Counter, defaultdict, deque
-from dataclasses import dataclass, field
 from functools import lru_cache, partial
 from itertools import accumulate, compress, count, groupby, repeat
 from operator import floordiv, gt, itemgetter, mod, rshift
-from typing import List, NamedTuple, Optional
+from typing import List, NamedTuple, Optional, Sequence
 
 from .errors import ConfigError
 from .refstring import (CacheKind, GapKind, ReferenceString, TlbKind,
                         _shuffle)
 
 
-@dataclass(frozen=True)
-class CacheLevel:
+class CacheLevel(NamedTuple):
     capacity: int
     associativity: int
     linesize: int
     latency: int
 
 
-@dataclass(frozen=True)
-class TlbLevel:
+class TlbLevel(NamedTuple):
     entries: int
     #: Penalty in cycles added to an access that misses this level.
     latency: int
 
 
-@dataclass
-class SimConfig:
-    cache_levels: List[CacheLevel]
-    tlb_levels: List[TlbLevel] = field(default_factory=list)
+class SimConfig(NamedTuple):
+    cache_levels: Sequence[CacheLevel]
+    tlb_levels: Sequence[TlbLevel] = ()
     memory_latency: int = 100
     pagesize: int = 4096
     #: None for identity mapping, otherwise a seed for a random per-page
@@ -472,14 +468,18 @@ class SimulatedBackend:
     def __init__(self, config: SimConfig):
         config.validate()
         self.config = config
-        self._reads = {}  # seed-free kind -> what every run of it reads
+        #: (type, seed-free kind) -> what every run of it reads.  Kinds are
+        #: tuples, so a GapKind and a CacheKind of equal fields are equal:
+        #: the type keeps them apart.
+        self._reads = {}
 
     def least(self, kind) -> float:
         """The fewest cycles per access any run of a string of ``kind``
         reads: its read if a run showed it, or else what the config and
         the kind fix."""
-        if kind in self._reads:
-            return self._reads[kind]
+        read = self._reads.get((type(kind), kind))
+        if read is not None:
+            return read
         config = self.config
         if (isinstance(kind, TlbKind) and kind.lines_per_page == 1
                 and kind.pagesize == config.pagesize):
@@ -492,13 +492,14 @@ class SimulatedBackend:
         if loads <= 0 or loads % len(rs.chain):
             raise ConfigError(
                 "simulated loads must be a positive whole number of traversals")
-        kind = rs.kind
-        if kind in self._reads:
-            return self._reads[kind]
+        key = type(rs.kind), rs.kind
+        read = self._reads.get(key)
+        if read is not None:
+            return read
         total, ran = _simulate_loads(self.config, rs, loads)
         cycles = total / loads
-        if not ran and _seed_free(self.config, kind):
-            self._reads[kind] = cycles
+        if not ran and _seed_free(self.config, rs.kind):
+            self._reads[key] = cycles
         return cycles
 
 

@@ -14,8 +14,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, NamedTuple
 
 from .errors import BudgetExceededError
 from .refstring import ReferenceString
@@ -34,8 +33,7 @@ DEFAULT_WINDOW = 25
 DEFAULT_RUN_CAP = 1000
 
 
-@dataclass
-class Measurement:
+class Measurement(NamedTuple):
     min_cycles_per_access: float
     runs_taken: int
 
@@ -54,23 +52,29 @@ def run_once(rs: ReferenceString, backend) -> float:
     return backend.run(rs, 2 * rs.chain_length)
 
 
-@dataclass
 class SamplePoint:
-    footprint: int
-    min_cycles: float = math.inf
-    runs_since_min: int = 0
-    knocked_out: bool = False
+    __slots__ = ("footprint", "min_cycles", "runs_since_min", "knocked_out")
+
+    def __init__(self, footprint: int, min_cycles: float = math.inf,
+                 runs_since_min: int = 0, knocked_out: bool = False):
+        self.footprint = footprint
+        self.min_cycles = min_cycles
+        self.runs_since_min = runs_since_min
+        self.knocked_out = knocked_out
 
     @property
     def measured(self) -> bool:
         return self.min_cycles < math.inf
 
 
-@dataclass
 class ResponseCurve:
-    points: List[SamplePoint]
-    total_string_runs: int = 0
-    revivals: int = 0
+    __slots__ = ("points", "total_string_runs", "revivals")
+
+    def __init__(self, points: List[SamplePoint], total_string_runs: int = 0,
+                 revivals: int = 0):
+        self.points = points
+        self.total_string_runs = total_string_runs
+        self.revivals = revivals
 
     def footprints(self) -> List[int]:
         return [p.footprint for p in self.points]

@@ -16,8 +16,7 @@ seed is drawn by ``run_sweep``, from the seed each sweep is given.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from .analysis import plateaus
 from .cacheprobe import octave_points
@@ -29,20 +28,29 @@ DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
 
 
-@dataclass
 class TlbSuspect:
-    footprint: int  # bytes; the sample where the rise lands
-    boundary: int   # bytes; the last sample before the rise
-    confirmed: bool = False
-    confirming_n: List[int] = field(default_factory=list)
-    #: (n, T(n, boundary), T(n, footprint)) in cycles per access, for each
-    #: n that confirmation measured: 2, 3, 4 in order, up to and including
-    #: the first n that did not reproduce the rise.
-    measured: List[Tuple[int, float, float]] = field(default_factory=list)
-    #: String runs its confirmation took.
-    string_runs: int = 0
-    #: Rise in cycles per access from the T(1,k) plateau it ends to the next.
-    latency: int = 0
+    """A rise of the T(1,k) curve, and what its confirmation measured."""
+
+    __slots__ = ("footprint", "boundary", "confirmed", "confirming_n",
+                 "measured", "string_runs", "latency")
+
+    def __init__(self, footprint: int, boundary: int, confirmed: bool = False,
+                 confirming_n: Optional[List[int]] = None,
+                 measured: Optional[List[Tuple[int, float, float]]] = None,
+                 string_runs: int = 0, latency: int = 0):
+        self.footprint = footprint  # bytes; the sample where the rise lands
+        self.boundary = boundary    # bytes; the last sample before the rise
+        self.confirmed = confirmed
+        self.confirming_n = [] if confirming_n is None else confirming_n
+        #: (n, T(n, boundary), T(n, footprint)) in cycles per access, for
+        #: each n that confirmation measured: 2, 3, 4 in order, up to and
+        #: including the first n that did not reproduce the rise.
+        self.measured = [] if measured is None else measured
+        #: String runs its confirmation took.
+        self.string_runs = string_runs
+        #: Rise in cycles per access from the T(1,k) plateau it ends to the
+        #: next.
+        self.latency = latency
 
 
 def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,

@@ -1,5 +1,4 @@
 import ctypes
-import dataclasses
 import mmap
 import os
 import shutil
@@ -90,8 +89,7 @@ class TestLinkChain:
         [],
     ])
     def test_chain_outside_region_raises(self, env, chain):
-        rs = dataclasses.replace(build_gap_string(2, 2 * KB, 0, env),
-                                 chain=chain)
+        rs = build_gap_string(2, 2 * KB, 0, env)._replace(chain=chain)
         region = acquire_region(4 * KB)
         slots = _slots(region)
         try:

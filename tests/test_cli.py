@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -284,6 +286,81 @@ def test_out_file_holds_what_stdout_prints(capsys, monkeypatch, tmp_path,
     assert capsys.readouterr().out == ""
     assert out.read_text() == printed
     assert printed.endswith("\n") and not printed.endswith("\n\n")
+
+
+@pytest.mark.parametrize("command", ["l1", "cache", "tlb", "all", "analyze"])
+def test_out_that_cannot_be_written_is_1_before_any_run(
+        capsys, monkeypatch, tmp_path, cfg_path, command):
+    monkeypatch.setattr(SimulatedBackend, "run", NoRunBackend.run)
+    target = ([cfg_path] if command == "analyze"
+              else ["--backend", "sim:" + cfg_path])
+    missing = tmp_path / "missing" / "x.json"
+    for out, message in ((missing, "no directory %s" % missing.parent),
+                         (tmp_path, "it is a directory")):
+        assert main([command] + target + ["--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("memhier: ")
+        assert message in err[0]
+    assert not missing.parent.exists()
+
+
+#: Every name ``memhier`` exported before its names were loaded on demand.
+EXPORTS = """
+    AllocationFailureError BudgetExceededError CacheLevel ConfigError
+    CurveFormatError DegenerateCurveError InvalidGeometryError L1Params
+    L1Report MachineEnv Measurement MemhierError ProbeError RealMemoryBackend
+    ReferenceString ResponseCurve SamplePoint SimConfig SimulatedBackend
+    TimerTooCoarseError TlbLevel TlbSuspect acquire_region assemble_report
+    build_cache_string build_gap_string build_tlb_string curve_from_csv
+    curve_to_csv detect_transitions load_config measure_stable parse_config
+    run_cache_sweep run_l1_probe run_once run_tlb_probe sample_points simulate
+""".split()
+
+
+@pytest.mark.parametrize("command, probe, unused", [
+    (["l1"], "l1probe", {"cacheprobe", "tlbprobe"}),
+    (["cache", "--lb", "1024", "--ub", "4096"], "cacheprobe",
+     {"l1probe", "tlbprobe"}),
+    (["tlb", "--lb", "8192", "--ub", "32768"], "tlbprobe", {"l1probe"}),
+], ids=["l1", "cache", "tlb"])
+def test_a_command_on_the_simulator_loads_only_what_it_runs(
+        tmp_path, cfg_path, command, probe, unused):
+    # A fresh interpreter, so that no other test has loaded a module yet.
+    code = ("import sys\n"
+            "before = set(sys.modules)\n"
+            "from memhier import cli\n"
+            "code = cli.main(sys.argv[1:])\n"
+            "print(code, *sorted(set(sys.modules) - before))\n")
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    out = subprocess.run(
+        [sys.executable, "-c", code] + command
+        + ["--backend", "sim:" + cfg_path, "--window", "3",
+           "--out", str(tmp_path / "report.json")],
+        check=True, capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src)).stdout.split()
+    assert out[0] == "0"
+    assert "memhier." + probe in out[1:]
+    never = {"dataclasses", "inspect", "ctypes", "memhier.backend"}
+    loaded = (never | {"memhier." + m for m in unused}) & set(out[1:])
+    assert not loaded
+
+
+def test_every_export_still_imports():
+    import memhier
+
+    for name in EXPORTS:
+        namespace = {}
+        exec("from memhier import %s" % name, namespace)
+        assert namespace[name] is getattr(memhier, name), name
+    assert sorted(memhier.__all__) == sorted(EXPORTS)
+    assert set(EXPORTS) <= set(dir(memhier))
+
+
+def test_unknown_name_is_an_attribute_error():
+    import memhier
+
+    with pytest.raises(AttributeError, match="no_such_name"):
+        memhier.no_such_name
 
 
 class TestCacheCommand:

@@ -1,5 +1,4 @@
 from collections import Counter
-from dataclasses import replace
 from unittest import mock
 
 import pytest
@@ -337,7 +336,7 @@ LATE_FIXED_POINTS = [
 ]
 
 #: The fourth late fixed point's TLBs alone.
-TLB_ONLY = replace(LATE_FIXED_POINTS[3][0], cache_levels=[])
+TLB_ONLY = LATE_FIXED_POINTS[3][0]._replace(cache_levels=[])
 
 
 @settings(max_examples=150, deadline=None)
@@ -551,7 +550,7 @@ def test_closed_form_taken(cfg, rs, level_runs, loop_traversals,
 
 #: README_LIKE's TLB over the l1-16k4 benchmark shape: a 16K/4/32 L1
 #: under a 2M/16/64 L2.
-L1_16K4 = replace(README_LIKE, cache_levels=[
+L1_16K4 = README_LIKE._replace(cache_levels=[
     CacheLevel(16 * KB, 4, 32, 3), CacheLevel(2048 * KB, 16, 64, 14)])
 
 #: Strings the closed form must hand over to the LRU engine: the index of
@@ -739,7 +738,7 @@ def test_tlbs_reach_no_cache_pricing(cfg, rs, tlbs_only, built_levels,
     computation is at a cache level's line size, with the caches or without
     them."""
     if tlbs_only:
-        cfg = replace(cfg, cache_levels=[])
+        cfg = cfg._replace(cache_levels=[])
     received, linesizes = cache_pricing
     for traversals in (1, 3):
         assert simulate(cfg, rs, traversals) == \
@@ -983,7 +982,7 @@ def test_seed_free_kind_reads_the_same_at_every_seed(case, seeds, mappings):
     if not cfg.cache_levels[0].latency < cycles == be.least(rs.kind):
         return
     for mapping in [cfg.mapping_seed, None] + mappings:
-        other = replace(cfg, mapping_seed=mapping)
+        other = cfg._replace(mapping_seed=mapping)
         for seed in seeds[1:]:
             assert simulate(other, build_cache_string(footprint, env, seed),
                             2) == cycles
@@ -1071,15 +1070,14 @@ def test_not_seed_free(cfg, rs, loops):
 
 
 #: README_LIKE with a 64K/8/64 L1, whose way of 128 sets spans two pages.
-WIDE_WAY = replace(README_LIKE, cache_levels=[
+WIDE_WAY = README_LIKE._replace(cache_levels=[
     CacheLevel(64 * KB, 8, 64, 3), CacheLevel(1024 * KB, 16, 64, 15)])
 
 
 #: TWO_TLBS with a 16K/4/128 L1, whose 32 sets are indexed inside the page,
 #: and its 64-entry TLB alone.
-TWO_COLUMNS_A_SET = replace(
-    TWO_TLBS, cache_levels=[CacheLevel(16 * KB, 4, 128, 3),
-                            TWO_TLBS.cache_levels[1]],
+TWO_COLUMNS_A_SET = TWO_TLBS._replace(
+    cache_levels=[CacheLevel(16 * KB, 4, 128, 3), TWO_TLBS.cache_levels[1]],
     tlb_levels=[TlbLevel(64, 30)])
 
 
@@ -1113,7 +1111,7 @@ TWO_COLUMNS_A_SET = replace(
                  3 + 30, id="T(1,2048-pages)-wide-way"),
     # The walk stops there, though each set of a 17-way L2 below, indexed
     # inside the page offset, holds 20 lines: the L1 hits some accesses.
-    pytest.param(replace(WIDE_WAY, cache_levels=[
+    pytest.param(WIDE_WAY._replace(cache_levels=[
         WIDE_WAY.cache_levels[0], CacheLevel(68 * KB, 17, 64, 15)]),
         build_tlb_string(1, 1280 * 4096, ENV, 7), 3 + 30,
         id="T(1,1280-pages)-wide-way-above-page-way"),
@@ -1130,7 +1128,7 @@ TWO_COLUMNS_A_SET = replace(
                  id="T(2,80-pages)"),
     # Built for 4 KiB pages, each of the 40 slots is in its own 1 KiB page
     # of the 160 its footprint spans: 40 fit the TLB, so the floor.
-    pytest.param(replace(README_LIKE, pagesize=1024),
+    pytest.param(README_LIKE._replace(pagesize=1024),
                  build_tlb_string(1, 40 * 4096, ENV, 7), 3,
                  id="T(1,40-pages)-on-1K-pages"),
     # A gap kind's one string: its read.
@@ -1178,6 +1176,26 @@ def test_seed_free_kind_is_answered_from_its_read(build, monkeypatch):
     assert SimulatedBackend(README_LIKE).run(rs, 3 * rs.chain_length) \
         == cycles
     assert len(calls) == 1
+
+
+def test_kinds_of_two_types_never_share_a_read():
+    # Kinds are tuples: C(4K)'s kind, CacheKind(4096, 64, 4096), equals
+    # G(4096, 64, 4096)'s, GapKind(4096, 64, 4096).  Both are seed-free, and
+    # one reads the L1's latency and the other misses it, so a read shared
+    # between the two would show in whichever runs second.
+    cache = build_cache_string(4 * KB, ENV, 1)
+    gap = build_gap_string(4 * KB, 64, 4 * KB, MachineEnv(pagesize=8 * KB))
+    assert cache.kind == gap.kind and hash(cache.kind) == hash(gap.kind)
+    alone = {rs.kind.__class__: run_once(rs, SimulatedBackend(README_LIKE))
+             for rs in (cache, gap)}
+    assert alone[CacheKind] == 3 < alone[GapKind]
+    for first, second in ((cache, gap), (gap, cache)):
+        be = SimulatedBackend(README_LIKE)
+        for rs in (first, second):
+            assert run_once(rs, be) == alone[type(rs.kind)]
+        # Equal kinds of one type hash alike: a fresh one finds the read.
+        assert be.least(CacheKind(4 * KB, 64, 4 * KB)) == 3
+        assert be.least(GapKind(4 * KB, 64, 4 * KB)) == alone[GapKind]
 
 
 def test_loads_must_be_a_positive_whole_number_of_traversals():
@@ -1228,11 +1246,12 @@ def test_a_kind_carries_its_line_size():
     # pages, 170 over 4 KiB pages.  The first kind is seed-free here.
     pytest.param(SimConfig(cache_levels=[CacheLevel(15 * 8 * 32, 8, 32, 3)],
                            memory_latency=100, pagesize=1024),
-                 lambda env: build_cache_string(8 * KB, replace(
-                     env, l1_linesize=48), 1), id="C(8K)-48-byte-slots"),
+                 lambda env: build_cache_string(8 * KB, MachineEnv(
+                     env.pagesize, env.word, l1_linesize=48), 1),
+                 id="C(8K)-48-byte-slots"),
     # One slot in each of 160 1 KiB pages misses the 64-entry TLB; 40 in
     # 4 KiB pages of the same footprint touch only 40 1 KiB pages.
-    pytest.param(replace(README_LIKE, pagesize=1024),
+    pytest.param(README_LIKE._replace(pagesize=1024),
                  lambda env: build_tlb_string(1, 160 * KB, env, 1),
                  id="T(1,160K)"),
 ])
@@ -1262,10 +1281,10 @@ def least_cases(draw):
     if draw(st.booleans()):
         ways = draw(st.integers(1, 4) | st.integers(1, 16))
         way = pagesize >> draw(st.integers(0, 2))
-        first = replace(first, capacity=way * ways, associativity=ways,
-                        linesize=draw(st.sampled_from([16, 32, 64, 128,
-                                                       256])))
-        cfg = replace(cfg, cache_levels=[first] + [
+        first = first._replace(capacity=way * ways, associativity=ways,
+                               linesize=draw(st.sampled_from([16, 32, 64, 128,
+                                                              256])))
+        cfg = cfg._replace(cache_levels=[first] + [
             lvl for lvl in cfg.cache_levels[1:]
             if lvl.capacity > first.capacity])
     env = MachineEnv(pagesize=pagesize,
