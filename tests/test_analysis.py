@@ -1,15 +1,10 @@
-import os
-import statistics
-import subprocess
-import sys
-
 import math
+import statistics
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import memhier
 from memhier import (CacheLevel, DegenerateCurveError, MachineEnv, SimConfig,
                      SimulatedBackend)
 from memhier.analysis import (_median, assemble_report, detect_transitions,
@@ -122,15 +117,6 @@ class TestDetectTransitions:
                 | st.integers(-10**6, 10**6), min_size=1, max_size=40))
 def test_median_is_statistics_median(values):
     assert _median(values) == statistics.median(values)
-
-
-def test_cli_does_not_import_statistics():
-    code = "import sys, memhier.cli; print('statistics' in sys.modules)"
-    src = os.path.dirname(os.path.dirname(memhier.__file__))
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.strip() == "False"
 
 
 class TestAssembleReport:

@@ -2,12 +2,9 @@ import ctypes
 import mmap
 import os
 import shutil
-import subprocess
-import sys
 
 import pytest
 
-import memhier
 from memhier import (AllocationFailureError, MemhierError, RealMemoryBackend,
                      acquire_region, backend, build_cache_string,
                      build_gap_string, build_tlb_string, run_once)
@@ -173,14 +170,3 @@ class TestPinCpu:
             assert os.sched_getaffinity(0) == {cpu}
         finally:
             os.sched_setaffinity(0, original)
-
-
-def test_simulator_path_imports_no_native_modules():
-    src = os.path.dirname(os.path.dirname(memhier.__file__))
-    code = ("import memhier.cli, sys; "
-            "print(' '.join(m for m in ('ctypes', 'mmap', 'subprocess', "
-            "'numpy') if m in sys.modules))")
-    out = subprocess.run([sys.executable, "-c", code], check=True,
-                         capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=src)).stdout
-    assert out.split() == []

@@ -340,7 +340,8 @@ def test_a_command_on_the_simulator_loads_only_what_it_runs(
         env=dict(os.environ, PYTHONPATH=src)).stdout.split()
     assert out[0] == "0"
     assert "memhier." + probe in out[1:]
-    never = {"dataclasses", "inspect", "ctypes", "memhier.backend"}
+    never = {"dataclasses", "inspect", "statistics", "ctypes", "mmap",
+             "subprocess", "numpy", "memhier.backend"}
     loaded = (never | {"memhier." + m for m in unused}) & set(out[1:])
     assert not loaded
 
