@@ -1,5 +1,5 @@
-"""Multi-level cache response sweep: the sample schedule, the C(k) sweep and
-its CSV form.
+"""Multi-level cache response sweep: its range, the C(k) sweep and its CSV
+form.
 
 The sweep itself, with its knockout-revival pass and its string seeds, is
 ``timing.run_sweep``.
@@ -11,48 +11,23 @@ import math
 from typing import List
 
 from .errors import CurveFormatError, InvalidGeometryError
-from .refstring import MAX_FOOTPRINT, MachineEnv, build_cache_string
-from .timing import DEFAULT_WINDOW, ResponseCurve, SamplePoint, run_sweep
+from .refstring import MachineEnv, build_cache_string
+from .timing import (DEFAULT_WINDOW, ResponseCurve, SamplePoint, run_sweep,
+                     sample_schedule)
 
 DEFAULT_LB = 1024
 DEFAULT_UB = 32 * 1024 * 1024
 
 
 def sample_points(lb: int = DEFAULT_LB, ub: int = DEFAULT_UB) -> List[int]:
-    """The Range(LB, UB) schedule: 1-4KB uniformly, then the octave
-    schedule from 4KB to UB.  A range of fewer than 3 points, too few for
-    ``analysis.detect_transitions``, is an error before any string runs."""
-    if lb <= 0 or lb > 4096 or ub < 4096 or lb >= ub:
-        raise InvalidGeometryError("need 0 < LB <= 4KB <= UB and LB < UB")
-    if ub % 1024 or ub > MAX_FOOTPRINT:
-        raise InvalidGeometryError(
-            "UB must be a multiple of 1KB and at most %d" % MAX_FOOTPRINT)
-    pts = {kb * 1024 for kb in (1, 2, 3, 4) if lb <= kb * 1024 <= ub}
-    if ub > 4096:
-        pts.update(octave_points(4096, ub))
-    if len(pts) < 3:
-        raise InvalidGeometryError(
-            "LB %d to UB %d holds %d sample points; analysis needs at least 3"
-            % (lb, ub, len(pts)))
-    return sorted(pts)
-
-
-def octave_points(lb: int, ub: int) -> List[int]:
-    """Each power of two with three uniformly spaced points in between (p,
-    1.25p, 1.5p, 1.75p) from the power at or below LB, that lie within LB
-    and UB, plus LB and UB themselves; used for the page-count schedule of
-    the TLB test and the cache schedule above 4KB."""
-    if lb <= 0 or lb >= ub:
-        raise InvalidGeometryError("need 0 < LB < UB")
-    pts = {lb, ub}
-    p = 1 << (lb.bit_length() - 1)
-    while p < ub:
-        for m in (4, 5, 6, 7):
-            v = p * m // 4
-            if lb <= v <= ub and v * 4 == p * m:
-                pts.add(v)
-        p *= 2
-    return sorted(pts)
+    """The Range(LB, UB) schedule of C(k): ``timing.sample_schedule`` in
+    1KB units, so 1, 2, 3 and 4KB, then 5, 6, 7, 8, 10, 12, 14, 16KB, ...
+    A range out of bounds is an error before any string runs."""
+    if lb <= 0 or lb > 4096 or ub < 4096:
+        raise InvalidGeometryError("need 0 < LB <= 4KB <= UB")
+    if ub % 1024:
+        raise InvalidGeometryError("UB must be a multiple of 1KB")
+    return sample_schedule(lb, ub, 1024, "")
 
 
 def run_cache_sweep(lb: int, ub: int, env: MachineEnv, backend,

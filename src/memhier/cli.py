@@ -63,8 +63,6 @@ def _build_parser() -> argparse.ArgumentParser:
         """The options every probing command takes, with ``--max-assoc``
         where it runs the L1 probe and ``--format`` where it sweeps the
         caches; elsewhere either is a usage error."""
-        p.add_argument("--backend", default="real",
-                       help="'real' or 'sim:<config-file>' (default: real)")
         p.add_argument("--lb", type=_positive_int, default=None,
                        help="lower bound of the sweep in bytes")
         p.add_argument("--ub", type=_positive_int, default=None,
@@ -87,7 +85,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     for name, l1, curve in (("l1", True, False), ("cache", False, True),
                             ("tlb", False, False), ("all", True, True)):
-        add_common(sub.add_parser(name), l1, curve)
+        p = sub.add_parser(name)
+        p.add_argument("--backend", default="real",
+                       help="'real' or 'sim:<config-file>' (default: real)")
+        add_common(p, l1, curve)
 
     p = sub.add_parser("analyze")
     p.add_argument("curve", help="CSV response curve to analyze")
@@ -148,14 +149,21 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
     probe call, timed here and nowhere else, and their ``total``."""
     backend, env = _make_backend(args.backend)
     max_assoc = args.max_assoc
-    # Loaded before the clock starts, so that ``costs`` times probe work
-    # alone.
+    # Loaded, and every range checked (``all`` sweeps the TLBs over their
+    # defaults), before the clock starts: ``costs`` times probe work alone.
     if which in ("l1", "all"):
         from . import l1probe
 
         max_assoc = _bound(max_assoc, l1probe.DEFAULT_MAX_ASSOC)
+        params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
+                                  ub=_bound(args.ub, l1probe.DEFAULT_UB),
+                                  max_assoc=max_assoc)
     if which in ("cache", "all"):
         from . import cacheprobe
+
+        cache_range = (_bound(args.lb, cacheprobe.DEFAULT_LB),
+                       _bound(args.ub, cacheprobe.DEFAULT_UB))
+        cacheprobe.sample_points(*cache_range)
     if which in ("tlb", "all"):
         from . import tlbprobe
     started = time.perf_counter()
@@ -169,18 +177,14 @@ def _run_probes(args, which: str) -> Tuple[dict, Optional[ResponseCurve]]:
         return result
 
     if which in ("l1", "all"):
-        params = l1probe.L1Params(lb=_bound(args.lb, l1probe.DEFAULT_LB),
-                                  ub=_bound(args.ub, l1probe.DEFAULT_UB),
-                                  max_assoc=max_assoc)
         l1_report = timed("l1", l1probe.run_l1_probe, params, env, backend,
                           window=args.window)
         env.l1_linesize = l1_report.linesize
 
     if which in ("cache", "all"):
         cache_curve = timed("cache", cacheprobe.run_cache_sweep,
-                            _bound(args.lb, cacheprobe.DEFAULT_LB),
-                            _bound(args.ub, cacheprobe.DEFAULT_UB), env,
-                            backend, window=args.window, seed=args.seed)
+                            *cache_range, env, backend, window=args.window,
+                            seed=args.seed)
 
     if which in ("tlb", "all"):
         tlb = timed("tlb", tlbprobe.run_tlb_probe, env, backend,

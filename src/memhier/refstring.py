@@ -53,18 +53,17 @@ def _shuffle(rng: random.Random, x: list) -> None:
 class MachineEnv:
     """Static facts about the machine (or simulated machine) under test."""
 
-    __slots__ = ("pagesize", "word", "l1_linesize")
+    __slots__ = ("pagesize", "l1_linesize")
 
-    def __init__(self, pagesize: int, word: int = 8,
-                 l1_linesize: int = DEFAULT_LINESIZE):
+    #: Bytes per slot: the real backend links and chases 8-byte slots.
+    word = 8
+
+    def __init__(self, pagesize: int, l1_linesize: int = DEFAULT_LINESIZE):
         if pagesize <= 0 or pagesize & (pagesize - 1):
             raise InvalidGeometryError("pagesize must be a power of two")
-        if word not in (4, 8):
-            raise InvalidGeometryError("word must be 4 or 8 bytes")
-        if l1_linesize < word:
+        if l1_linesize < self.word:
             raise InvalidGeometryError("l1_linesize must be >= word")
         self.pagesize = pagesize
-        self.word = word
         self.l1_linesize = l1_linesize
 
     @classmethod
@@ -75,9 +74,7 @@ class MachineEnv:
             import mmap
 
             pagesize = mmap.PAGESIZE
-        import struct
-
-        return cls(pagesize=pagesize, word=struct.calcsize("P"))
+        return cls(pagesize=pagesize)
 
 
 class GapKind(NamedTuple):

@@ -110,8 +110,7 @@ every traversal and passes them all on, and the first level with as many
 never misses in a timed one.  Such a run reads the same at any number of
 traversals; a run in which it ran one may read less at more, where a level
 below takes several traversals to settle.  Some kinds' strings all read
-what such a run did.  A gap kind has one string at a given word size: seed
-0, one layout.
+what such a run did.  A gap kind has one string: seed 0, one layout.
 A cache string's kind is a ``CacheKind`` (a) whose footprint is a whole
 number of pages or at most one page (b): every string seed touches the same
 slots, and every page permutation maps them onto the same physical

@@ -1,7 +1,8 @@
 """The step predicate and the minimum-of-trials stability discipline: the
 one re-measure-until-stable loop, ``run_sweep``, with its knockout-revival
 pass, and ``measure_stable``, its one-string case.  ``run_sweep`` also draws
-every string seed the probes use.
+every string seed the probes use, and ``sample_schedule`` gives the points
+of both response curves it sweeps, C(k) and T(1,k).
 
 Every measurement is a backend run in cycles per access (see ``backend``):
 the real backend converts its timings with the cycle it measured when it was
@@ -16,8 +17,8 @@ import itertools
 import math
 from typing import Callable, List, NamedTuple
 
-from .errors import BudgetExceededError
-from .refstring import ReferenceString
+from .errors import BudgetExceededError, InvalidGeometryError
+from .refstring import MAX_FOOTPRINT, ReferenceString
 
 #: Margin, in cycles, of "above the L1 baseline", of knockout equality and of
 #: a rise that persists.  Single-miss deltas are sub-cycle once amortized over
@@ -95,6 +96,31 @@ class ResponseCurve:
             else:
                 out.append(last)
         return out
+
+
+def sample_schedule(lb: int, ub: int, unit: int, label: str) -> List[int]:
+    """The footprints a curve samples from LB, above 0 and rounded up to a
+    whole ``unit`` of bytes, to UB, a whole unit: p, 1.25p, 1.5p and 1.75p
+    units for each power of two p, within the range, plus its ends.  UB
+    above ``MAX_FOOTPRINT``, or fewer than the 3 points ``analysis.plateaus``
+    can read, is an error, its message starting with ``label``."""
+    if ub > MAX_FOOTPRINT:
+        raise InvalidGeometryError("%sUB must be at most %d"
+                                   % (label, MAX_FOOTPRINT))
+    lo, hi = -(-lb // unit), ub // unit
+    pts = {lo, hi}
+    p = 1 << (lo.bit_length() - 1)
+    while p < hi:
+        for m in (4, 5, 6, 7):
+            v = p * m // 4
+            if lo <= v <= hi and v * 4 == p * m:
+                pts.add(v)
+        p *= 2
+    if len(pts) < 3:
+        raise InvalidGeometryError(
+            "%sLB %d to UB %d holds %d sample points; analysis needs at "
+            "least 3" % (label, lb, ub, len(pts)))
+    return [v * unit for v in sorted(pts)]
 
 
 def run_sweep(footprints: List[int],

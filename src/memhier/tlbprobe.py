@@ -19,10 +19,10 @@ from __future__ import annotations
 from typing import List, Optional, Tuple
 
 from .analysis import plateaus
-from .cacheprobe import octave_points
 from .errors import InvalidGeometryError
-from .refstring import MAX_FOOTPRINT, MachineEnv, build_tlb_string
-from .timing import DEFAULT_WINDOW, JUMP, ResponseCurve, is_step, run_sweep
+from .refstring import MachineEnv, build_tlb_string
+from .timing import (DEFAULT_WINDOW, JUMP, ResponseCurve, is_step, run_sweep,
+                     sample_schedule)
 
 DEFAULT_LB_PAGES = 4
 DEFAULT_UB = 8 * 1024 * 1024
@@ -56,25 +56,19 @@ class TlbSuspect:
 def run_tlb_sweep(lb: int, ub: int, env: MachineEnv, backend,
                   window: int = DEFAULT_WINDOW,
                   seed: int = 0) -> ResponseCurve:
-    """Stability-disciplined sweep of T(1,k) over the page-count schedule."""
+    """Stability-disciplined sweep of T(1,k) over ``timing.sample_schedule``
+    in pages."""
     if lb % env.pagesize or ub % env.pagesize:
         raise InvalidGeometryError("TLB bounds must be multiples of pagesize")
     if lb < 2 * env.pagesize:
         raise InvalidGeometryError("TLB LB must be at least 2 pages (%d bytes): "
                                    "a T(1,k) string needs 2 slots"
                                    % (2 * env.pagesize))
-    if ub > MAX_FOOTPRINT:
-        raise InvalidGeometryError("TLB UB must be at most %d" % MAX_FOOTPRINT)
     if lb >= ub:
         raise InvalidGeometryError("TLB LB (%d bytes) must be below TLB UB "
                                    "(%d bytes)" % (lb, ub))
-    pages = octave_points(lb // env.pagesize, ub // env.pagesize)
-    if len(pages) < 3:
-        raise InvalidGeometryError("TLB LB %d to UB %d holds %d sample points;"
-                                   " analysis needs at least 3"
-                                   % (lb, ub, len(pages)))
-    footprints = [p * env.pagesize for p in pages]
-    return run_sweep(footprints, lambda fp, s: build_tlb_string(1, fp, env, s),
+    return run_sweep(sample_schedule(lb, ub, env.pagesize, "TLB "),
+                     lambda fp, s: build_tlb_string(1, fp, env, s),
                      backend, window=window, seed=seed)
 
 

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -8,7 +9,7 @@ from memhier.refstring import CacheKind, GapKind, TlbKind
 
 @pytest.fixture
 def env():
-    return MachineEnv(pagesize=4096, word=8, l1_linesize=64)
+    return MachineEnv(pagesize=4096, l1_linesize=64)
 
 
 def naive_single_level_cycles(rs, capacity, assoc, linesize, latency,
@@ -215,3 +216,30 @@ class DriftingBackend:
         cycles = self.inner.run(rs, loads) * (1 + self.rate * self.runs)
         self.runs += 1
         return cycles
+
+
+class PartialOverflow:
+    """The simulator's runs without its ``least``, except that a gap string
+    that overflows a set of the first cache level by x lines reads only
+    x / (x + 1) of its LRU cost above that level's latency: half of it at
+    one line over, as on a real L1 that keeps part of a set overflowed by
+    one line, where LRU misses on every access to it.  A gap string that
+    fills a set exactly reads ``fit`` cycles more than LRU's all-hit read."""
+
+    def __init__(self, inner, fit=0.0):
+        self.inner = inner
+        self.l1 = inner.config.cache_levels[0]
+        self.fit = fit
+
+    def run(self, rs, loads):
+        cycles = self.inner.run(rs, loads)
+        l1 = self.l1
+        if not isinstance(rs.kind, GapKind):
+            return cycles
+        nsets = l1.capacity // (l1.associativity * l1.linesize)
+        per_set = Counter(line % nsets
+                          for line in {off // l1.linesize for off in rs.chain})
+        over = max(per_set.values()) - l1.associativity
+        if over <= 0:
+            return cycles + (self.fit if over == 0 else 0.0)
+        return l1.latency + (cycles - l1.latency) * over / (over + 1)

@@ -6,8 +6,9 @@ import pytest
 from memhier import (CacheLevel, InvalidGeometryError, SimConfig,
                      SimulatedBackend, build_cache_string, cacheprobe,
                      curve_from_csv, curve_to_csv, timing)
-from memhier.cacheprobe import octave_points, run_cache_sweep, sample_points
-from memhier.timing import ResponseCurve, SamplePoint, run_sweep
+from memhier.cacheprobe import run_cache_sweep, sample_points
+from memhier.timing import (ResponseCurve, SamplePoint, run_sweep,
+                            sample_schedule)
 from memhier.refstring import MAX_FOOTPRINT
 
 from conftest import Inexact, NoRunBackend
@@ -22,6 +23,11 @@ class TestSamplePoints:
             [1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32]
         assert [p // KB for p in sample_points(3 * KB, 20 * KB)] == \
             [3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 20]
+
+    def test_lb_rounds_up_to_a_whole_kb(self):
+        assert [p // KB for p in sample_points(1500, 16 * KB)] == \
+            [2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16]
+        assert sample_points(1500, 16 * KB) == sample_points(2 * KB, 16 * KB)
 
     def test_sub_4k_only(self):
         assert [p // KB for p in sample_points(KB, 4 * KB)] == [1, 2, 3, 4]
@@ -48,16 +54,18 @@ class TestSamplePoints:
     def test_ub_at_allocation_limit(self):
         assert sample_points(KB, MAX_FOOTPRINT)[-1] == MAX_FOOTPRINT
 
-    def test_octave_points_from_four(self):
-        assert octave_points(4, 64) == [4, 5, 6, 7, 8, 10, 12, 14, 16,
-                                        20, 24, 28, 32, 40, 48, 56, 64]
+    def test_schedule_from_four(self):
+        assert sample_schedule(4, 64, 1, "") == [4, 5, 6, 7, 8, 10, 12, 14,
+                                                 16, 20, 24, 28, 32, 40, 48,
+                                                 56, 64]
 
-    def test_octave_points_below_the_first_power_of_two(self):
+    def test_schedule_below_the_first_power_of_two(self):
         # The octave of the power of two below LB is sampled from LB up.
-        assert octave_points(5, 64) == [5, 6, 7, 8, 10, 12, 14, 16,
-                                        20, 24, 28, 32, 40, 48, 56, 64]
-        assert octave_points(6, 40) == [6, 7, 8, 10, 12, 14, 16,
-                                        20, 24, 28, 32, 40]
+        assert sample_schedule(5, 64, 1, "") == [5, 6, 7, 8, 10, 12, 14, 16,
+                                                 20, 24, 28, 32, 40, 48, 56,
+                                                 64]
+        assert sample_schedule(6, 40, 1, "") == [6, 7, 8, 10, 12, 14, 16,
+                                                 20, 24, 28, 32, 40]
 
 
 def flat_backend(latency=5):

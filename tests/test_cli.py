@@ -50,11 +50,13 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [
         ["l1", "--format", "csv"], ["tlb", "--format", "csv"],
         ["tlb", "--format", "json"], ["cache", "--max-assoc", "12"],
-        ["tlb", "--max-assoc", "12"],
+        ["tlb", "--max-assoc", "12"], ["simulate", "machine.cfg"],
     ], ids=["l1-format", "tlb-format-csv", "tlb-format-json",
-            "cache-max-assoc", "tlb-max-assoc"])
+            "cache-max-assoc", "tlb-max-assoc", "simulate-backend"])
     def test_option_the_command_does_not_read_is_2(self, capsys, cfg_path,
                                                    argv):
+        # ``simulate`` runs on its config's simulator: it takes no
+        # ``--backend``.
         assert main(argv + ["--backend", "sim:" + cfg_path]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -197,14 +199,26 @@ class TestExitCodes:
          "TLB LB (8192 bytes) must be below TLB UB (8192 bytes)"),
         (["tlb", "--lb", "8192", "--ub", "12288"], "holds 2 sample points"),
         (["l1", "--lb", "8192", "--ub", "4096"], "L1 probe needs LB < UB"),
+        (["all", "--ub", "5000000"], "multiple of 1KB"),
+        (["simulate", "--lb", "2048", "--ub", "70000000"], "multiple of 1KB"),
+        (["simulate", "--ub", str(128 * KB * KB)],
+         "UB must be at most %d" % (64 * KB * KB)),
     ], ids=["cache-ub-not-1KB-multiple", "tlb-ub-over-allocation-limit",
             "cache-3K-to-4K", "cache-4K-to-5K-csv", "tlb-lb-one-page",
-            "tlb-lb-at-ub", "tlb-2-to-3-pages", "l1-lb-above-ub"])
+            "tlb-lb-at-ub", "tlb-2-to-3-pages", "l1-lb-above-ub",
+            "all-ub-not-1KB-multiple", "simulate-ub-not-1KB-multiple",
+            "simulate-ub-over-allocation-limit"])
     def test_bad_ub_is_1_before_any_run(self, capsys, monkeypatch, cfg_path,
                                         argv, message):
-        # A range too small to sweep or analyse is refused up front too.
+        # A range too small to sweep or analyse is refused up front too, and
+        # ``all`` and ``simulate`` refuse a bad cache range before the L1
+        # probe runs.
         monkeypatch.setattr(SimulatedBackend, "run", NoRunBackend.run)
-        assert main(argv + ["--backend", "sim:" + cfg_path]) == 1
+        if argv[0] == "simulate":
+            argv = argv[:1] + [cfg_path] + argv[1:]
+        else:
+            argv = argv + ["--backend", "sim:" + cfg_path]
+        assert main(argv) == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("memhier: ")
         assert message in err[0]
@@ -321,7 +335,8 @@ EXPORTS = """
     (["l1"], "l1probe", {"cacheprobe", "tlbprobe"}),
     (["cache", "--lb", "1024", "--ub", "4096"], "cacheprobe",
      {"l1probe", "tlbprobe"}),
-    (["tlb", "--lb", "8192", "--ub", "32768"], "tlbprobe", {"l1probe"}),
+    (["tlb", "--lb", "8192", "--ub", "32768"], "tlbprobe",
+     {"l1probe", "cacheprobe"}),
 ], ids=["l1", "cache", "tlb"])
 def test_a_command_on_the_simulator_loads_only_what_it_runs(
         tmp_path, cfg_path, command, probe, unused):

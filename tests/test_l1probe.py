@@ -1,11 +1,12 @@
 import pytest
 
-from conftest import CountingBackend, Inexact
+from conftest import CountingBackend, Inexact, PartialOverflow
 from memhier import CacheLevel, ProbeError, SimConfig, SimulatedBackend
 from memhier import l1probe
 from memhier.l1probe import (GapTimer, L1Params, baseline, check_geometry,
                              find_associativity, find_capacity, find_linesize,
                              find_stride, run_l1_probe)
+from memhier.timing import STEP_TOL, is_step
 
 KB = 1024
 
@@ -187,6 +188,35 @@ class TestCheckGeometry:
         be = backend(48 * KB, 12, 64, 3) if assoc == 11 else backend()
         with pytest.raises(ProbeError, match="inconsistent L1 result"):
             check_geometry(cap, assoc, ls, 3.0, timer(env, be))
+
+    @pytest.mark.parametrize("geometry, max_assoc", CRITERION_1)
+    def test_true_geometry_passes_where_overflow_misses_in_part(
+            self, env, geometry, max_assoc):
+        # A set overflowed by a few lines misses on only part of its
+        # accesses, so G(2*ways+2, W, 0) reads a step above
+        # G(ways+1, W, 0): a check that required every access of the latter
+        # to miss would refuse the true geometry.
+        cap, assoc, ls = geometry
+        be = PartialOverflow(backend(cap, assoc, ls))
+        way = cap // assoc
+        t = timer(env, be)
+        assert is_step(t.cycles(assoc + 1, way), t.cycles(2 * assoc + 2, way),
+                       STEP_TOL)
+        check_geometry(cap, assoc, ls, 3.0, t)
+        rep = run_l1_probe(L1Params(max_assoc=max_assoc), env, be,
+                           window=WINDOW)
+        assert (rep.capacity, rep.associativity, rep.linesize) == geometry
+
+    def test_one_way_too_few_is_an_error_where_an_exact_fit_reads_high(
+            self, env):
+        # On a 48K/12 L1 whose exactly full set reads 0.4 above the
+        # baseline, a miss at STEP_TOL, a search can end on 44K/11.  Its
+        # G(12, 4K, 0) is no miss against the margin G(24, 4K, 0) sets.
+        t = timer(env, PartialOverflow(backend(48 * KB, 12, 64, 3), fit=0.4))
+        assert is_step(3.0, t.cycles(12, 4 * KB), STEP_TOL)
+        with pytest.raises(ProbeError, match="inconsistent L1 result"):
+            check_geometry(44 * KB, 11, 64, 3.0, t)
+        check_geometry(48 * KB, 12, 64, 3.0, t)
 
     def test_checked_only_where_runs_are_not_exact(self, env, monkeypatch):
         # The true geometry passes the check on a backend with no least,

@@ -1247,7 +1247,7 @@ def test_a_kind_carries_its_line_size():
     pytest.param(SimConfig(cache_levels=[CacheLevel(15 * 8 * 32, 8, 32, 3)],
                            memory_latency=100, pagesize=1024),
                  lambda env: build_cache_string(8 * KB, MachineEnv(
-                     env.pagesize, env.word, l1_linesize=48), 1),
+                     env.pagesize, l1_linesize=48), 1),
                  id="C(8K)-48-byte-slots"),
     # One slot in each of 160 1 KiB pages misses the 64-entry TLB; 40 in
     # 4 KiB pages of the same footprint touch only 40 1 KiB pages.

@@ -8,7 +8,7 @@ from memhier import (CacheLevel, InvalidGeometryError, MachineEnv, SimConfig,
                      SimulatedBackend, TlbLevel, build_tlb_string,
                      measure_stable)
 from memhier.refstring import MAX_FOOTPRINT
-from memhier.timing import JUMP, is_step
+from memhier.timing import JUMP, is_step, sample_schedule
 from memhier.tlbprobe import (TlbSuspect, confirm_suspect, find_suspects,
                               run_tlb_probe, run_tlb_sweep)
 
@@ -53,6 +53,19 @@ class TestSweep:
         with pytest.raises(InvalidGeometryError):
             run_tlb_sweep(5000, 64 * PAGE, env,
                           tlb_backend([TlbLevel(16, 30)]), window=WINDOW)
+
+    def test_schedule_is_the_shared_one_in_pages(self):
+        # At a 16 KiB page, T(1,k) samples the shared schedule in pages.
+        page = 16 * KB
+        be = CountingBackend(tlb_backend([TlbLevel(4096, 30)]))
+        curve = run_tlb_sweep(4 * page, 96 * page, MachineEnv(pagesize=page),
+                              be, window=WINDOW, seed=1)
+        assert curve.footprints() == sample_schedule(4 * page, 96 * page,
+                                                     page, "TLB ")
+        assert [fp // page for fp in curve.footprints()] == \
+            [4, 5, 6, 7, 8, 10, 12, 14, 16, 20, 24, 28, 32, 40, 48, 56, 64,
+             80, 96]
+        assert {kind.footprint for kind in be.kinds} == set(curve.footprints())
 
     def test_range_of_two_points_rejected_before_any_run(self, env):
         with pytest.raises(InvalidGeometryError,
@@ -238,7 +251,7 @@ class StepBackend:
 @given(steps=st.sets(st.sampled_from([2, 3, 4])),
        seed=st.integers(0, 2**16))
 def test_confirmation_stops_at_first_n_without_a_step(steps, seed):
-    env = MachineEnv(pagesize=4096, word=8, l1_linesize=64)
+    env = MachineEnv(pagesize=4096, l1_linesize=64)
     be = CountingBackend(StepBackend(80 * PAGE, steps))
     s = confirm_suspect(TlbSuspect(footprint=80 * PAGE, boundary=64 * PAGE),
                         env, be, window=WINDOW, seed=seed)
